@@ -315,16 +315,8 @@ where
     /// Non-destructively checks whether an unexpected message would satisfy
     /// `spec` (`MPI_Iprobe`), returning its payload handle and search depth.
     pub fn iprobe(&self, spec: RecvSpec) -> Option<(PayloadHandle, u32)> {
-        // Search-and-reinsert would break FIFO; snapshot instead. Probe is
-        // off the critical path, so the copy is acceptable.
-        let mut depth = 0;
-        for e in self.umq.snapshot() {
-            depth += 1;
-            if e.matches(&spec) {
-                return Some((e.payload, depth));
-            }
-        }
-        None
+        let (e, depth) = self.umq.find_first(&spec)?;
+        Some((e.payload, depth))
     }
 
     /// Cancels a posted receive by request handle (`MPI_Cancel`). Returns

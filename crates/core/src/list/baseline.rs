@@ -16,7 +16,7 @@
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, ProbeKey};
-use crate::list::{Footprint, MatchList, Search};
+use crate::list::{first_match, Footprint, MatchList, Search};
 use crate::prefetch;
 use crate::simd;
 use crate::sink::AccessSink;
@@ -91,6 +91,15 @@ impl<E: Element> BaselineList<E> {
             addr,
             adaptive: prefetch::AdaptiveDist::new(),
         }
+    }
+
+    /// Live entries in FIFO order, walked in place.
+    fn live(&self) -> impl Iterator<Item = &E> {
+        // SAFETY: `head` and every `next` are null or a node this list
+        // exclusively owns (`Box::into_raw` in `append`, freed only on
+        // removal/clear, both `&mut self`); `&self` keeps them alive.
+        let node = |p: *mut Node<E>| unsafe { p.as_ref() };
+        std::iter::successors(node(self.head), move |n| node(n.next)).map(|n| &n.entry)
     }
 
     /// Walks the list calling `test` on each entry; on `true`, unlinks that
@@ -441,14 +450,12 @@ impl<E: Element> MatchList<E> for BaselineList<E> {
 
     fn snapshot(&self) -> Vec<E> {
         let mut out = Vec::with_capacity(self.len);
-        let mut cur = self.head;
-        while !cur.is_null() {
-            // SAFETY: traversal of exclusively-owned live nodes.
-            let node = unsafe { &*cur };
-            out.push(node.entry);
-            cur = node.next;
-        }
+        out.extend(self.live());
         out
+    }
+
+    fn find_first(&self, probe: &E::Probe) -> Option<(E, u32)> {
+        first_match(self.live(), probe)
     }
 
     fn clear(&mut self) {

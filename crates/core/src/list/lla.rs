@@ -15,7 +15,7 @@
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, PostedEntry, ProbeKey, UnexpectedEntry};
-use crate::list::{Footprint, MatchList, Search};
+use crate::list::{first_match, Footprint, MatchList, Search};
 use crate::pool::{Pool, NIL};
 use crate::prefetch;
 use crate::simd;
@@ -144,6 +144,16 @@ impl<E: Element, const N: usize> Lla<E, N> {
     /// Number of nodes currently linked into the list.
     pub fn node_count(&self) -> usize {
         self.pool.live()
+    }
+
+    /// Live entries in FIFO order, walked in place (holes skipped).
+    fn live(&self) -> impl Iterator<Item = &E> {
+        let node = |id: u32| (id != NIL).then(|| self.pool.get(id));
+        std::iter::successors(node(self.head), move |n| node(n.next)).flat_map(|n| {
+            n.entries[n.head as usize..n.tail as usize]
+                .iter()
+                .filter(|e| !e.is_hole())
+        })
     }
 
     /// Unlinks `cur` (whose predecessor is `prev`) and returns it to the pool.
@@ -688,17 +698,12 @@ impl<E: Element, const N: usize> MatchList<E> for Lla<E, N> {
 
     fn snapshot(&self) -> Vec<E> {
         let mut out = Vec::with_capacity(self.len);
-        let mut cur = self.head;
-        while cur != NIL {
-            let n = self.pool.get(cur);
-            out.extend(
-                n.entries[n.head as usize..n.tail as usize]
-                    .iter()
-                    .filter(|e| !e.is_hole()),
-            );
-            cur = n.next;
-        }
+        out.extend(self.live());
         out
+    }
+
+    fn find_first(&self, probe: &E::Probe) -> Option<(E, u32)> {
+        first_match(self.live(), probe)
     }
 
     fn clear(&mut self) {
@@ -845,6 +850,10 @@ mod tests {
             snap.iter().map(|e| e.request).collect::<Vec<_>>(),
             vec![0, 2, 3]
         );
+        // A non-destructive probe counts FIFO positions past the hole.
+        let found = l.find_first(&Envelope::new(3, 3, 0));
+        assert_eq!(found.map(|(e, d)| (e.request, d)), Some((3, 3)));
+        assert_eq!(l.find_first(&Envelope::new(1, 1, 0)), None);
         // A subsequent full-miss search inspects only live entries.
         let r = l.search_remove(&Envelope::new(9, 9, 0), &mut s);
         assert_eq!(r.depth, 3);

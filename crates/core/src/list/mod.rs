@@ -130,6 +130,16 @@ pub trait MatchList<E: Element> {
     /// Live elements in FIFO (append) order. Intended for tests and tracing.
     fn snapshot(&self) -> Vec<E>;
 
+    /// The earliest-appended element matching `probe` and its 1-based FIFO
+    /// position among live entries, without removing it (`MPI_Iprobe`).
+    /// The position is the FIFO one for every structure, partitioned ones
+    /// included — a probe reports where the message sits in arrival order,
+    /// not how few entries a bin lookup would inspect. The default walks
+    /// [`MatchList::snapshot`]; the linear structures walk in place.
+    fn find_first(&self, probe: &E::Probe) -> Option<(E, u32)> {
+        first_match(self.snapshot().iter(), probe)
+    }
+
     /// Removes all elements.
     fn clear(&mut self);
 
@@ -156,6 +166,17 @@ pub trait MatchList<E: Element> {
     fn validate(&self) -> Result<(), String> {
         Ok(())
     }
+}
+
+/// The first element of a FIFO-ordered walk that matches `probe`, with its
+/// 1-based position — the body of every [`MatchList::find_first`].
+pub(crate) fn first_match<'a, E: Element>(
+    fifo: impl Iterator<Item = &'a E>,
+    probe: &E::Probe,
+) -> Option<(E, u32)> {
+    fifo.zip(1..)
+        .find(|(e, _)| e.matches(probe))
+        .map(|(e, pos)| (*e, pos))
 }
 
 /// Shared helper for binned structures: a FIFO of `(sequence, element)`

@@ -27,10 +27,11 @@
 //! stamp**: it acquires the lane lock, calls [`SnapRows::begin`], *then*
 //! takes its global seq stamp, applies its mutation (rows + indexes), and
 //! calls [`SnapRows::end`]. A reader does the reverse: it loads the
-//! global seq counter `s0` first, walks each lane under
-//! [`SnapRows::read_into`] (which fails unless the version is even and
-//! unchanged across the walk), and finally re-checks that the global seq
-//! still reads `s0`.
+//! global seq counter `s0` first, walks each lane it needs under
+//! [`SnapRows::scan`] (which fails unless the version is even and
+//! unchanged across the walk) — as many walks as it likes, over as few
+//! lanes as can hold its answer — and finally re-checks that the global
+//! seq still reads `s0`.
 //!
 //! That ordering makes the snapshot linearizable at `s0`: any writer
 //! stamped *before* `s0` went version-odd before its stamp (all SeqCst,
@@ -125,8 +126,13 @@ impl SnapRow {
 /// queue, readable without the shard lock.
 ///
 /// Writers (holding the shard lock) append rows in stamp order and
-/// tombstone matched rows in place; compaction keeps the walk length
-/// bounded by roughly twice the live count. Storage is a fixed table of
+/// tombstone matched rows in place. [`SnapRows::append`] compacts only
+/// once the published rows reach `2 * live + ROWS_PER_CHUNK`, so a walk
+/// visits up to `2 * live + 256` rows, tombstones included, with `live`
+/// taken at the latest append (kills after it only add tombstones): up
+/// to 320 rows for 32 live messages. The slack is a whole chunk so that
+/// short queues compact once per ~256 appends instead of on every other
+/// one. Storage is a fixed table of
 /// lazily-allocated chunks — chunk addresses never change after
 /// allocation, so concurrent readers can dereference them safely (the
 /// `OnceLock` per chunk makes publication itself lock-free on the read
@@ -194,8 +200,8 @@ impl SnapRows {
         &chunk[i % ROWS_PER_CHUNK]
     }
 
-    /// Reader-side row access; `None` means the chunk was never
-    /// allocated, i.e. the `rows_len` we read was torn.
+    /// Non-allocating row access; `None` means the chunk was never
+    /// allocated (nothing was ever published at `i`).
     fn row_get(&self, i: usize) -> Option<&SnapRow> {
         let chunk = self.chunks.get(i / ROWS_PER_CHUNK)?.get()?;
         Some(&chunk[i % ROWS_PER_CHUNK])
@@ -310,12 +316,16 @@ impl SnapRows {
         self.overflow.store(false, Ordering::SeqCst);
     }
 
-    /// Lock-free snapshot: appends every live `(seq, key, val)` row to
-    /// `out` in seq order. Returns `false` — with `out` in an
-    /// unspecified state — if a writer interfered, a chunk was torn, or
-    /// the mirror overflowed; the caller retries or falls back to the
-    /// locked path.
-    pub fn read_into(&self, out: &mut Vec<(u64, u64, u64)>) -> bool {
+    /// Lock-free walk: calls `visit(seq, key, val)` on every live row in
+    /// seq order until it returns `false` (early exit) or the rows run
+    /// out — at most `2 * live + ROWS_PER_CHUNK` rows touched, tombstones
+    /// included (the compaction bound on the type, `live` as of the
+    /// latest append). Returns `true` iff the whole walk
+    /// ran under one stable version; on `false` — a writer interfered, a
+    /// chunk was torn, or the mirror overflowed — whatever `visit` saw is
+    /// meaningless, so it must tolerate torn rows, and the caller retries
+    /// or falls back to the locked path.
+    pub fn scan(&self, mut visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
         let Some(entered) = self.ver.read_enter() else {
             return false;
         };
@@ -326,17 +336,25 @@ impl SnapRows {
         if n > self.max_rows {
             return false;
         }
-        out.reserve(n);
-        for i in 0..n {
-            let Some(row) = self.row_get(i) else {
+        'walk: for (ci, chunk) in self.chunks.iter().enumerate() {
+            let base = ci * ROWS_PER_CHUNK;
+            if base >= n {
+                break;
+            }
+            // A never-allocated chunk below `n` means `rows_len` was torn.
+            let Some(chunk) = chunk.get() else {
                 return false;
             };
-            if row.live.load(Ordering::SeqCst) == 1 {
-                out.push((
-                    row.seq.load(Ordering::SeqCst),
-                    row.key.load(Ordering::SeqCst),
-                    row.val.load(Ordering::SeqCst),
-                ));
+            for row in &chunk[..(n - base).min(ROWS_PER_CHUNK)] {
+                if row.live.load(Ordering::SeqCst) == 1
+                    && !visit(
+                        row.seq.load(Ordering::SeqCst),
+                        row.key.load(Ordering::SeqCst),
+                        row.val.load(Ordering::SeqCst),
+                    )
+                {
+                    break 'walk;
+                }
             }
         }
         self.ver.read_ok(entered) && !self.overflow.load(Ordering::SeqCst)
@@ -529,8 +547,17 @@ mod tests {
 
     fn read_all(rows: &SnapRows) -> Vec<(u64, u64, u64)> {
         let mut out = Vec::new();
-        assert!(rows.read_into(&mut out), "stable mirror must snapshot");
+        let ok = rows.scan(|seq, key, val| {
+            out.push((seq, key, val));
+            true
+        });
+        assert!(ok, "stable mirror must snapshot");
         out
+    }
+
+    /// A walk that visits everything and reports only its validity.
+    fn scan_ok(rows: &SnapRows) -> bool {
+        rows.scan(|_, _, _| true)
     }
 
     #[test]
@@ -557,11 +584,7 @@ mod tests {
         let rows = SnapRows::new(true, 1024);
         rows.begin();
         rows.append(1, 10, 100);
-        let mut out = Vec::new();
-        assert!(
-            !rows.read_into(&mut out),
-            "mid-window snapshot must be refused"
-        );
+        assert!(!scan_ok(&rows), "mid-window snapshot must be refused");
         rows.end();
         assert_eq!(read_all(&rows).len(), 1);
     }
@@ -613,14 +636,87 @@ mod tests {
         }
         rows.end();
         assert!(rows.overflowed());
-        let mut out = Vec::new();
-        assert!(!rows.read_into(&mut out), "overflowed mirror must refuse");
+        assert!(!scan_ok(&rows), "overflowed mirror must refuse");
         // clear() (engine reset) recovers.
         rows.begin();
         rows.clear();
         rows.end();
         assert!(!rows.overflowed());
-        assert!(rows.read_into(&mut Vec::new()));
+        assert!(scan_ok(&rows));
+    }
+
+    #[test]
+    fn scan_stops_early_and_crosses_chunk_boundaries() {
+        let rows = SnapRows::new(true, 4 * ROWS_PER_CHUNK);
+        let n = ROWS_PER_CHUNK as u64 + 44;
+        rows.begin();
+        for i in 0..n {
+            rows.append(i, i * 10, i * 100);
+        }
+        rows.kill(ROWS_PER_CHUNK as u64); // first row of the second chunk
+        rows.end();
+        let want: Vec<u64> = (0..n).filter(|&i| i != ROWS_PER_CHUNK as u64).collect();
+        let got: Vec<u64> = read_all(&rows).iter().map(|r| r.0).collect();
+        assert_eq!(got, want, "both chunks walked in order, tombstone skipped");
+        // Early exit on either side of the boundary: the walk stops at the
+        // row that said so and still validates.
+        for stop_at in [2u64, ROWS_PER_CHUNK as u64 + 3] {
+            let mut visited = Vec::new();
+            let ok = rows.scan(|seq, _, _| {
+                visited.push(seq);
+                seq != stop_at
+            });
+            assert!(ok, "an early exit is still a valid walk");
+            assert_eq!(visited.last(), Some(&stop_at));
+            assert_eq!(visited, want[..visited.len()]);
+        }
+    }
+
+    #[test]
+    fn scan_refuses_a_version_change_mid_walk() {
+        let rows = SnapRows::new(true, 1024);
+        rows.begin();
+        rows.append(1, 10, 100);
+        rows.append(2, 20, 200);
+        rows.end();
+        // A whole write window opens and closes while the reader is
+        // between rows: entry saw an even version, exit sees a later one.
+        let ok = rows.scan(|seq, _, _| {
+            if seq == 1 {
+                rows.begin();
+                rows.kill(2);
+                rows.end();
+            }
+            true
+        });
+        assert!(!ok, "a write window inside the walk must invalidate it");
+        assert_eq!(read_all(&rows), vec![(1, 10, 100)]);
+        // Overflow raised mid-walk is caught by the exit re-check too.
+        let ok = rows.scan(|_, _, _| {
+            rows.overflow.store(true, Ordering::SeqCst);
+            true
+        });
+        assert!(!ok, "overflow during the walk must invalidate it");
+    }
+
+    #[test]
+    fn scan_refuses_a_torn_rows_len() {
+        let rows = SnapRows::new(true, 2 * ROWS_PER_CHUNK);
+        rows.begin();
+        rows.append(1, 10, 100);
+        rows.end();
+        // A length pointing into a chunk nobody allocated.
+        rows.rows_len.store(ROWS_PER_CHUNK + 1, Ordering::SeqCst);
+        let mut seen = 0;
+        let ok = rows.scan(|_, _, _| {
+            seen += 1;
+            true
+        });
+        assert!(!ok, "a length past the allocated chunks is torn");
+        assert_eq!(seen, 1, "the allocated chunk was still walked safely");
+        // A length past the table itself is refused before any row.
+        rows.rows_len.store(rows.capacity() + 1, Ordering::SeqCst);
+        assert!(!rows.scan(|_, _, _| panic!("no row may be visited")));
     }
 
     #[test]

@@ -68,21 +68,31 @@
 //! under a seqlock version word) and a [`MirrorStats`] mirror of its
 //! counters; every mutating operation follows the **version-odd before
 //! seq stamp** writer protocol documented in [`crate::seqsnap`], so a
-//! reader that (1) loads the global seq `s0`, (2) walks each lane's
-//! mirror under its version check, and (3) re-checks the global seq,
-//! obtains a snapshot linearizable at `s0`. On that protocol ride:
+//! reader that (1) loads the global seq `s0`, (2) walks lane mirrors
+//! under their version checks — any lanes, any number of times — and
+//! (3) re-checks the global seq, has read every one of them as of `s0`.
+//! On that protocol ride:
 //!
-//! * [`ShardedEngine::iprobe`] — bounded seqlock retries, then the locked
-//!   fallback ([`SnapReadStats`] counts both).
+//! * [`ShardedEngine::iprobe`] — **shard-routed**: a probe names its
+//!   source as a packet names its destination, so the match can only sit
+//!   in `shard_of(source)`. `merged_probe` walks that one lane for the
+//!   earliest match (every lane only for `MPI_ANY_SOURCE`), and on a hit
+//!   alone walks the others up to the match's stamp to count its global
+//!   FIFO depth — no copy-out, no allocation, no sort. A concrete-source
+//!   miss therefore touches one shard's rows and is not refused by a
+//!   write window open on another shard's lane; only a stamp taken
+//!   inside its own (now short) `s0` bracket retries it. Bounded seqlock
+//!   retries, then the locked fallback, which runs the same merge over
+//!   the seq indexes ([`SnapReadStats`] counts both).
 //! * [`ShardedEngine::queue_lens`] / [`ShardedEngine::stats`] /
 //!   [`ShardedEngine::shard_stats`] — pure mirror reads, never a lock.
 //! * The wildcard **candidate pre-scan**: when the unexpected counts are
 //!   nonzero, a wildcard post first tries to prove "no queued message
-//!   matches me" from the published snapshots (validated against the
-//!   per-shard counts, so an in-flight arrival that could miss the
-//!   `wild_len` bump forces the fallback) and parks without touching a
-//!   single shard lock; only a possible match pays for the locked slow
-//!   path.
+//!   matches me" from one walk of each published snapshot (its live-row
+//!   count validated against the per-shard counts, so an in-flight
+//!   arrival that could miss the `wild_len` bump forces the fallback) and
+//!   parks without touching a single shard lock; only a possible match
+//!   pays for the locked slow path.
 //!
 //! Batched ingestion ([`crate::ingest`]) reuses the same locked op
 //! bodies: [`ShardedEngine::drain_rings`] applies a whole ring batch
@@ -94,7 +104,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::engine::{ArrivalOutcome, MatchEngine, RecvOutcome};
 use crate::entry::{
-    packed_matches, Element, Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE,
+    packed_matches, Element, Envelope, PackedProbe, PostedEntry, RecvSpec, UnexpectedEntry,
+    ANY_SOURCE,
 };
 use crate::ingest::{IngestOp, IngestRing};
 use crate::list::MatchList;
@@ -164,6 +175,96 @@ fn check_seq_index<E: Element>(idx: &VecDeque<(u64, E)>, snapshot: Vec<E>) -> Re
         }
     }
     Ok(())
+}
+
+/// A seq-ordered lane of live unexpected rows `(seq, packed key, payload)`
+/// that [`merged_probe`] can walk: a published [`SnapRows`] mirror
+/// (lock-free, may refuse) or a locked shard's seq index (never refuses).
+trait ProbeLane {
+    /// Visits rows in seq order until `visit` returns `false`. Returns
+    /// `false` if the walk could not be validated, in which case whatever
+    /// `visit` saw is meaningless.
+    fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool;
+}
+
+impl ProbeLane for SnapRows {
+    fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
+        self.scan(visit)
+    }
+}
+
+impl<P, U> ProbeLane for MutexGuard<'_, ShardState<P, U>>
+where
+    P: MatchList<PostedEntry>,
+    U: MatchList<UnexpectedEntry>,
+{
+    fn walk(&self, mut visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
+        for (seq, e) in self.umq_idx.iter() {
+            if !visit(*seq, e.match_key(), e.payload) {
+                break;
+            }
+        }
+        true
+    }
+}
+
+/// The cross-lane probe merge, shared by the lock-free and the locked
+/// `iprobe`: the globally earliest row matching `probe` and its 1-based
+/// position in the seq-merged (= arrival FIFO) order of all lanes —
+/// exactly what a single-engine FIFO scan reports — without materialising
+/// or sorting the merge.
+///
+/// Pass 1 finds the earliest match over the lanes that can hold one
+/// (`home` alone for a concrete source, every lane otherwise), leaving
+/// each lane at its first match or at the first row stamped after the
+/// best so far. Pass 2 runs on a hit only: the depth is the number of
+/// rows stamped at or before the match, and since every lane is
+/// seq-ordered each lane's walk stops at its first later row. A miss
+/// therefore touches one lane for a concrete source.
+///
+/// Outer `None`: a lane refused its walk and the caller must retry.
+fn merged_probe<L: ProbeLane>(
+    lanes: &[L],
+    home: Option<usize>,
+    probe: &PackedProbe,
+) -> Option<Option<(u64, u32)>> {
+    let candidates = match home {
+        Some(si) => &lanes[si..=si],
+        None => lanes,
+    };
+    let mut best: Option<(u64, u64)> = None;
+    for lane in candidates {
+        let stable = lane.walk(|seq, key, payload| {
+            if best.is_some_and(|(bseq, _)| seq >= bseq) {
+                return false;
+            }
+            // Unexpected entries constrain every key bit (mask `!0`),
+            // exactly like `UnexpectedEntry::matches`.
+            let hit = packed_matches(key, !0, probe);
+            if hit {
+                best = Some((seq, payload));
+            }
+            !hit
+        });
+        if !stable {
+            return None;
+        }
+    }
+    let Some((bseq, payload)) = best else {
+        return Some(None);
+    };
+    let mut depth = 0u32;
+    for lane in lanes {
+        let stable = lane.walk(|seq, _, _| {
+            let earlier = seq <= bseq;
+            depth += u32::from(earlier);
+            earlier
+        });
+        if !stable {
+            return None;
+        }
+    }
+    Some(Some((payload, depth)))
 }
 
 /// A lock plus its contention counters (counted on the workload path,
@@ -372,6 +473,12 @@ where
         (rank as u32 as usize & 0xFFFF) % self.shards.len()
     }
 
+    /// The one lane that can hold a match for `spec`, or `None` when an
+    /// `MPI_ANY_SOURCE` spec can match in any of them.
+    fn home_lane(&self, spec: &RecvSpec) -> Option<usize> {
+        (spec.rank != ANY_SOURCE).then(|| self.shard_of(spec.rank))
+    }
+
     /// Shard owning a source rank, for the batched-ingestion ring router.
     pub(crate) fn shard_index(&self, rank: i32) -> usize {
         self.shard_of(rank)
@@ -481,8 +588,11 @@ where
         if !self.snap_commit || self.snaps[si].overflowed() {
             return Ok(());
         }
-        let mut rows = Vec::new();
-        if !self.snaps[si].read_into(&mut rows) {
+        let mut rows = Vec::with_capacity(g.umq_idx.len());
+        if !self.snaps[si].scan(|s, k, v| {
+            rows.push((s, k, v));
+            true
+        }) {
             return Err(format!(
                 "shard {si}: published snapshot unreadable at quiescence"
             ));
@@ -632,22 +742,21 @@ where
     /// unchanged (no racing remover with a later stamp).
     fn wild_prescan_clear(&self, spec: &RecvSpec, seq: u64) -> Option<u64> {
         let probe = spec.packed();
-        let mut rows: Vec<(u64, u64, u64)> = Vec::new();
-        for (si, snap) in self.snaps.iter().enumerate() {
-            let before = rows.len();
-            if !snap.read_into(&mut rows) {
+        let mut inspected = 0u64;
+        for (snap, count) in self.snaps.iter().zip(&self.umq_counts) {
+            let mut live = 0usize;
+            let mut matched = false;
+            let stable = snap.scan(|_, key, _| {
+                live += 1;
+                matched = packed_matches(key, !0, &probe);
+                !matched
+            });
+            if !stable || matched || live != count.load(Ordering::SeqCst) {
                 return None;
             }
-            if rows.len() - before != self.umq_counts[si].load(Ordering::SeqCst) {
-                return None;
-            }
+            inspected += live as u64;
         }
-        if self.seq.load(Ordering::SeqCst) != seq + 1 {
-            return None;
-        }
-        rows.iter()
-            .all(|&(_, key, _)| !packed_matches(key, !0, &probe))
-            .then_some(rows.len() as u64)
+        (self.seq.load(Ordering::SeqCst) == seq + 1).then_some(inspected)
     }
 
     /// Parks a wildcard receive in the lane (caller holds the wildcard
@@ -925,10 +1034,12 @@ where
         (seq, false)
     }
 
-    /// Non-destructive unexpected-queue probe (`MPI_Iprobe`). Scans every
-    /// shard's unexpected queue merged in global seq (= arrival FIFO)
-    /// order, so both the match *and* the reported depth agree exactly
-    /// with a single-engine FIFO snapshot scan.
+    /// Non-destructive unexpected-queue probe (`MPI_Iprobe`). Both the
+    /// match *and* the reported depth agree exactly with a single-engine
+    /// FIFO scan: the earliest match by global seq (= arrival FIFO) order
+    /// and its position in the seq-merge of every shard's unexpected
+    /// queue (see `merged_probe`; a concrete-source miss reads only the
+    /// source's own shard).
     pub fn iprobe(&self, spec: RecvSpec) -> Option<(u64, u32)> {
         self.iprobe_seq(spec).1
     }
@@ -950,58 +1061,34 @@ where
         self.iprobe_locked(spec)
     }
 
-    /// Seqlock probe: up to [`SNAP_PROBE_RETRIES`] attempts at a
-    /// composite snapshot of every shard's published rows, merged in seq
-    /// (= arrival FIFO) order. `None` means every attempt hit writer
+    /// Seqlock probe: up to [`SNAP_PROBE_RETRIES`] attempts at
+    /// [`merged_probe`] over the published rows, each bracketed by the
+    /// global seq so whatever lanes it walked, however often, were all
+    /// read as of `s0`. `None` means every attempt hit writer
     /// interference (or a mirror overflowed) and the caller must lock.
     fn iprobe_snap(&self, spec: &RecvSpec) -> Option<(u64, Option<(u64, u32)>)> {
+        let home = self.home_lane(spec);
         let probe = spec.packed();
-        let mut rows: Vec<(u64, u64, u64)> = Vec::new();
         for _ in 0..SNAP_PROBE_RETRIES {
-            rows.clear();
             let s0 = self.seq.load(Ordering::SeqCst);
-            let ok = self.snaps.iter().all(|snap| snap.read_into(&mut rows));
-            if !ok || self.seq.load(Ordering::SeqCst) != s0 {
-                self.snap_retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            rows.sort_unstable_by_key(|&(s, ..)| s);
-            let mut depth = 0u32;
-            for &(_, key, payload) in &rows {
-                depth += 1;
-                // Published rows carry the entry's packed key; unexpected
-                // entries constrain every bit (mask `!0`), exactly like
-                // `UnexpectedEntry::matches`.
-                if packed_matches(key, !0, &probe) {
-                    return Some((s0, Some((payload, depth))));
+            if let Some(hit) = merged_probe(&self.snaps, home, &probe) {
+                if self.seq.load(Ordering::SeqCst) == s0 {
+                    return Some((s0, hit));
                 }
             }
-            return Some((s0, None));
+            self.snap_retries.fetch_add(1, Ordering::Relaxed);
         }
         None
     }
 
     /// The locked probe (also the `set_locked_reads` baseline): all shard
-    /// locks, merged seq-index scan.
+    /// locks, then the same [`merged_probe`] over the seq indexes.
     fn iprobe_locked(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>) {
         let guards = self.lock_all();
         let seq = self.next_seq();
-        let mut rows: Vec<(u64, u64, bool)> =
-            Vec::with_capacity(guards.iter().map(|g| g.umq_idx.len()).sum());
-        for g in guards.iter() {
-            for (eseq, e) in g.umq_idx.iter() {
-                rows.push((*eseq, e.payload, e.matches(&spec)));
-            }
-        }
-        rows.sort_unstable_by_key(|&(s, ..)| s);
-        let mut depth = 0;
-        for (_, payload, hit) in rows {
-            depth += 1;
-            if hit {
-                return (seq, Some((payload, depth)));
-            }
-        }
-        (seq, None)
+        let hit = merged_probe(&guards, self.home_lane(&spec), &spec.packed());
+        // spc-allow(hot-path-panic): a locked lane walk cannot be refused
+        (seq, hit.expect("locked lanes always walk"))
     }
 
     /// Applies every buffered op in `rings` (pairs of `(producer id,
@@ -1495,36 +1582,112 @@ mod tests {
         );
     }
 
+    /// A seeded stream of arrivals and consuming receives (concrete and
+    /// wildcard) that keeps tens of messages queued on each of 4 lanes
+    /// while every lane publishes several chunks' worth of rows —
+    /// tombstones, chunk boundaries and compactions included. At checkpoints every kind of
+    /// spec must probe to the same `(payload, depth)` on the lock-free
+    /// path, the locked path and one unsharded engine fed the same ops.
     #[test]
     fn lock_free_and_locked_iprobe_agree() {
+        use spc_rng::{Rng, SeedableRng, StdRng};
+        const SOURCES: i32 = 10;
+        const TAGS: i32 = 4;
+        let mut rng = StdRng::seed_from_u64(0x5EED_1B0B);
         let eng = engine(4);
-        for i in 0..32 {
-            eng.arrival(Envelope::new(i % 5, i % 3, 0), 1000 + i as u64);
-        }
-        // Consume one queued message so tombstones are exercised too.
-        assert!(matches!(
-            eng.post_recv(RecvSpec::new(1, 1, 0), 5),
-            RecvOutcome::MatchedUnexpected { .. }
-        ));
-        for spec in [
-            RecvSpec::new(2, 2, 0),
-            RecvSpec::new(1, 1, 0),
-            RecvSpec::new(ANY_SOURCE, 1, 0),
-            RecvSpec::new(2, ANY_TAG, 0),
-            RecvSpec::new(ANY_SOURCE, ANY_TAG, 0),
-            RecvSpec::new(9, 9, 0),
-        ] {
-            let lock_free = eng.iprobe(spec);
-            eng.set_locked_reads(true);
-            let locked = eng.iprobe(spec);
-            eng.set_locked_reads(false);
-            assert_eq!(lock_free, locked, "probe divergence for {spec:?}");
-        }
-        assert_eq!(
-            eng.snap_read_stats().probe_fallbacks,
-            0,
-            "single-threaded probes must succeed on the seqlock path"
+        let mut single = MatchEngine::new(
+            Lla::<PostedEntry, 2>::new(),
+            Lla::<UnexpectedEntry, 3>::new(),
         );
+        let mut appended = [0usize; 4];
+        for step in 0..8_000u64 {
+            let rank = rng.gen_range(0..SOURCES);
+            let tag = rng.gen_range(0..TAGS);
+            let spec = match rng.gen_range(0..4) {
+                0 => RecvSpec::new(ANY_SOURCE, tag, 0),
+                1 => RecvSpec::new(rank, ANY_TAG, 0),
+                _ => RecvSpec::new(rank, tag, 0),
+            };
+            // Receives are posted only when they consume a message, so the
+            // PRQs stay empty and every arrival publishes a row.
+            if rng.gen_bool(0.5) && single.iprobe(spec).is_some() {
+                let want = single.post_recv(spec, step);
+                let got = eng.post_recv(spec, step);
+                match (got, want) {
+                    (
+                        RecvOutcome::MatchedUnexpected { payload: g, .. },
+                        RecvOutcome::MatchedUnexpected { payload: w, .. },
+                    ) => assert_eq!(g, w, "step {step}: {spec:?} consumed the wrong message"),
+                    other => panic!("step {step}: {spec:?} gave {other:?}"),
+                }
+            } else {
+                let env = Envelope::new(rank, tag, 0);
+                assert_eq!(single.arrival(env, step), ArrivalOutcome::Queued);
+                assert_eq!(eng.arrival(env, step), ArrivalOutcome::Queued);
+                appended[eng.shard_of(rank)] += 1;
+            }
+            if step % 127 != 0 {
+                continue;
+            }
+            for spec in [
+                RecvSpec::new(rank, tag, 0),
+                RecvSpec::new((rank + 1) % SOURCES, ANY_TAG, 0),
+                RecvSpec::new(ANY_SOURCE, tag, 0),
+                RecvSpec::new(ANY_SOURCE, ANY_TAG, 0),
+                RecvSpec::new(rank, TAGS, 0), // miss on a populated lane
+                RecvSpec::new(SOURCES + 3, tag, 0), // miss: no such source
+            ] {
+                let want = single.iprobe(spec);
+                assert_eq!(eng.iprobe(spec), want, "step {step}: lock-free {spec:?}");
+                assert_eq!(
+                    eng.iprobe_locked(spec).1,
+                    want,
+                    "step {step}: locked {spec:?}"
+                );
+            }
+        }
+        // `append` compacts a lane at 2 * live + 256 published rows: with
+        // under 100 live that is at most 456, so 700 appends crossed a
+        // chunk boundary and compacted at least once on every lane.
+        assert!(eng.shard_stats().iter().all(|s| s.max_umq_len < 100));
+        assert!(appended.iter().all(|&n| n > 700), "{appended:?}");
+        let reads = eng.snap_read_stats();
+        assert_eq!(
+            (reads.probe_retries, reads.probe_fallbacks),
+            (0, 0),
+            "single-threaded probes must succeed on the seqlock path first time"
+        );
+        eng.validate().unwrap();
+    }
+
+    /// The routing itself: a concrete-source probe looks for its match in
+    /// the source's own lane only, so a writer mid-window on another lane
+    /// cannot disturb a miss; a hit still needs every lane (for the global
+    /// FIFO depth), as does any `ANY_SOURCE` probe.
+    #[test]
+    fn concrete_source_miss_reads_only_its_home_lane() {
+        let eng = engine(4);
+        eng.arrival(Envelope::new(2, 1, 0), 12); // lane 2, stamped first
+        eng.arrival(Envelope::new(1, 1, 0), 11); // lane 1
+        let reads = || {
+            let r = eng.snap_read_stats();
+            (r.probe_retries, r.probe_fallbacks)
+        };
+        // Lane 2's write window held open, as by a writer mid-publication.
+        eng.snaps[2].begin();
+        assert_eq!(eng.iprobe(RecvSpec::new(1, 9, 0)), None);
+        assert_eq!(eng.iprobe(RecvSpec::new(5, ANY_TAG, 0)), None);
+        assert_eq!(reads(), (0, 0), "home-lane misses never saw lane 2");
+        // A hit on lane 1 must count lane 2's earlier row: every seqlock
+        // attempt is refused and the locked path answers.
+        let retries = SNAP_PROBE_RETRIES as u64;
+        assert_eq!(eng.iprobe(RecvSpec::new(1, 1, 0)), Some((11, 2)));
+        assert_eq!(reads(), (retries, 1));
+        assert_eq!(eng.iprobe(RecvSpec::new(ANY_SOURCE, 9, 0)), None);
+        assert_eq!(reads(), (2 * retries, 2));
+        eng.snaps[2].end();
+        assert_eq!(eng.iprobe(RecvSpec::new(1, 1, 0)), Some((11, 2)));
+        assert_eq!(reads(), (2 * retries, 2), "window closed: lock-free again");
         eng.validate().unwrap();
     }
 
