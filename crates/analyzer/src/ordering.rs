@@ -8,8 +8,9 @@
 //!   ring indices are all correct *only* in the single SeqCst total
 //!   order; any weaker ordering is an error.
 //! * [`Req::AcqRel`] — handshake flags (heater pause/shutdown/pass
-//!   counter): release on publish, acquire on observe; `Relaxed` is an
-//!   error, `SeqCst` is accepted (strictly stronger).
+//!   counter) and the mirrored queue lengths: release on publish, acquire
+//!   on observe; `Relaxed` is an error, `SeqCst` is accepted (strictly
+//!   stronger).
 //! * [`Req::Relaxed`] — rationale'd telemetry. Any ordering is accepted;
 //!   the entry documents *why* relaxation is sound.
 //!
@@ -58,22 +59,31 @@ pub const SPECS: &[AtomicSpec] = &[
         receiver: "seq",
         req: Req::SeqCst,
         rationale: "global linearization stamp; the wildcard fast path's soundness \
-                    argument orders seq stamps against umq_counts/wild_len in the \
+                    argument orders seq stamps against umq_counts/wild_slots in the \
                     single SeqCst total order",
     },
     AtomicSpec {
         file: "shard.rs",
         receiver: "wild_len",
         req: Req::SeqCst,
-        rationale: "store-buffering pair with umq_counts between posters and \
-                    arrivals; Relaxed or even AcqRel admits the r1=r2=0 outcome \
-                    that loses a wildcard crossing",
+        rationale: "wildcard-lane length, bumped and dropped in one step with the \
+                    entry's wild_slots word, which carries the store-buffering pair \
+                    with umq_counts between posters and arrivals: Relaxed or even \
+                    AcqRel there admits the r1=r2=0 outcome that loses a wildcard \
+                    crossing, and the two words must never be seen to disagree in \
+                    the order validate() and queue_lens read them",
+    },
+    AtomicSpec {
+        file: "shard.rs",
+        receiver: "wild_slots",
+        req: Req::SeqCst,
+        rationale: "store-buffering pair with umq_counts, per slot; see wild_len",
     },
     AtomicSpec {
         file: "shard.rs",
         receiver: "umq_counts",
         req: Req::SeqCst,
-        rationale: "store-buffering pair with wild_len; see wild_len",
+        rationale: "store-buffering pair with wild_slots; see wild_len",
     },
     AtomicSpec {
         file: "shard.rs",
@@ -86,15 +96,17 @@ pub const SPECS: &[AtomicSpec] = &[
         file: "shard.rs",
         receiver: "acquisitions",
         req: Req::Relaxed,
-        rationale: "lock-acquisition tally surfaced in LockStats; read only in \
-                    snapshot reporting, never ordered against queue state",
+        rationale: "lock-acquisition tally surfaced in LockStats, committed through \
+                    the single-writer helper by the thread that just took the lock; \
+                    read only in snapshot reporting, never ordered against queue \
+                    state",
     },
     AtomicSpec {
         file: "shard.rs",
         receiver: "contended",
         req: Req::Relaxed,
-        rationale: "contention tally surfaced in LockStats; monotonic counter \
-                    read only in snapshot reporting",
+        rationale: "contention tally surfaced in LockStats, committed like \
+                    acquisitions; monotonic counter read only in snapshot reporting",
     },
     AtomicSpec {
         file: "shard.rs",
@@ -188,15 +200,27 @@ pub const SPECS: &[AtomicSpec] = &[
     AtomicSpec {
         file: "seqsnap.rs",
         receiver: "prq_len",
-        req: Req::SeqCst,
-        rationale: "mirrored queue depth consumed by lock-free queue_lens; paired \
-                    with the writer's version-word protocol",
+        req: Req::AcqRel,
+        rationale: "mirrored queue depth consumed by lock-free queue_lens: exact at \
+                    quiescence (the join orders it), transiently stale mid-race, \
+                    never read by a matching decision; Release on the lane-lock \
+                    holder's store pairs with the reader's Acquire so a length is \
+                    never seen ahead of the counters committed before it",
     },
     AtomicSpec {
         file: "seqsnap.rs",
         receiver: "umq_len",
-        req: Req::SeqCst,
+        req: Req::AcqRel,
         rationale: "mirrored queue depth; see prq_len",
+    },
+    AtomicSpec {
+        file: "seqsnap.rs",
+        receiver: "cell",
+        req: Req::Relaxed,
+        rationale: "the single-writer helpers' operand (every MirrorDepth/MirrorStats \
+                    tally and highwater mark, and shard.rs's lock counters): sole \
+                    writer holds the lane lock, so load+store loses no update; \
+                    readers are telemetry",
     },
     AtomicSpec {
         file: "seqsnap.rs",
@@ -260,7 +284,7 @@ pub const SPECS: &[AtomicSpec] = &[
         file: "seqsnap.rs",
         receiver: "max_prq",
         req: Req::Relaxed,
-        rationale: "MirrorStats occupancy high-water mark; fetch_max telemetry \
+        rationale: "MirrorStats occupancy high-water mark; single-writer telemetry \
                     read only in stats snapshots",
     },
     AtomicSpec {

@@ -1,5 +1,5 @@
-//! Seeded violation: Ordering::Relaxed on a wildcard-lane protocol atomic,
-//! plus Relaxed on an atomic missing from the allowlist.
+//! Seeded violation: Ordering::Relaxed on the wildcard-lane protocol atomics
+//! (lane length, per-tag occupancy slot), plus one missing from the allowlist.
 //! Analyzed under the virtual path `crates/core/src/shard.rs`.
 
 impl BadEngine {
@@ -13,5 +13,9 @@ impl BadEngine {
 
     pub fn tally_ok(&self) -> u64 {
         self.acquisitions.load(Ordering::Relaxed)
+    }
+
+    pub fn arrival_bad(&self, slot: usize) -> bool {
+        self.wild_slots[slot].load(Ordering::Relaxed) > 0
     }
 }

@@ -133,8 +133,8 @@ fn relaxed_on_guarded_atomic_is_caught() {
     let hits = rule_findings(&findings, "atomic-ordering");
     assert_eq!(
         hits.len(),
-        2,
-        "guarded atomic + missing-table-entry atomic: {findings:?}"
+        3,
+        "two guarded atomics + missing-table-entry atomic: {findings:?}"
     );
     assert_eq!(hits[0].line, 7, "Relaxed on wild_len");
     assert!(hits[0].message.contains("wild_len"));
@@ -144,6 +144,9 @@ fn relaxed_on_guarded_atomic_is_caught() {
         "Relaxed on an atomic missing a requirement-table entry"
     );
     assert!(hits[1].message.contains("bananas"));
+    assert_eq!(hits[2].line, 19, "Relaxed on an indexed wild_slots word");
+    assert!(hits[2].message.contains("wild_slots"));
+    assert!(hits[2].message.contains("SeqCst"));
     assert_diagnostic_shape(hits[0], path);
 }
 

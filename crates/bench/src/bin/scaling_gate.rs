@@ -15,8 +15,11 @@
 //! * `batched` — sharded plus per-producer ingest rings, one lock
 //!   acquisition per drained batch.
 //!
-//! The write mix keeps sources overlapping across threads (`i % 8`), so
-//! shard locks genuinely collide; the read mix pre-seeds unexpected
+//! The write mix keeps sources overlapping across threads (8 sources, 32
+//! keys, every thread on all of them), so shard locks genuinely collide
+//! and receives match messages from any thread; a write cell whose
+//! matches fall below 40 % of its arrivals fails the gate, because a mix
+//! that stops matching measures queue growth. The read mix pre-seeds unexpected
 //! messages and probes them from every thread with a trickle of writer
 //! traffic to keep the seqlock retry path honest.
 //!
@@ -33,7 +36,7 @@ use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use spc_core::ingest::BatchedEngine;
 use spc_core::list::Lla;
 use spc_core::shard::ShardedEngine;
-use spc_core::stats::LockStats;
+use spc_core::stats::{EngineStats, LockStats};
 
 const SHARDS: usize = 8;
 const BATCH: usize = 64;
@@ -54,6 +57,7 @@ trait GateEngine: Sync {
     /// Quiescent-point barrier after the workers join (ring drain).
     fn finish(&self) {}
     fn lock_stats(&self) -> LockStats;
+    fn stats(&self) -> EngineStats;
     /// Seqlock interference: snapshot retries plus locked fallbacks, when
     /// the engine has lock-free read paths.
     fn snap_interference(&self) -> Option<u64> {
@@ -79,6 +83,9 @@ impl GateEngine for Shared {
     fn lock_stats(&self) -> LockStats {
         self.0.lock_stats()
     }
+    fn stats(&self) -> EngineStats {
+        self.0.stats()
+    }
 }
 
 struct Sharded(ShardedEngine<Prq, Umq>);
@@ -95,6 +102,9 @@ impl GateEngine for Sharded {
     }
     fn lock_stats(&self) -> LockStats {
         self.0.lock_stats()
+    }
+    fn stats(&self) -> EngineStats {
+        self.0.stats()
     }
     fn snap_interference(&self) -> Option<u64> {
         let s = self.0.snap_read_stats();
@@ -119,6 +129,9 @@ impl GateEngine for Batched {
     }
     fn lock_stats(&self) -> LockStats {
         self.0.lock_stats()
+    }
+    fn stats(&self) -> EngineStats {
+        self.0.stats()
     }
     fn snap_interference(&self) -> Option<u64> {
         let s = self.0.inner().snap_read_stats();
@@ -151,11 +164,14 @@ fn run_worker<E: GateEngine + ?Sized>(eng: &E, mix: Mix, t: usize, n: usize) {
     match mix {
         // Posts and arrivals in equal measure on overlapping sources:
         // cross-thread matches are common and every op wants a shard
-        // lock (or a ring slot).
+        // lock (or a ring slot). Both halves of a pair carry the key of
+        // `i / 2` — keyed on `i` itself, posts would only ever see even
+        // keys and arrivals odd ones, and nothing would match.
         Mix::Write => {
             for i in 0..n {
-                let src = (i as i32) % SRC_OVERLAP;
-                let tag = (i as i32) % 32;
+                let key = (i / 2) as i32;
+                let src = key % SRC_OVERLAP;
+                let tag = key % 32;
                 if i % 2 == 0 {
                     eng.post(t, RecvSpec::new(src, tag, 0), id(i));
                 } else {
@@ -213,6 +229,19 @@ fn run_cell<E: GateEngine + ?Sized>(
     eng.finish();
     let elapsed = start.elapsed();
     let after = eng.lock_stats();
+    if mix == Mix::Write {
+        // Every thread sends as many messages as it posts receives, on
+        // keys all threads share, so at quiescence nearly all of them
+        // have met; far fewer means the mix has stopped matching.
+        let arrivals = (per_thread / 2 * threads) as u64;
+        let stats = eng.stats();
+        let hits = stats.prq_hits + stats.umq_hits;
+        assert!(
+            hits * 10 >= arrivals * 4,
+            "conc/write/{engine}/t{threads}: only {hits} matches for {arrivals} arrivals — \
+             the write mix must match, not grow queues"
+        );
+    }
     let acq = after.acquisitions - before.acquisitions;
     let contended = after.contended - before.contended;
     let ns_per_op = elapsed.as_nanos() as f64 / ops as f64;

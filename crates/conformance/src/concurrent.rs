@@ -412,6 +412,53 @@ pub fn conc_ops(seed: u64, threads: usize, per_thread: usize) -> Vec<Vec<ConcOp>
         .collect()
 }
 
+/// Distinct tags the tagged-wildcard mix draws from — more than the
+/// sharded engine's filter could serve from a handful of slots, few
+/// enough that wildcard receives and arrivals keep meeting.
+pub const WILD_TAGS: i32 = 24;
+
+/// Deals `threads` seeded streams for the race the sharded engine's
+/// tag-keyed wildcard filter lives on: a third of the posts are
+/// `MPI_ANY_SOURCE` receives naming one of [`WILD_TAGS`] tags (one in
+/// eight of those `MPI_ANY_TAG` instead), arrivals draw from the same
+/// tags on every source, and cancels keep pulling parked wildcards back
+/// out — so at any moment some filter slots are occupied and most are
+/// not, and arrivals on both kinds race the parks and their undos.
+pub fn conc_ops_tagged_wild(seed: u64, threads: usize, per_thread: usize) -> Vec<Vec<ConcOp>> {
+    (0..threads)
+        .map(|t| {
+            let mut rng =
+                StdRng::seed_from_u64(seed ^ ((t as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)));
+            (0..per_thread)
+                .map(|_| match rng.gen_range(0..20u32) {
+                    0..=7 => {
+                        let wild = rng.gen_bool(0.35);
+                        ConcOp::Post {
+                            rank: (!wild).then(|| rng.gen_range(0..RANKS)),
+                            tag: (!(wild && rng.gen_bool(0.125)))
+                                .then(|| rng.gen_range(0..WILD_TAGS)),
+                            ctx: rng.gen_range(0..CTXS),
+                        }
+                    }
+                    8..=15 => ConcOp::Arrive {
+                        rank: rng.gen_range(0..RANKS),
+                        tag: rng.gen_range(0..WILD_TAGS),
+                        ctx: rng.gen_range(0..CTXS),
+                    },
+                    16 => ConcOp::Probe {
+                        rank: (!rng.gen_bool(0.3)).then(|| rng.gen_range(0..RANKS)),
+                        tag: (!rng.gen_bool(0.3)).then(|| rng.gen_range(0..WILD_TAGS)),
+                        ctx: rng.gen_range(0..CTXS),
+                    },
+                    _ => ConcOp::Cancel {
+                        nth: rng.gen_range(0..1_024u64),
+                    },
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Runs the per-thread streams against `eng` from real racing threads and
 /// returns the merged log, sorted by seq stamp (the linearization).
 pub fn run_concurrent<E: ConcEngine>(eng: &E, streams: &[Vec<ConcOp>]) -> Vec<LogRecord> {
@@ -764,6 +811,35 @@ mod tests {
             o,
             ConcOp::Post { rank: None, .. } | ConcOp::Post { tag: None, .. }
         )));
+    }
+
+    #[test]
+    fn tagged_wildcard_streams_cover_many_tags_any_tag_and_cancels() {
+        let a = conc_ops_tagged_wild(9, 4, 500);
+        assert_eq!(a, conc_ops_tagged_wild(9, 4, 500));
+        let wild_tags: HashSet<i32> = a
+            .iter()
+            .flatten()
+            .filter_map(|o| match o {
+                ConcOp::Post {
+                    rank: None,
+                    tag: Some(t),
+                    ..
+                } => Some(*t),
+                _ => None,
+            })
+            .collect();
+        assert!(wild_tags.len() >= 16, "only {} tags", wild_tags.len());
+        let any = |f: fn(&ConcOp) -> bool| a.iter().flatten().any(f);
+        assert!(any(|o| matches!(
+            o,
+            ConcOp::Post {
+                rank: None,
+                tag: None,
+                ..
+            }
+        )));
+        assert!(any(|o| matches!(o, ConcOp::Cancel { .. })));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! paste-able handful of ops.
 
 use spc_conformance::concurrent::{
-    conc_ops, run_and_verify, run_and_verify_batched, stress_multiplier, ConcEngine, ConcOp,
+    conc_ops, conc_ops_tagged_wild, run_and_verify, run_and_verify_batched, stress_multiplier,
+    ConcEngine, ConcOp,
 };
 use spc_conformance::{
     diff_engine, engine_ops_wild_bursts, interleavings, render_ops, run_stepped, shrink_ops,
@@ -31,12 +32,16 @@ fn total_ops() -> usize {
     10_000 * stress_multiplier()
 }
 
+/// A stream generator: `(seed, threads, ops per thread)` to one op
+/// stream per thread ([`conc_ops`] or [`conc_ops_tagged_wild`]).
+type Mix = fn(u64, usize, usize) -> Vec<Vec<ConcOp>>;
+
 /// Runs a fresh engine from `mk` against racing streams at 2, 4 and 8
 /// threads and verifies each linearization against the oracle.
-fn check_conc<E: ConcEngine>(label: &str, mk: impl Fn() -> E, seed: u64) {
+fn check_conc<E: ConcEngine>(label: &str, mk: impl Fn() -> E, mix: Mix, seed: u64) {
     for threads in [2usize, 4, 8] {
         let per_thread = total_ops().div_ceil(threads);
-        let streams = conc_ops(seed ^ (threads as u64), threads, per_thread);
+        let streams = mix(seed ^ (threads as u64), threads, per_thread);
         let eng = mk();
         if let Err(e) = run_and_verify(&eng, &streams) {
             panic!("{label} @ {threads} threads: {e}");
@@ -52,6 +57,7 @@ fn check_batched<P, U>(
     label: &str,
     mk_p: impl Fn() -> P + Copy,
     mk_u: impl Fn() -> U + Copy,
+    mix: Mix,
     seed: u64,
 ) where
     P: MatchList<PostedEntry> + Send,
@@ -60,18 +66,19 @@ fn check_batched<P, U>(
     const BATCH: usize = 16;
     for threads in [2usize, 4, 8] {
         let per_thread = total_ops().div_ceil(threads);
-        let streams = conc_ops(seed ^ (threads as u64), threads, per_thread);
+        let streams = mix(seed ^ (threads as u64), threads, per_thread);
         if let Err(e) = run_and_verify_batched(&streams, SHARDS, BATCH, mk_p, mk_u) {
             panic!("batched/{label} @ {threads} threads: {e}");
         }
     }
 }
 
-/// All three engines over one structure family.
+/// All three engines over one structure family, on streams from `mix`.
 fn check_both<P, U>(
     label: &str,
     mk_p: impl Fn() -> P + Copy,
     mk_u: impl Fn() -> U + Copy,
+    mix: Mix,
     seed: u64,
 ) where
     P: MatchList<PostedEntry> + Send,
@@ -80,14 +87,16 @@ fn check_both<P, U>(
     check_conc(
         &format!("shared/{label}"),
         || SharedEngine::new(MatchEngine::new(mk_p(), mk_u())),
+        mix,
         seed,
     );
     check_conc(
         &format!("sharded/{label}"),
         || ShardedEngine::new(SHARDS, mk_p, mk_u),
+        mix,
         seed ^ 0x5A5A,
     );
-    check_batched(label, mk_p, mk_u, seed ^ 0xB47C);
+    check_batched(label, mk_p, mk_u, mix, seed ^ 0xB47C);
 }
 
 #[test]
@@ -96,6 +105,7 @@ fn baseline_concurrent_conformance() {
         "baseline",
         BaselineList::<PostedEntry>::new,
         BaselineList::<UnexpectedEntry>::new,
+        conc_ops,
         SEED,
     );
 }
@@ -106,6 +116,7 @@ fn lla_concurrent_conformance() {
         "lla-2",
         Lla::<PostedEntry, 2>::new,
         Lla::<UnexpectedEntry, 3>::new,
+        conc_ops,
         SEED.wrapping_add(1),
     );
 }
@@ -116,6 +127,7 @@ fn source_bins_concurrent_conformance() {
         "source-bins",
         || SourceBins::new(RANKS),
         || SourceBins::new(RANKS),
+        conc_ops,
         SEED.wrapping_add(2),
     );
 }
@@ -126,6 +138,7 @@ fn hash_bins_concurrent_conformance() {
         "hash-bins",
         || HashBins::with_bins(4),
         || HashBins::with_bins(4),
+        conc_ops,
         SEED.wrapping_add(3),
     );
 }
@@ -136,7 +149,25 @@ fn rank_trie_concurrent_conformance() {
         "rank-trie",
         || RankTrie::new(RANKS),
         || RankTrie::new(RANKS),
+        conc_ops,
         SEED.wrapping_add(4),
+    );
+}
+
+/// The tagged-wildcard mix — many distinct `MPI_ANY_SOURCE` tags, some
+/// `MPI_ANY_TAG`, cancels pulling parked wildcards back out — through all
+/// three engines: the sharded engine's arrivals consult a tag-keyed
+/// occupancy filter before crossing into the wildcard lane, and this is
+/// the traffic on which a filter that ever read stale-low would hand a
+/// message to a newer receive (or queue it past a parked one).
+#[test]
+fn tagged_wildcard_concurrent_conformance() {
+    check_both(
+        "tagged-wild/lla-2",
+        Lla::<PostedEntry, 2>::new,
+        Lla::<UnexpectedEntry, 3>::new,
+        conc_ops_tagged_wild,
+        SEED.wrapping_add(5),
     );
 }
 

@@ -9,6 +9,8 @@
 //! * a lock-free probe stepping between a writer's seq stamp and its
 //!   snapshot commit (torn-snapshot window),
 //! * a wildcard post's lock-free pre-scan racing a shard append,
+//! * a tagged wildcard park racing arrivals on its own tag and on another
+//!   (the per-slot store-buffering pair behind the crossing filter),
 //! * a probe against another producer's still-buffered ring entries.
 //!
 //! The harness-sensitivity half injects an adversary whose writers skip
@@ -105,6 +107,55 @@ fn wildcard_prescan_linearizes_against_shard_appends_in_every_order() {
         let eng = correct();
         let log = run_stepped(&eng, &streams, &schedule);
         verify_log(&log, eng.queue_lens()).unwrap_or_else(|e| panic!("schedule {schedule:?}: {e}"));
+    }
+}
+
+/// The race the tag-keyed wildcard filter lives on, in every order: a
+/// tagged `MPI_ANY_SOURCE` post against a flow on its own tag and a flow
+/// on another tag, each on a shard of its own. An arrival reads only its
+/// tag's occupancy slot (and the `MPI_ANY_TAG` one), so in all 30
+/// interleavings the oracle must agree with who got each message, the
+/// same-tag arrival must cross into the wildcard lane exactly when the
+/// wildcard is parked ahead of it, and the other-tag arrival never.
+#[test]
+fn tagged_wildcard_filter_linearizes_against_both_tags_in_every_order() {
+    let flow = |rank, tag| {
+        vec![
+            ConcOp::Post {
+                rank: Some(rank),
+                tag: Some(tag),
+                ctx: 0,
+            },
+            ConcOp::Arrive { rank, tag, ctx: 0 },
+        ]
+    };
+    let streams = vec![
+        vec![ConcOp::Post {
+            rank: None,
+            tag: Some(3),
+            ctx: 0,
+        }],
+        flow(6, 3), // shard 2, the wildcard's tag
+        flow(5, 9), // shard 1, another tag (and another filter slot)
+    ];
+    let schedules = interleavings(&[1, 2, 2]);
+    assert_eq!(schedules.len(), 30);
+    for schedule in schedules {
+        let eng = correct();
+        let log = run_stepped(&eng, &streams, &schedule);
+        verify_log(&log, eng.queue_lens()).unwrap_or_else(|e| panic!("schedule {schedule:?}: {e}"));
+        // Thread 1's second step is the same-tag arrival.
+        let wild_at = schedule.iter().position(|&t| t == 0).unwrap();
+        let arrival_at = schedule.iter().rposition(|&t| t == 1).unwrap();
+        let crossings = eng.stats().concurrency.unwrap().wild_crossings;
+        assert_eq!(
+            crossings,
+            u64::from(wild_at < arrival_at),
+            "schedule {schedule:?}: only the same-tag arrival behind the park may cross"
+        );
+        // The wildcard wins the message only if it is also older than the
+        // flow's own receive; either way exactly one receive is left over.
+        assert_eq!(eng.queue_lens(), (1, 0), "schedule {schedule:?}");
     }
 }
 

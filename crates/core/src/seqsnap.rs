@@ -19,7 +19,9 @@
 //!   by tombstoning; compaction and a sticky overflow flag bound the walk.
 //! * [`MirrorDepth`] / [`MirrorStats`] — atomic mirrors of the per-lane
 //!   [`EngineStats`] counters, updated by writers under the lane lock and
-//!   read by `stats()`/`queue_lens()` with no lock at all.
+//!   read by `stats()`/`queue_lens()` with no lock at all. The lane lock
+//!   makes each of them a **single-writer** word, so a commit is a plain
+//!   load and store (`sw_add`), never a lock-prefixed read-modify-write.
 //!
 //! ## Writer protocol (soundness of lock-free reads)
 //!
@@ -361,11 +363,32 @@ impl SnapRows {
     }
 }
 
-/// Atomic mirror of one [`DepthStats`]: writers record under their lane
-/// lock, readers snapshot without any lock. Individual counters are
-/// Relaxed telemetry — exact once writers quiesce (thread join orders
-/// every prior store), monotone and self-consistent enough for polling
-/// in between.
+/// Single-writer add: `cell` is only ever written by the thread holding
+/// the lane lock it belongs to, so a load and a store cannot lose an
+/// update the way they would between racing writers — and unlike
+/// `fetch_add` they do not take the cache line exclusive with a bus lock.
+/// Readers are telemetry and tolerate any interleaving of whole words.
+#[inline]
+pub(crate) fn sw_add(cell: &AtomicU64, by: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(by),
+        Ordering::Relaxed,
+    );
+}
+
+/// Single-writer running maximum (see `sw_add`).
+#[inline]
+fn sw_max(cell: &AtomicU64, v: u64) {
+    if v > cell.load(Ordering::Relaxed) {
+        cell.store(v, Ordering::Relaxed);
+    }
+}
+
+/// Atomic mirror of one [`DepthStats`]: the writer records under its lane
+/// lock (one writer at a time — the contract `sw_add` rests on),
+/// readers snapshot without any lock. Individual counters are Relaxed
+/// telemetry — exact once writers quiesce (thread join orders every prior
+/// store), monotone and self-consistent enough for polling in between.
 pub struct MirrorDepth {
     count: AtomicU64,
     sum: AtomicU64,
@@ -384,12 +407,14 @@ impl MirrorDepth {
         }
     }
 
-    /// Records one observation.
+    /// Records one observation. Caller holds the lane lock.
     pub fn record(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
+        sw_add(&self.count, 1);
+        sw_add(&self.sum, v);
+        sw_max(&self.max, v);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.store(v, Ordering::Relaxed);
+        }
     }
 
     /// The mirrored [`DepthStats`].
@@ -423,8 +448,9 @@ impl Default for MirrorDepth {
 /// Atomic mirror of one lane's [`EngineStats`] counters plus its live
 /// queue lengths and occupancy highwater marks — everything
 /// `ShardedEngine::stats`/`queue_lens`/`shard_stats` used to take every
-/// shard lock for. Writers update it at the end of each locked
-/// operation; readers never lock.
+/// shard lock for. The writer updates it at the end of each locked
+/// operation (holding the lane lock, so every word has one writer at a
+/// time); readers never lock.
 pub struct MirrorStats {
     /// PRQ search-depth observations (arrival-side scans).
     pub prq_search: MirrorDepth,
@@ -437,8 +463,11 @@ pub struct MirrorStats {
     max_prq: AtomicU64,
     max_umq: AtomicU64,
     /// Live queue lengths, stored (not added) under the lane lock after
-    /// each op: exact at quiescence, transiently stale mid-race. SeqCst
-    /// so a post-join reader needs no extra synchronization reasoning.
+    /// each op: exact at quiescence, transiently stale mid-race. Release
+    /// stores paired with the Acquire loads in [`Self::lens`]: a reader
+    /// that sees a length also sees the counters committed before it, and
+    /// no matching decision ever reads them, so nothing needs the SeqCst
+    /// total order (whose store is a full fence on every write).
     prq_len: AtomicUsize,
     umq_len: AtomicUsize,
 }
@@ -462,38 +491,38 @@ impl MirrorStats {
 
     /// A posted receive matched an arrival.
     pub fn add_prq_hit(&self) {
-        self.prq_hits.fetch_add(1, Ordering::Relaxed);
+        sw_add(&self.prq_hits, 1);
     }
 
     /// A receive matched a buffered unexpected message.
     pub fn add_umq_hit(&self) {
-        self.umq_hits.fetch_add(1, Ordering::Relaxed);
+        sw_add(&self.umq_hits, 1);
     }
 
     /// A receive was appended to the PRQ.
     pub fn add_prq_append(&self) {
-        self.prq_appends.fetch_add(1, Ordering::Relaxed);
+        sw_add(&self.prq_appends, 1);
     }
 
     /// A message was appended to the UMQ.
     pub fn add_umq_append(&self) {
-        self.umq_appends.fetch_add(1, Ordering::Relaxed);
+        sw_add(&self.umq_appends, 1);
     }
 
     /// Publishes the lane's queue lengths and folds them into the
-    /// occupancy highwater marks.
+    /// occupancy highwater marks. Caller holds the lane lock.
     pub fn note_occupancy(&self, prq: usize, umq: usize) {
-        self.max_prq.fetch_max(prq as u64, Ordering::Relaxed);
-        self.max_umq.fetch_max(umq as u64, Ordering::Relaxed);
-        self.prq_len.store(prq, Ordering::SeqCst);
-        self.umq_len.store(umq, Ordering::SeqCst);
+        sw_max(&self.max_prq, prq as u64);
+        sw_max(&self.max_umq, umq as u64);
+        self.prq_len.store(prq, Ordering::Release);
+        self.umq_len.store(umq, Ordering::Release);
     }
 
     /// Current `(prq, umq)` lengths.
     pub fn lens(&self) -> (usize, usize) {
         (
-            self.prq_len.load(Ordering::SeqCst),
-            self.umq_len.load(Ordering::SeqCst),
+            self.prq_len.load(Ordering::Acquire),
+            self.umq_len.load(Ordering::Acquire),
         )
     }
 
@@ -530,8 +559,8 @@ impl MirrorStats {
         self.umq_appends.store(0, Ordering::Relaxed);
         self.max_prq.store(0, Ordering::Relaxed);
         self.max_umq.store(0, Ordering::Relaxed);
-        self.prq_len.store(0, Ordering::SeqCst);
-        self.umq_len.store(0, Ordering::SeqCst);
+        self.prq_len.store(0, Ordering::Release);
+        self.umq_len.store(0, Ordering::Release);
     }
 }
 

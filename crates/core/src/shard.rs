@@ -25,34 +25,50 @@
 //!   equals lock-serialization order for any two operations that share a
 //!   lock, making the seq-sorted operation log a valid linearization
 //!   (this is what the concurrent differential harness replays).
+//! * The lane publishes its occupancy **keyed by what an arrival knows —
+//!   its tag**: `wild_slots` holds one count per hash slot of `(tag,
+//!   context)` plus one for `MPI_ANY_TAG` receives. A parked wildcard is
+//!   counted under exactly one slot; an arrival reads exactly two (its
+//!   own and the `ANY_TAG` one), and those are the only two a receive
+//!   able to match it can be counted under. Every bump and drop happens
+//!   under the wildcard-lane lock, at the program point where the lane
+//!   length (`wild_len`, kept for `queue_lens` and `validate`) moves.
 //! * Posting a wildcard receive first tries the **lock-free-park fast
 //!   path**: holding only the wildcard-lane lock, it reads every shard's
 //!   atomic unexpected-count. If all are zero — the common case on
 //!   workloads that pre-post receives — no message anywhere can match, so
 //!   it parks immediately without touching a single shard lock. The park
 //!   is sound because of two SeqCst fences built into the protocol:
-//!   (a) *store-buffering pair*: the poster bumps `wild_len` before
-//!   reading the counts, and every arrival bumps its shard's count before
-//!   reading `wild_len` — so for any racing pair, at least one side sees
-//!   the other and takes the safe (slow/crossing) route; (b) *seq-unchanged
-//!   double check*: after reading the counts the poster verifies no other
-//!   operation took a seq stamp since its own, which rules out a racing
-//!   remover with a *later* stamp having already hidden a message that was
-//!   still queued at the poster's linearization point. Any doubt falls
-//!   back to the slow path: all shard locks plus the wildcard lane (in
-//!   fixed order, so the protocol is deadlock-free), a search of every
-//!   shard's unexpected queue for the globally earliest (by arrival seq)
-//!   match, and only then parking in the wildcard lane.
-//! * An arrival locks its source's shard, then — only if the wildcard
-//!   lane is occupied (`wild_len > 0`) — crosses into the wildcard
-//!   lane and compares seq stamps: the *older* of the shard match and the
-//!   wildcard match wins. Skipping that comparison is the classic
-//!   decomposed-engine bug; [`ShardedEngine::with_wildcard_check_disabled`]
-//!   builds exactly that broken variant so the conformance harness can
-//!   prove it catches the violation. Crossing arrivals take their seq
-//!   *after* acquiring the wildcard lock, so every entry they can see in
-//!   the lane — including one parked by the lock-free fast path — carries
-//!   an older stamp than their own.
+//!   (a) *store-buffering pair, per slot*: the poster bumps its slot
+//!   before reading the counts, and every arrival bumps its shard's count
+//!   before reading its two slots — so for any racing pair *in which the
+//!   receive could match the message* (and so shares one of those slots),
+//!   at least one side sees the other and takes the safe (slow/crossing)
+//!   route; a pair that cannot match needs no ordering between its two
+//!   outcomes at all. A slot may read stale-high — a park about to be
+//!   undone, a colliding tag — which costs a phantom crossing; it never
+//!   reads stale-low. (b) *seq-unchanged double check*: after reading
+//!   the counts the poster verifies no other operation took a seq stamp
+//!   since its own, which rules out a racing remover with a *later* stamp
+//!   having already hidden a message that was still queued at the
+//!   poster's linearization point. Any doubt falls back to the slow path:
+//!   all shard locks plus the wildcard lane (in fixed order, so the
+//!   protocol is deadlock-free), a search of every shard's unexpected
+//!   queue for the globally earliest (by arrival seq) match, and only
+//!   then parking in the wildcard lane.
+//! * An arrival locks its source's shard, then — only if one of its two
+//!   slots reads non-zero — crosses into the wildcard lane and compares
+//!   seq stamps: the *older* of the shard match and the wildcard match
+//!   wins. An arrival whose slots are empty is routed past the lane as a
+//!   probe is routed past the shards that cannot hold its source: it
+//!   takes no global lock and walks nothing twice. Skipping the
+//!   comparison is the classic decomposed-engine bug;
+//!   [`ShardedEngine::with_wildcard_check_disabled`] builds exactly that
+//!   broken variant so the conformance harness can prove it catches the
+//!   violation. Crossing arrivals take their seq *after* acquiring the
+//!   wildcard lock, so every entry they can see in the lane — including
+//!   one parked by the lock-free fast path — carries an older stamp than
+//!   their own.
 //!
 //! Entry layouts are the paper's fixed 24/16-byte records (Figure 2), so
 //! seq stamps cannot live in the entries themselves; each shard keeps a
@@ -90,9 +106,21 @@
 //!   nonzero, a wildcard post first tries to prove "no queued message
 //!   matches me" from one walk of each published snapshot (its live-row
 //!   count validated against the per-shard counts, so an in-flight
-//!   arrival that could miss the `wild_len` bump forces the fallback) and
+//!   arrival that could miss the `wild_slots` bump forces the fallback) and
 //!   parks without touching a single shard lock; only a possible match
 //!   pays for the locked slow path.
+//!
+//! ## A write touches only its shard
+//!
+//! The locked write bodies commit everything they publish to words of
+//! their own lane: each shard's lock, snapshot, stat mirror and
+//! unexpected count sit on a `Pad`ded adjacent-line pair nothing else
+//! shares, the mirrors and lock counters are single-writer words updated
+//! with a load and a store ([`crate::seqsnap`]), and an arrival walks its
+//! seq index ahead of the structure only when it has a wildcard candidate
+//! to arbitrate against. What a write still shares with the other shards
+//! is the global `seq` stamp — one line, padded away from everything
+//! else — and the two `wild_slots` words it reads.
 //!
 //! Batched ingestion ([`crate::ingest`]) reuses the same locked op
 //! bodies: [`ShardedEngine::drain_rings`] applies a whole ring batch
@@ -109,7 +137,7 @@ use crate::entry::{
 };
 use crate::ingest::{IngestOp, IngestRing};
 use crate::list::MatchList;
-use crate::seqsnap::{MirrorStats, SnapRows};
+use crate::seqsnap::{sw_add, MirrorStats, SnapRows};
 use crate::stats::{ConcurrencyStats, EngineStats, LockStats, ShardStats, SnapReadStats};
 
 /// Published rows per shard snapshot mirror before the sticky overflow
@@ -118,6 +146,48 @@ const SNAP_ROWS_MAX: usize = 65_536;
 
 /// Seqlock attempts before a lock-free probe falls back to locking.
 const SNAP_PROBE_RETRIES: usize = 8;
+
+/// Tag slots of the wildcard-lane occupancy filter; one more slot, at
+/// index `WILD_SLOTS`, counts the `MPI_ANY_TAG` wildcards.
+const WILD_SLOTS: usize = 64;
+const _: () = assert!(WILD_SLOTS.is_power_of_two());
+
+/// The filter slot of a concrete `(tag, context)`: the top bits of a
+/// Fibonacci hash, so runs of consecutive tags spread over every slot and
+/// strided tags do not pile onto one.
+fn wild_slot(tag: i32, context_id: u16) -> usize {
+    let h = (tag as u32 ^ (context_id as u32).rotate_left(16)).wrapping_mul(0x9E37_79B9);
+    (h >> (u32::BITS - WILD_SLOTS.trailing_zeros())) as usize
+}
+
+/// The filter slot a parked wildcard receive is counted under.
+fn entry_slot(e: &PostedEntry) -> usize {
+    if e.tag_mask == 0 {
+        WILD_SLOTS
+    } else {
+        wild_slot(e.tag, e.context_id)
+    }
+}
+
+/// One lane's words on an adjacent-line pair of their own. 128 B, not 64:
+/// the spatial prefetcher the paper's Fig. 2 discussion leans on fetches
+/// lines in aligned pairs, so a neighbour in the other half of the pair
+/// is invalidated along with the line a writer dirties. Wrapped around
+/// every per-shard element and the two global words, it makes a write on
+/// shard *i* leave shard *j*'s lines — and the seq stamp's — alone.
+#[repr(align(128))]
+struct Pad<T>(T);
+
+const _: () = assert!(core::mem::align_of::<Pad<AtomicUsize>>() == 128);
+const _: () = assert!(core::mem::size_of::<Pad<AtomicUsize>>() == 128);
+
+impl<T> std::ops::Deref for Pad<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// Per-shard state behind the shard's lock: the sub-engine plus the
 /// seq-ordered parallel indexes used for cross-shard FIFO arbitration.
@@ -177,6 +247,14 @@ fn check_seq_index<E: Element>(idx: &VecDeque<(u64, E)>, snapshot: Vec<E>) -> Re
     Ok(())
 }
 
+/// Position and stamp of the first (= oldest) entry of a posted-receive
+/// seq index that matches `env`.
+fn first_match(idx: &VecDeque<(u64, PostedEntry)>, env: &Envelope) -> Option<(usize, u64)> {
+    idx.iter()
+        .enumerate()
+        .find_map(|(pos, (seq, e))| e.matches(env).then_some((pos, *seq)))
+}
+
 /// A seq-ordered lane of live unexpected rows `(seq, packed key, payload)`
 /// that [`merged_probe`] can walk: a published [`SnapRows`] mirror
 /// (lock-free, may refuse) or a locked shard's seq index (never refuses).
@@ -190,6 +268,12 @@ trait ProbeLane {
 impl ProbeLane for SnapRows {
     fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
         self.scan(visit)
+    }
+}
+
+impl<L: ProbeLane> ProbeLane for Pad<L> {
+    fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
+        self.0.walk(visit)
     }
 }
 
@@ -268,7 +352,10 @@ fn merged_probe<L: ProbeLane>(
 }
 
 /// A lock plus its contention counters (counted on the workload path,
-/// bypassed by observer snapshots).
+/// bypassed by observer snapshots). The counters are written only by the
+/// thread that has just acquired `inner`, so they are single-writer words
+/// ([`sw_add`]) and a `lock()` costs no read-modify-write beyond the
+/// mutex's own.
 struct Counted<T> {
     inner: Mutex<T>,
     acquisitions: AtomicU64,
@@ -285,12 +372,16 @@ impl<T> Counted<T> {
     }
 
     fn lock(&self) -> MutexGuard<'_, T> {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Ok(g) = self.inner.try_lock() {
-            return g;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().expect("shard lock poisoned")
+        let g = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(_) => {
+                let g = self.inner.lock().expect("shard lock poisoned");
+                sw_add(&self.contended, 1);
+                g
+            }
+        };
+        sw_add(&self.acquisitions, 1);
+        g
     }
 
     fn lock_uncounted(&self) -> MutexGuard<'_, T> {
@@ -313,13 +404,13 @@ where
     P: MatchList<PostedEntry>,
     U: MatchList<UnexpectedEntry>,
 {
-    shards: Vec<Counted<ShardState<P, U>>>,
+    shards: Vec<Pad<Counted<ShardState<P, U>>>>,
     /// Per-shard published mirrors of the unexpected queues — the
     /// seqlock-protected rows every lock-free read path walks.
-    snaps: Vec<SnapRows>,
+    snaps: Vec<Pad<SnapRows>>,
     /// Per-shard lock-free stat/length mirrors, written under the shard
     /// lock, read by `stats`/`queue_lens`/`shard_stats` with no lock.
-    mirrors: Vec<MirrorStats>,
+    mirrors: Vec<Pad<MirrorStats>>,
     /// The wildcard lane's stat/length mirror.
     wild_mirror: MirrorStats,
     /// Per-shard unexpected-message counts maintained *outside* the shard
@@ -328,17 +419,27 @@ where
     /// (SeqCst) to prove "no shard can hold a match" without taking S
     /// locks; a nonzero count only ever sends it to the slow path, so
     /// transient over-counts are safe.
-    umq_counts: Vec<AtomicUsize>,
+    umq_counts: Vec<Pad<AtomicUsize>>,
     wild: Counted<WildState<P>>,
     /// Global epoch/sequence counter; stamped while holding the op's locks.
-    seq: AtomicU64,
-    /// Live wildcard receives. Updated under the wildcard-lane lock. May
-    /// read stale-high for an arrival racing a fast-path park that will
-    /// fall back (a harmless phantom crossing), but never stale-low: the
-    /// SeqCst store-buffering pair with `umq_counts` guarantees an arrival
-    /// misses a parked wildcard only if the poster saw the arrival's count
-    /// bump and took the slow path (which serializes on the shard locks).
-    wild_len: AtomicUsize,
+    seq: Pad<AtomicU64>,
+    /// The wildcard lane's occupancy, keyed by what an arrival knows — its
+    /// tag: `wild_slots[wild_slot(tag, context)]` counts the live wildcard
+    /// receives naming that tag (and any others hashing with it), the last
+    /// word those with `MPI_ANY_TAG`. An arrival crosses into the lane only
+    /// if its own slot or the last reads non-zero. Updated under the
+    /// wildcard-lane lock, always together with `wild_len`. A slot may read
+    /// stale-high for an arrival racing a fast-path park that will fall
+    /// back (a harmless phantom crossing, as is a hash collision), but
+    /// never stale-low: the SeqCst store-buffering pair with `umq_counts`
+    /// guarantees an arrival misses a parked wildcard *that could match
+    /// it* only if the poster saw the arrival's count bump and took the
+    /// slow path (which serializes on the shard locks).
+    wild_slots: Pad<[AtomicUsize; WILD_SLOTS + 1]>,
+    /// Live wildcard receives: the lane length `queue_lens` reports and
+    /// `validate` checks against the lane, the mirror and the slot sum.
+    /// No matching decision reads it — that is `wild_slots`' job.
+    wild_len: Pad<AtomicUsize>,
     /// Arrivals that crossed into the wildcard lane.
     wild_crossings: AtomicU64,
     /// When false, arrivals skip the wildcard seq comparison whenever
@@ -382,27 +483,28 @@ where
         assert!(num_shards >= 1, "need at least one shard");
         let shards = (0..num_shards)
             .map(|_| {
-                Counted::new(ShardState {
+                Pad(Counted::new(ShardState {
                     eng: MatchEngine::new(mk_prq(), mk_umq()),
                     prq_idx: VecDeque::new(),
                     umq_idx: VecDeque::new(),
-                })
+                }))
             })
             .collect();
         Self {
             shards,
             snaps: (0..num_shards)
-                .map(|_| SnapRows::new(snap_commit, SNAP_ROWS_MAX))
+                .map(|_| Pad(SnapRows::new(snap_commit, SNAP_ROWS_MAX)))
                 .collect(),
-            mirrors: (0..num_shards).map(|_| MirrorStats::new()).collect(),
+            mirrors: (0..num_shards).map(|_| Pad(MirrorStats::new())).collect(),
             wild_mirror: MirrorStats::new(),
-            umq_counts: (0..num_shards).map(|_| AtomicUsize::new(0)).collect(),
+            umq_counts: (0..num_shards).map(|_| Pad(AtomicUsize::new(0))).collect(),
             wild: Counted::new(WildState {
                 prq: mk_prq(),
                 prq_idx: VecDeque::new(),
             }),
-            seq: AtomicU64::new(0),
-            wild_len: AtomicUsize::new(0),
+            seq: Pad(AtomicU64::new(0)),
+            wild_slots: Pad(std::array::from_fn(|_| AtomicUsize::new(0))),
+            wild_len: Pad(AtomicUsize::new(0)),
             wild_crossings: AtomicU64::new(0),
             check_wild_overtaking: true,
             snap_commit,
@@ -499,8 +601,10 @@ where
     /// in-flight operations on other threads): per-shard seq indexes
     /// strictly increasing and agreeing with the structures entry-for-entry,
     /// `umq_counts` agreeing with the queued UMQ lengths, the wildcard
-    /// lane's three length views agreeing, and every underlying structure's
-    /// own [`MatchList::validate`].
+    /// lane's three length views agreeing, every `wild_slots` word equal to
+    /// the number of lane entries that hash to it (the proof that no
+    /// arrival can be filtered past a wildcard it matches), and every
+    /// underlying structure's own [`MatchList::validate`].
     ///
     /// Takes the uncounted locks itself (shards in index order, then the
     /// wildcard lane — the engine's fixed lock order), so it must **not**
@@ -540,6 +644,18 @@ where
                 "wild mirror lens say ({wmp}, {wmu}) but the lane holds ({}, 0)",
                 wild.prq.len()
             ));
+        }
+        let mut held = [0usize; WILD_SLOTS + 1];
+        for (_, e) in wild.prq_idx.iter() {
+            held[entry_slot(e)] += 1;
+        }
+        for (slot, (word, held)) in self.wild_slots.iter().zip(held).enumerate() {
+            let published = word.load(Ordering::SeqCst);
+            if published != held {
+                return Err(format!(
+                    "wild_slots[{slot}] says {published} but the lane holds {held} such entries"
+                ));
+            }
         }
         Ok(())
     }
@@ -619,7 +735,7 @@ where
 
     fn next_seq(&self) -> u64 {
         // SeqCst: the wildcard fast path's soundness argument orders seq
-        // stamps against `umq_counts`/`wild_len` operations in the single
+        // stamps against `umq_counts`/`wild_slots` operations in the single
         // SeqCst total order.
         self.seq.fetch_add(1, Ordering::SeqCst)
     }
@@ -691,11 +807,13 @@ where
     /// every shard's unexpected count reads zero, otherwise the all-lock
     /// slow path (see the module docs for the soundness argument).
     fn post_recv_wild(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome) {
+        let entry = PostedEntry::from_spec(spec, request);
+        let slot = entry_slot(&entry);
         {
             let mut wild = self.wild.lock();
             // Publish occupancy *before* taking the seq and reading the
             // counts — the poster half of the store-buffering pair.
-            self.wild_len.fetch_add(1, Ordering::SeqCst);
+            self.wild_occupy(slot);
             let seq = self.next_seq();
             let all_empty = self
                 .umq_counts
@@ -706,7 +824,7 @@ where
             // have hidden a message that was still queued at our
             // linearization point — retry through the slow path.
             if all_empty && self.seq.load(Ordering::SeqCst) == seq + 1 {
-                self.park_wild(&mut wild, seq, spec, request, 0);
+                self.park_wild(&mut wild, seq, entry, 0);
                 return (seq, RecvOutcome::Posted);
             }
             // Counts are nonzero (or a racer stamped): before paying for
@@ -715,12 +833,12 @@ where
             if !self.locked_reads.load(Ordering::SeqCst) {
                 if let Some(inspected) = self.wild_prescan_clear(&spec, seq) {
                     self.prescan_parks.fetch_add(1, Ordering::Relaxed);
-                    self.park_wild(&mut wild, seq, spec, request, inspected);
+                    self.park_wild(&mut wild, seq, entry, inspected);
                     return (seq, RecvOutcome::Posted);
                 }
                 self.prescan_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
-            self.wild_len.fetch_sub(1, Ordering::SeqCst);
+            self.wild_vacate(slot);
             // The wildcard lock is released before the slow path re-locks
             // shards-then-wild, preserving the global lock order.
         }
@@ -732,12 +850,12 @@ where
     /// composite snapshot is valid at the caller's stamp `seq` *and* no
     /// live row matches `spec` — in which case parking immediately is
     /// linearizable at `seq`. Caller holds the wildcard lock and has
-    /// already published its `wild_len` bump and taken `seq`.
+    /// already published its `wild_slots` bump and taken `seq`.
     ///
     /// Validity needs three checks: every lane read under a stable
     /// version, every lane's live-row count equal to its `umq_counts`
     /// entry (an in-flight arrival that pre-bumped its count but has not
-    /// yet published may have read `wild_len` *before* our bump — the
+    /// yet published may have read its slot *before* our bump — the
     /// count mismatch is the only trace it leaves), and the global seq
     /// unchanged (no racing remover with a later stamp).
     fn wild_prescan_clear(&self, spec: &RecvSpec, seq: u64) -> Option<u64> {
@@ -759,18 +877,26 @@ where
         (self.seq.load(Ordering::SeqCst) == seq + 1).then_some(inspected)
     }
 
+    /// Counts one more live wildcard under `slot`. Caller holds the
+    /// wildcard-lane lock. On the fast path this is the poster's half of
+    /// the store-buffering pair and must precede its seq stamp.
+    fn wild_occupy(&self, slot: usize) {
+        self.wild_slots[slot].fetch_add(1, Ordering::SeqCst);
+        self.wild_len.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Drops one live wildcard from `slot` (matched, cancelled, or a
+    /// fast-path park undone). Caller holds the wildcard-lane lock.
+    fn wild_vacate(&self, slot: usize) {
+        self.wild_slots[slot].fetch_sub(1, Ordering::SeqCst);
+        self.wild_len.fetch_sub(1, Ordering::SeqCst);
+    }
+
     /// Parks a wildcard receive in the lane (caller holds the wildcard
-    /// lock and accounts for `wild_len` itself). `inspected` is the
-    /// number of unexpected entries examined before concluding no match.
-    fn park_wild(
-        &self,
-        wild: &mut WildState<P>,
-        seq: u64,
-        spec: RecvSpec,
-        request: u64,
-        inspected: u64,
-    ) {
-        let entry = PostedEntry::from_spec(spec, request);
+    /// lock and accounts for the occupancy words itself). `inspected` is
+    /// the number of unexpected entries examined before concluding no
+    /// match.
+    fn park_wild(&self, wild: &mut WildState<P>, seq: u64, entry: PostedEntry, inspected: u64) {
         wild.prq.append(entry, &mut crate::sink::NullSink);
         wild.prq_idx.push_back((seq, entry));
         self.wild_mirror.umq_search.record(inspected);
@@ -848,8 +974,9 @@ where
                 )
             }
             None => {
-                self.park_wild(&mut wild, seq, spec, request, inspected as u64);
-                self.wild_len.fetch_add(1, Ordering::SeqCst);
+                let entry = PostedEntry::from_spec(spec, request);
+                self.park_wild(&mut wild, seq, entry, inspected as u64);
+                self.wild_occupy(entry_slot(&entry));
                 (seq, RecvOutcome::Posted)
             }
         };
@@ -860,7 +987,8 @@ where
     }
 
     /// Handles a message arrival: shard fast path, with the wildcard-lane
-    /// crossing only when the lane is occupied.
+    /// crossing only when the lane holds a receive on the arrival's tag
+    /// slot (or an `MPI_ANY_TAG` one).
     pub fn arrival(&self, env: Envelope, payload: u64) -> ArrivalOutcome {
         self.arrival_seq(env, payload).1
     }
@@ -885,72 +1013,58 @@ where
         debug_assert_eq!(self.shard_of(env.rank), si, "op routed to wrong shard");
         // Pre-bump this shard's unexpected count *before* reading the
         // wildcard-lane occupancy — the arrival half of the store-buffering
-        // pair: a racing fast-path wildcard post either sees this bump (and
-        // takes the slow path) or has already parked with `wild_len`
-        // published (and the read below sees it). Undone below unless the
-        // message actually queues.
+        // pair: a racing fast-path wildcard post that could match this
+        // message either sees this bump (and takes the slow path) or has
+        // already parked with its slot published (and the read below sees
+        // it). Undone below unless the message actually queues.
         self.umq_counts[si].fetch_add(1, Ordering::SeqCst);
-        let mut wild = if self.wild_len.load(Ordering::SeqCst) > 0 {
+        // A wildcard can match this message only from the message's own
+        // tag slot or from the `MPI_ANY_TAG` slot; with both empty the
+        // lane cannot hold its match and the arrival stays on its shard.
+        let crossing = self.wild_slots[wild_slot(env.tag, env.context_id)].load(Ordering::SeqCst)
+            > 0
+            || self.wild_slots[WILD_SLOTS].load(Ordering::SeqCst) > 0;
+        let mut wild = crossing.then(|| {
             self.wild_crossings.fetch_add(1, Ordering::Relaxed);
-            Some(self.wild.lock())
-        } else {
-            None
-        };
+            self.wild.lock()
+        });
         let snap = &self.snaps[si];
         let m = &self.mirrors[si];
         snap.begin();
         let seq = self.next_seq();
 
-        let mut shard_scan = 0u32;
-        let shard_first = g.prq_idx.iter().find_map(|(s, e)| {
-            shard_scan += 1;
-            e.matches(&env).then_some(*s)
-        });
-        let mut wild_scan = 0u32;
-        let wild_first = wild.as_ref().and_then(|w| {
-            w.prq_idx.iter().find_map(|(s, e)| {
-                wild_scan += 1;
-                e.matches(&env).then_some(*s)
-            })
-        });
+        // The seq indexes are walked ahead of the structures only to
+        // arbitrate between a wildcard candidate and the shard's own: no
+        // crossing, or no candidate in the lane, and the structure's walk
+        // below is the only one.
+        let wild_first = wild.as_ref().and_then(|w| first_match(&w.prq_idx, &env));
+        let shard_first = wild_first.and_then(|_| first_match(&g.prq_idx, &env));
 
         // The seq comparison the adversary skips: with it, the *older* of
         // the two candidate receives wins, preserving non-overtaking.
-        let wild_wins = match (shard_first, wild_first) {
-            (Some(ss), Some(ws)) => self.check_wild_overtaking && ws < ss,
-            (None, Some(_)) => true,
-            _ => false,
-        };
+        let wild_wins = wild_first.filter(|&(_, ws)| {
+            shard_first.is_none_or(|(_, ss)| self.check_wild_overtaking && ws < ss)
+        });
 
-        if wild_wins {
-            // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
-            let w = wild.as_mut().expect("wild candidate implies wild lock");
+        if let (Some((wpos, _)), Some(w)) = (wild_wins, wild.as_mut()) {
             let r = w.prq.search_remove(&env, &mut crate::sink::NullSink);
             // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
             let recv = r.found.expect("index found a match the structure missed");
-            let pos = w
-                .prq_idx
-                .iter()
-                .position(|(_, e)| e.matches(&env))
-                // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
-                .expect("match present");
             // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
-            let (iseq, ie) = w.prq_idx.remove(pos).expect("position exists");
+            let (_, ie) = w.prq_idx.remove(wpos).expect("position exists");
             debug_assert_eq!(ie.request, recv.request);
-            debug_assert_eq!(Some(iseq), wild_first);
-            self.wild_mirror
-                .prq_search
-                .record((shard_scan + wild_scan) as u64);
+            let scanned = shard_first.map_or(g.prq_idx.len(), |(pos, _)| pos + 1) + wpos + 1;
+            self.wild_mirror.prq_search.record(scanned as u64);
             self.wild_mirror.add_prq_hit();
             self.wild_mirror.note_occupancy(w.prq.len(), 0);
-            self.wild_len.fetch_sub(1, Ordering::SeqCst);
+            self.wild_vacate(entry_slot(&ie));
             self.umq_counts[si].fetch_sub(1, Ordering::SeqCst);
             snap.end();
             return (
                 seq,
                 ArrivalOutcome::MatchedPosted {
                     request: recv.request,
-                    depth: shard_scan + wild_scan,
+                    depth: scanned as u32,
                 },
             );
         }
@@ -961,16 +1075,18 @@ where
         let depth = g.eng.stats().prq_search.sum - pre;
         match out {
             ArrivalOutcome::MatchedPosted { request, .. } => {
-                let pos = g
-                    .prq_idx
-                    .iter()
-                    .position(|(_, e)| e.matches(&env))
-                    // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
-                    .expect("structure matched, so the seq index must too");
+                let pos = match shard_first {
+                    Some((pos, _)) => pos,
+                    None => g
+                        .prq_idx
+                        .iter()
+                        .position(|(_, e)| e.matches(&env))
+                        // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
+                        .expect("structure matched, so the seq index must too"),
+                };
                 // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
-                let (iseq, ie) = g.prq_idx.remove(pos).expect("position exists");
+                let (_, ie) = g.prq_idx.remove(pos).expect("position exists");
                 debug_assert_eq!(ie.request, request);
-                debug_assert_eq!(Some(iseq), shard_first);
                 // Matched, so nothing was queued: undo the pre-bump.
                 self.umq_counts[si].fetch_sub(1, Ordering::SeqCst);
                 m.add_prq_hit();
@@ -1028,7 +1144,7 @@ where
                 .expect("index holds every wild entry");
             wild.prq_idx.remove(pos);
             self.wild_mirror.note_occupancy(wild.prq.len(), 0);
-            self.wild_len.fetch_sub(1, Ordering::SeqCst);
+            self.wild_vacate(entry_slot(&recv));
             return (seq, true);
         }
         (seq, false)
@@ -1232,6 +1348,9 @@ where
         self.wild_mirror.clear();
         for c in &self.umq_counts {
             c.store(0, Ordering::SeqCst);
+        }
+        for slot in self.wild_slots.iter() {
+            slot.store(0, Ordering::SeqCst);
         }
         self.wild_len.store(0, Ordering::SeqCst);
         for s in &self.snaps {
@@ -1738,6 +1857,170 @@ mod tests {
         let after: u64 = eng.shard_stats().iter().map(|s| s.lock.acquisitions).sum();
         assert_eq!(after - before, 4, "locked reads force the all-lock path");
         eng.validate().unwrap();
+    }
+
+    fn crossings(eng: &TestEngine) -> u64 {
+        eng.stats().concurrency.unwrap().wild_crossings
+    }
+
+    fn slot_count(eng: &TestEngine, tag: i32) -> usize {
+        eng.wild_slots[wild_slot(tag, 0)].load(Ordering::SeqCst)
+    }
+
+    /// The smallest tag above `tag` that shares its filter slot.
+    fn colliding_tag(tag: i32) -> i32 {
+        (tag + 1..)
+            .find(|&t| wild_slot(t, 0) == wild_slot(tag, 0))
+            .expect("65 tags cannot all have their own slot")
+    }
+
+    #[test]
+    fn arrival_on_another_slot_is_routed_past_the_wild_lane() {
+        let eng = engine(4);
+        let other = (1..).find(|&t| wild_slot(t, 0) != wild_slot(0, 0)).unwrap();
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, 0, 0), 1);
+        eng.post_recv(RecvSpec::new(6, other, 0), 2);
+        let wild_locks = eng.wild.lock_stats().acquisitions;
+        match eng.arrival(Envelope::new(6, other, 0), 70) {
+            ArrivalOutcome::MatchedPosted { request, depth } => {
+                assert_eq!((request, depth), (2, 1), "its own concrete receive");
+            }
+            o => panic!("unexpected {o:?}"),
+        }
+        assert_eq!(
+            crossings(&eng),
+            0,
+            "another slot's wildcard is not its business"
+        );
+        assert_eq!(eng.wild.lock_stats().acquisitions, wild_locks);
+        assert_eq!(eng.queue_lens(), (1, 0), "the wildcard stays parked");
+        eng.validate().unwrap();
+    }
+
+    #[test]
+    fn arrival_on_the_wildcards_tag_crosses_and_the_older_receive_wins() {
+        let eng = engine(4);
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, 3, 0), 1);
+        eng.post_recv(RecvSpec::new(6, 3, 0), 2);
+        match eng.arrival(Envelope::new(6, 3, 0), 70) {
+            ArrivalOutcome::MatchedPosted { request, .. } => {
+                assert_eq!(request, 1, "the older wildcard must win")
+            }
+            o => panic!("unexpected {o:?}"),
+        }
+        assert_eq!(crossings(&eng), 1);
+        assert_eq!(slot_count(&eng, 3), 0, "wild_wins vacates the slot");
+        eng.validate().unwrap();
+        // Slot empty again: the next arrival stays on its shard.
+        match eng.arrival(Envelope::new(6, 3, 0), 71) {
+            ArrivalOutcome::MatchedPosted { request, .. } => assert_eq!(request, 2),
+            o => panic!("unexpected {o:?}"),
+        }
+        assert_eq!(crossings(&eng), 1);
+        eng.validate().unwrap();
+    }
+
+    #[test]
+    fn colliding_tags_cross_but_match_only_on_a_true_key_match() {
+        let eng = engine(4);
+        let a = 5;
+        let b = colliding_tag(a);
+        let c = colliding_tag(b);
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, a, 0), 1);
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, b, 0), 2);
+        assert_eq!(slot_count(&eng, c), 2, "one slot serves all three tags");
+        // The older wildcard shares the slot but not the key.
+        match eng.arrival(Envelope::new(2, b, 0), 70) {
+            ArrivalOutcome::MatchedPosted { request, .. } => assert_eq!(request, 2),
+            o => panic!("unexpected {o:?}"),
+        }
+        assert_eq!(slot_count(&eng, a), 1);
+        eng.validate().unwrap();
+        // Tag `c` finds the slot occupied, crosses, and matches nothing.
+        assert_eq!(
+            eng.arrival(Envelope::new(2, c, 0), 71),
+            ArrivalOutcome::Queued
+        );
+        assert_eq!(crossings(&eng), 2, "a collision costs a phantom crossing");
+        match eng.arrival(Envelope::new(2, a, 0), 72) {
+            ArrivalOutcome::MatchedPosted { request, .. } => assert_eq!(request, 1),
+            o => panic!("unexpected {o:?}"),
+        }
+        assert_eq!(slot_count(&eng, a), 0);
+        assert_eq!(eng.queue_lens(), (0, 1));
+        eng.validate().unwrap();
+    }
+
+    #[test]
+    fn any_tag_wildcard_makes_every_arrival_cross() {
+        let eng = engine(4);
+        // Context 1: it can match none of the context-0 arrivals below,
+        // yet all of them must look (the last slot is not keyed at all).
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, ANY_TAG, 1), 1);
+        assert_eq!(eng.wild_slots[WILD_SLOTS].load(Ordering::SeqCst), 1);
+        for tag in 0..2 * WILD_SLOTS as i32 {
+            assert_eq!(
+                eng.arrival(Envelope::new(tag % 7, tag, 0), tag as u64),
+                ArrivalOutcome::Queued
+            );
+        }
+        assert_eq!(crossings(&eng), 2 * WILD_SLOTS as u64);
+        match eng.arrival(Envelope::new(3, 9, 1), 999) {
+            ArrivalOutcome::MatchedPosted { request, .. } => assert_eq!(request, 1),
+            o => panic!("unexpected {o:?}"),
+        }
+        assert_eq!(eng.wild_slots[WILD_SLOTS].load(Ordering::SeqCst), 0);
+        eng.validate().unwrap();
+    }
+
+    #[test]
+    fn every_way_out_of_the_lane_returns_its_slot_to_zero() {
+        let eng = engine(4);
+        // cancel_recv
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, 11, 0), 1);
+        assert_eq!(slot_count(&eng, 11), 1);
+        eng.validate().unwrap();
+        assert!(eng.cancel_recv(1));
+        assert_eq!(slot_count(&eng, 11), 0);
+        eng.validate().unwrap();
+        // The fast-path park undone: a queued match sends the post to the
+        // slow path, which consumes the message and parks nothing.
+        eng.arrival(Envelope::new(6, 12, 0), 60);
+        assert!(matches!(
+            eng.post_recv(RecvSpec::new(ANY_SOURCE, 12, 0), 2),
+            RecvOutcome::MatchedUnexpected { payload: 60, .. }
+        ));
+        assert_eq!(slot_count(&eng, 12), 0);
+        eng.validate().unwrap();
+        // The slow-path park (locked reads skip the pre-scan) counts too.
+        eng.arrival(Envelope::new(6, 13, 0), 61);
+        eng.set_locked_reads(true);
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, 14, 0), 3);
+        eng.set_locked_reads(false);
+        assert_eq!(slot_count(&eng, 14), 1);
+        eng.validate().unwrap();
+        // reset
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, ANY_TAG, 0), 4);
+        eng.reset();
+        assert!(eng.wild_slots.iter().all(|w| w.load(Ordering::SeqCst) == 0));
+        assert_eq!(eng.queue_lens(), (0, 0));
+        eng.validate().unwrap();
+        assert_eq!(
+            eng.arrival(Envelope::new(1, 14, 0), 62),
+            ArrivalOutcome::Queued
+        );
+        assert_eq!(crossings(&eng), 0, "reset left nothing to cross into");
+    }
+
+    #[test]
+    fn validate_convicts_a_slot_that_disagrees_with_the_lane() {
+        let eng = engine(2);
+        eng.post_recv(RecvSpec::new(ANY_SOURCE, 4, 0), 1);
+        // Same sum, wrong slot: only a slot-by-slot check can tell.
+        eng.wild_slots[wild_slot(4, 0)].store(0, Ordering::SeqCst);
+        eng.wild_slots[WILD_SLOTS].store(1, Ordering::SeqCst);
+        let err = eng.validate().unwrap_err();
+        assert!(err.contains("wild_slots"), "{err}");
     }
 
     #[test]
