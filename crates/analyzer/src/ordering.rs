@@ -426,15 +426,7 @@ pub const SPECS: &[AtomicSpec] = &[
         rationale: "lines-touched tally for HeaterStats; readers wanting a \
                     consistent view pair it with the AcqRel passes counter",
     },
-    // -- envcfg.rs / addr.rs ---------------------------------------------
-    AtomicSpec {
-        file: "envcfg.rs",
-        receiver: "state",
-        req: Req::Relaxed,
-        rationale: "env-var cache with a monotonic UNSET→value transition; racing \
-                    initializers compute the same value from the same \
-                    environment, so any interleaving converges",
-    },
+    // -- addr.rs ----------------------------------------------------------
     AtomicSpec {
         file: "addr.rs",
         receiver: "NEXT",
@@ -671,7 +663,6 @@ mod tests {
             "ingest.rs",
             "concurrent.rs",
             "heater.rs",
-            "envcfg.rs",
             "addr.rs",
         ] {
             assert!(files.contains(&f), "{f} missing from ordering scope");

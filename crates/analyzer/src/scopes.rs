@@ -29,7 +29,6 @@ pub const HOT_FILES: &[&str] = &[
     "concurrent.rs",
     "engine.rs",
     "entry.rs",
-    "envcfg.rs",
     "ingest.rs",
     "pool.rs",
     "prefetch.rs",

@@ -172,29 +172,6 @@ fn hot_path_clock_is_caught() {
 }
 
 #[test]
-fn adaptive_controller_clock_is_caught() {
-    // The adaptive prefetch controller lives in prefetch.rs and must pace
-    // its retune epochs on op counts, never the wall clock; a clock-paced
-    // variant is the shape of regression this rule exists to stop.
-    let path = "crates/core/src/prefetch.rs";
-    let findings = analyze_source(path, &fixture("adaptive_clock.rs"));
-    let hits = rule_findings(&findings, "hot-path-determinism");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert_eq!(hits[0].line, 10, "the Instant::now line");
-    assert!(hits[0].message.contains("Instant::now"));
-    assert_diagnostic_shape(hits[0], path);
-}
-
-#[test]
-fn envcfg_is_hot_path_scoped() {
-    // envcfg.rs backs the scan-kind and prefetch-scheme switches read on
-    // every traversal; it joined HOT_PATH_FILES when EnvSwitch was factored
-    // out, so clock reads there must fire like any other hot-path module.
-    let findings = analyze_source("crates/core/src/envcfg.rs", &fixture("hotpath_clock.rs"));
-    assert_eq!(rule_findings(&findings, "hot-path-determinism").len(), 1);
-}
-
-#[test]
 fn clock_outside_hot_path_is_fine() {
     // Same source under heater.rs (background thread, not measured) passes.
     let findings = analyze_source("crates/core/src/heater.rs", &fixture("hotpath_clock.rs"));
@@ -432,7 +409,7 @@ fn baseline_subtracts_known_findings_only() {
     let entries = spc_analyzer::diag::parse_baseline(&baseline_text).expect("round-trip");
     let diffed = spc_analyzer::diag::diff_baseline(findings.clone(), &entries);
     assert!(diffed.is_empty(), "baselined findings are subtracted");
-    let fresh = analyze_source("crates/core/src/prefetch.rs", &fixture("adaptive_clock.rs"));
+    let fresh = analyze_source("crates/core/src/simd.rs", &fixture("hotpath_clock.rs"));
     let still_there = spc_analyzer::diag::diff_baseline(fresh, &entries);
     assert!(
         !still_there.is_empty(),

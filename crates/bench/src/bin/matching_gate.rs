@@ -3,8 +3,8 @@
 //!
 //! Runs a fixed, seeded workload matrix — queue depth × structure ×
 //! hit-position × wildcard ratio × scan kernel — through the current
-//! search (`search_remove`, under each supported slab-scan kind) and, for
-//! the linear structures that kept it, the pre-optimisation field-wise scan
+//! search (`search_remove`; on the LLAs, under each supported slab-scan
+//! kind) and, for the linear structures, the reference field-wise scan
 //! (`search_remove_fieldwise`), and writes the results as
 //! `BENCH_matching.json` with the stable `spc-bench/1` schema (see the
 //! `spc-minibench` crate docs).
@@ -30,42 +30,31 @@
 //! faster at identical lines/op and hit ratios won on compute, not on a
 //! layout change.
 //!
-//! Every non-portable packed cell also runs a built-in **cross-check**: a
-//! twin pair of lists replays the same probe cycle under the cell's kind
-//! and under the portable scalar kernel in lockstep, and any divergence in
-//! match identity or reported depth aborts the run with a nonzero exit.
-//! CI runs the quick matrix twice (`SPC_SCAN_KIND=portable` and
-//! `SPC_SCAN_KIND=simd256`) so both the fallback and the vector kernels are
-//! exercised and compared on every push.
+//! Every LLA cell under a vector kernel also runs a built-in
+//! **cross-check**: a twin pair of lists replays the same probe cycle under
+//! the cell's kernel and under the portable scalar kernel in lockstep, and
+//! any divergence in match identity or reported depth aborts the run with a
+//! nonzero exit.
 //!
-//! The matrix also sweeps the **traversal-prefetch scheme**: the main pass
-//! runs under the installed scheme (default `stride`), then the packed
-//! linear structures re-run under `off`, `chase`, and `adaptive`, pinned to
-//! the best scan kernel so the scheme is the only variable. Scheme rows
-//! carry `prefetch_scheme` / `prefetch_dist` columns, and their cachesim
-//! replay arms the simulated pointer-chase unit (degree 1 for `chase`, 2
-//! for `adaptive`) so the native `prefetcht0` chase has a simulated
-//! counterpart — the L1-hit delta against the stride row attributes the
-//! timing change to locality.
+//! Kernels are named per row through `Lla::search_remove_as` — every kind
+//! the CPU supports gets its own row on every LLA cell. The baseline list
+//! has one packed walk (scalar on every CPU) and the binned structures
+//! search per-channel FIFOs with the scalar packed compare, so both get one
+//! `packed` row per cell.
 //!
 //! Usage: `matching_gate [--quick] [--out <path>]` (also `--json <path>`;
 //! default `BENCH_matching.json`). `--quick` shrinks the matrix and budgets
-//! for CI smoke runs and marks the JSON `"quick": true`. The `SPC_SCAN_KIND`
-//! environment variable restricts the packed sweep to one kernel
-//! (`portable`/`simd128`/`simd256`, downgraded to the best the CPU
-//! supports); `SPC_PREFETCH_SCHEME` (`off`/`stride`/`chase`/`adaptive`)
-//! pins the whole matrix to one scheme and skips the scheme sweep. The
-//! binary exits nonzero on panic, an unwritable output path, or a kernel
-//! cross-check divergence — perf regressions are recorded, not fatal, so CI
-//! stays green on noisy runners.
+//! for CI smoke runs and marks the JSON `"quick": true`. The binary exits
+//! nonzero on panic, an unwritable output path, or a kernel cross-check
+//! divergence — perf regressions are recorded, not fatal, so CI stays green
+//! on noisy runners.
 
 use criterion::{measure_ns, report};
 use spc_cachesim::{ArchProfile, MemSim};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, ANY_SOURCE};
 use spc_core::list::{BaselineList, HashBins, Lla, MatchList, RankTrie, Search, SourceBins};
-use spc_core::prefetch::{self, PrefetchScheme};
 use spc_core::simd::{self, ScanKind};
-use spc_core::sink::{CountingSink, NullSink};
+use spc_core::sink::{AccessSink, CountingSink, NullSink};
 use spc_rng::{Rng, SeedableRng, StdRng};
 use std::time::Duration;
 
@@ -87,9 +76,9 @@ fn rank_count(depth: usize) -> usize {
 /// `scan_kind` JSON columns.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Variant {
-    /// The pre-packed-key field-by-field comparator.
+    /// The reference field-by-field comparator.
     Fieldwise,
-    /// The packed-key search under a specific slab-scan kernel.
+    /// The packed-key search; on an LLA, under this slab-scan kernel.
     Packed(ScanKind),
 }
 
@@ -110,15 +99,6 @@ impl Variant {
             Variant::Packed(k) => k.as_str(),
         }
     }
-
-    /// Installs the kernel this variant measures (fieldwise never consults
-    /// the scan kind, but pinning portable keeps the cell hermetic).
-    fn install(self) {
-        match self {
-            Variant::Fieldwise => simd::set_scan_kind(ScanKind::Portable),
-            Variant::Packed(k) => simd::set_scan_kind(k),
-        };
-    }
 }
 
 /// One point of the workload matrix.
@@ -129,46 +109,57 @@ struct Cell {
     hit: &'static str,
     wildcard: f64,
     variant: Variant,
-    /// Traversal-prefetch scheme installed while the cell runs. The
-    /// fieldwise reference path never prefetches, so its rows always
-    /// report `off` regardless of this value.
-    scheme: PrefetchScheme,
-}
-
-impl Cell {
-    /// The `prefetch_scheme` JSON column.
-    fn scheme_column(&self) -> &'static str {
-        match self.variant {
-            Variant::Fieldwise => "off",
-            Variant::Packed(_) => self.scheme.as_str(),
-        }
-    }
-
-    /// Pointer-chase depth for the cell's cachesim replay. The native
-    /// stride scheme's `prefetcht0` hints are invisible to the access-trace
-    /// sink, so the simulated hierarchy only distinguishes schemes through
-    /// its chase unit: one-node lookahead wherever the native walk issues
-    /// the dependent chase (the forced chase scheme, and the adaptive
-    /// scheme when its controller converged into the chase regime —
-    /// `adaptive_dist` is the converged distance of the timed list).
-    fn sim_chase_degree(&self, adaptive_dist: Option<usize>) -> u32 {
-        match (self.variant, self.scheme) {
-            (Variant::Fieldwise, _) => 0,
-            (_, PrefetchScheme::Chase) => 1,
-            (_, PrefetchScheme::Adaptive) => {
-                // Mirror the native arity gate: at distance 1 only the
-                // pointer-bound structures chase (`ADAPTIVE_CHASE_MAX_ARITY`).
-                let pointer_bound = matches!(self.structure, "baseline" | "lla2" | "lla8");
-                u32::from(adaptive_dist == Some(1) && pointer_bound)
-            }
-            _ => 0,
-        }
-    }
 }
 
 struct MeasureCfg {
     samples: usize,
     time: Duration,
+}
+
+/// A structure's search under a [`Variant`]. The default is the one search
+/// every structure has; the linear structures add their reference scan,
+/// and the LLA names its kernel.
+trait VariantSearch: MatchList<PostedEntry> {
+    fn search_variant<S: AccessSink>(
+        &mut self,
+        _variant: Variant,
+        p: &Envelope,
+        sink: &mut S,
+    ) -> Search<PostedEntry> {
+        self.search_remove(p, sink)
+    }
+}
+
+impl VariantSearch for SourceBins<PostedEntry> {}
+impl VariantSearch for HashBins<PostedEntry> {}
+impl VariantSearch for RankTrie<PostedEntry> {}
+
+impl VariantSearch for BaselineList<PostedEntry> {
+    fn search_variant<S: AccessSink>(
+        &mut self,
+        variant: Variant,
+        p: &Envelope,
+        sink: &mut S,
+    ) -> Search<PostedEntry> {
+        match variant {
+            Variant::Fieldwise => self.search_remove_fieldwise(p, sink),
+            Variant::Packed(_) => self.search_remove(p, sink),
+        }
+    }
+}
+
+impl<const N: usize> VariantSearch for Lla<PostedEntry, N> {
+    fn search_variant<S: AccessSink>(
+        &mut self,
+        variant: Variant,
+        p: &Envelope,
+        sink: &mut S,
+    ) -> Search<PostedEntry> {
+        match variant {
+            Variant::Fieldwise => self.search_remove_fieldwise(p, sink),
+            Variant::Packed(kind) => self.search_remove_as(kind, p, sink),
+        }
+    }
 }
 
 /// Object-safe facade over the concrete list types and search paths, so one
@@ -182,15 +173,12 @@ trait GateList {
     fn search_null(&mut self, p: &Envelope) -> Search<PostedEntry>;
     fn search_count(&mut self, p: &Envelope, sink: &mut CountingSink) -> Search<PostedEntry>;
     fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry>;
-    /// Converged adaptive-controller lookahead (`None` off the packed
-    /// linear structures).
-    fn adaptive_dist(&self) -> Option<usize>;
 }
 
-/// The current packed-key path, available on every structure.
-struct Packed<L>(L);
+/// A list searched under one variant.
+struct Gate<L>(L, Variant);
 
-impl<L: MatchList<PostedEntry>> GateList for Packed<L> {
+impl<L: VariantSearch> GateList for Gate<L> {
     fn append_null(&mut self, e: PostedEntry) {
         self.0.append(e, &mut NullSink);
     }
@@ -201,88 +189,27 @@ impl<L: MatchList<PostedEntry>> GateList for Packed<L> {
         self.0.append(e, sink);
     }
     fn search_null(&mut self, p: &Envelope) -> Search<PostedEntry> {
-        self.0.search_remove(p, &mut NullSink)
+        self.0.search_variant(self.1, p, &mut NullSink)
     }
     fn search_count(&mut self, p: &Envelope, sink: &mut CountingSink) -> Search<PostedEntry> {
-        self.0.search_remove(p, sink)
+        self.0.search_variant(self.1, p, sink)
     }
     fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry> {
-        self.0.search_remove(p, sink)
-    }
-    fn adaptive_dist(&self) -> Option<usize> {
-        self.0.adaptive_prefetch_distance()
-    }
-}
-
-/// The pre-optimisation field-wise scan kept on the linear structures as the
-/// gate's old-path reference.
-struct FieldwiseBaseline(BaselineList<PostedEntry>);
-
-impl GateList for FieldwiseBaseline {
-    fn append_null(&mut self, e: PostedEntry) {
-        self.0.append(e, &mut NullSink);
-    }
-    fn append_count(&mut self, e: PostedEntry, sink: &mut CountingSink) {
-        self.0.append(e, sink);
-    }
-    fn append_sim(&mut self, e: PostedEntry, sink: &mut MemSim) {
-        self.0.append(e, sink);
-    }
-    fn search_null(&mut self, p: &Envelope) -> Search<PostedEntry> {
-        self.0.search_remove_fieldwise(p, &mut NullSink)
-    }
-    fn search_count(&mut self, p: &Envelope, sink: &mut CountingSink) -> Search<PostedEntry> {
-        self.0.search_remove_fieldwise(p, sink)
-    }
-    fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry> {
-        self.0.search_remove_fieldwise(p, sink)
-    }
-    fn adaptive_dist(&self) -> Option<usize> {
-        None
-    }
-}
-
-struct FieldwiseLla<const N: usize>(Lla<PostedEntry, N>);
-
-impl<const N: usize> GateList for FieldwiseLla<N> {
-    fn append_null(&mut self, e: PostedEntry) {
-        self.0.append(e, &mut NullSink);
-    }
-    fn append_count(&mut self, e: PostedEntry, sink: &mut CountingSink) {
-        self.0.append(e, sink);
-    }
-    fn append_sim(&mut self, e: PostedEntry, sink: &mut MemSim) {
-        self.0.append(e, sink);
-    }
-    fn search_null(&mut self, p: &Envelope) -> Search<PostedEntry> {
-        self.0.search_remove_fieldwise(p, &mut NullSink)
-    }
-    fn search_count(&mut self, p: &Envelope, sink: &mut CountingSink) -> Search<PostedEntry> {
-        self.0.search_remove_fieldwise(p, sink)
-    }
-    fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry> {
-        self.0.search_remove_fieldwise(p, sink)
-    }
-    fn adaptive_dist(&self) -> Option<usize> {
-        None
+        self.0.search_variant(self.1, p, sink)
     }
 }
 
 fn make_list(structure: &str, variant: Variant, depth: usize) -> Box<dyn GateList> {
     let ranks = rank_count(depth);
-    match (structure, variant) {
-        ("baseline", Variant::Packed(_)) => Box::new(Packed(BaselineList::<PostedEntry>::new())),
-        ("baseline", Variant::Fieldwise) => Box::new(FieldwiseBaseline(BaselineList::new())),
-        ("lla2", Variant::Packed(_)) => Box::new(Packed(Lla::<PostedEntry, 2>::new())),
-        ("lla2", Variant::Fieldwise) => Box::new(FieldwiseLla::<2>(Lla::new())),
-        ("lla8", Variant::Packed(_)) => Box::new(Packed(Lla::<PostedEntry, 8>::new())),
-        ("lla8", Variant::Fieldwise) => Box::new(FieldwiseLla::<8>(Lla::new())),
-        ("lla32", Variant::Packed(_)) => Box::new(Packed(Lla::<PostedEntry, 32>::new())),
-        ("lla32", Variant::Fieldwise) => Box::new(FieldwiseLla::<32>(Lla::new())),
-        ("bins", Variant::Packed(_)) => Box::new(Packed(SourceBins::<PostedEntry>::new(ranks))),
-        ("hashbins", Variant::Packed(_)) => Box::new(Packed(HashBins::<PostedEntry>::new())),
-        ("ranktrie", Variant::Packed(_)) => Box::new(Packed(RankTrie::<PostedEntry>::new(ranks))),
-        (s, _) => panic!("no fieldwise path for {s}"),
+    match structure {
+        "baseline" => Box::new(Gate(BaselineList::<PostedEntry>::new(), variant)),
+        "lla2" => Box::new(Gate(Lla::<PostedEntry, 2>::new(), variant)),
+        "lla8" => Box::new(Gate(Lla::<PostedEntry, 8>::new(), variant)),
+        "lla32" => Box::new(Gate(Lla::<PostedEntry, 32>::new(), variant)),
+        "bins" => Box::new(Gate(SourceBins::<PostedEntry>::new(ranks), variant)),
+        "hashbins" => Box::new(Gate(HashBins::<PostedEntry>::new(), variant)),
+        "ranktrie" => Box::new(Gate(RankTrie::<PostedEntry>::new(ranks), variant)),
+        s => panic!("unknown structure {s}"),
     }
 }
 
@@ -349,9 +276,10 @@ struct SimColumns {
 /// Lockstep twin replay: the cell's kernel vs the portable scalar, same
 /// probes on identical fresh lists. Any divergence in match identity or
 /// depth is a kernel bug — abort the gate, don't record around it.
-fn cross_check(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope], kind: ScanKind) {
+fn cross_check(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope]) {
+    let portable = Variant::Packed(ScanKind::Portable);
     let mut ours = make_list(cell.structure, cell.variant, cell.depth);
-    let mut reference = make_list(cell.structure, cell.variant, cell.depth);
+    let mut reference = make_list(cell.structure, portable, cell.depth);
     for e in entries {
         ours.append_null(*e);
         reference.append_null(*e);
@@ -359,16 +287,14 @@ fn cross_check(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope], kind: 
     // Two full cycles so the second starts from rotated (steady) state.
     for k in 0..probes.len() * 2 {
         let p = &probes[k % probes.len()];
-        simd::set_scan_kind(kind);
         let a = ours.search_null(p);
-        simd::set_scan_kind(ScanKind::Portable);
         let b = reference.search_null(p);
         let ar = a.found.map(|e| e.request);
         let br = b.found.map(|e| e.request);
         if ar != br || a.depth != b.depth {
             eprintln!(
                 "gate: CROSS-CHECK DIVERGENCE at {} op {k}: \
-                 {kind:?} found {ar:?} depth {} vs portable found {br:?} depth {}",
+                 found {ar:?} depth {} vs portable found {br:?} depth {}",
                 label(cell),
                 a.depth,
                 b.depth
@@ -382,21 +308,14 @@ fn cross_check(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope], kind: 
             reference.append_null(e);
         }
     }
-    simd::set_scan_kind(kind);
 }
 
 /// Replays the cell's op stream against the cache hierarchy: appends and
 /// one full probe cycle warm the simulated caches, then one measured cycle
 /// produces the per-op line and hit-ratio columns.
-fn run_sim(
-    cell: &Cell,
-    entries: &[PostedEntry],
-    probes: &[Envelope],
-    adaptive_dist: Option<usize>,
-) -> SimColumns {
+fn run_sim(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope]) -> SimColumns {
     let mut list = make_list(cell.structure, cell.variant, cell.depth);
-    let prof = ArchProfile::sandy_bridge().with_pointer_chase(cell.sim_chase_degree(adaptive_dist));
-    let mut mem = MemSim::new(prof);
+    let mut mem = MemSim::new(ArchProfile::sandy_bridge());
     for e in entries {
         list.append_sim(*e, &mut mem);
     }
@@ -431,32 +350,20 @@ fn run_sim(
     }
 }
 
-/// One scheme's measurements over a cell's shared list.
-struct SchemeRun {
-    scheme: PrefetchScheme,
+/// One cell's measurements.
+struct CellRun {
     ns: f64,
     bytes: f64,
     sim: SimColumns,
-    dist: u64,
 }
 
 /// Runs one matrix cell: times the steady-state loop, then replays one full
-/// probe cycle against a `CountingSink` twin and the cachesim — once under
-/// the cell's own scheme, then again under each of `extra_schemes` on the
-/// SAME list object. The traversal-prefetch scheme is a process-global
-/// switch that never changes how the list is laid out, so re-timing one
-/// list under every scheme makes the allocation layout (which on this
-/// matrix moves individual cells by tens of percent run-to-run) cancel
-/// exactly in any scheme-vs-scheme comparison.
-fn run_cell(cell: &Cell, cfg: &MeasureCfg, extra_schemes: &[PrefetchScheme]) -> Vec<SchemeRun> {
-    cell.variant.install();
-    prefetch::set_scheme(cell.scheme);
+/// probe cycle against a `CountingSink` twin and the cachesim.
+fn run_cell(cell: &Cell, cfg: &MeasureCfg) -> CellRun {
     let entries = make_entries(cell.depth, cell.wildcard);
     let probes = cell_probes(cell, &entries);
-    if let Variant::Packed(kind) = cell.variant {
-        if kind != ScanKind::Portable {
-            cross_check(cell, &entries, &probes, kind);
-        }
+    if matches!(cell.variant, Variant::Packed(k) if k != ScanKind::Portable) {
+        cross_check(cell, &entries, &probes);
     }
     let mut list = make_list(cell.structure, cell.variant, cell.depth);
     for e in &entries {
@@ -464,74 +371,48 @@ fn run_cell(cell: &Cell, cfg: &MeasureCfg, extra_schemes: &[PrefetchScheme]) -> 
     }
     let expect_hit = cell.hit != "miss";
     // The probe index and the list's rotation state advance together, so the
-    // cycle stays aligned across calibration batches, the bytes replay, and
-    // every subsequent scheme's timed loop (each replay is exactly one
-    // rotation period).
+    // cycle stays aligned across calibration batches and the bytes replay.
     let mut k = 0usize;
-    let mut runs = Vec::with_capacity(1 + extra_schemes.len());
-    for scheme in std::iter::once(cell.scheme).chain(extra_schemes.iter().copied()) {
-        prefetch::set_scheme(scheme);
-        let scheme_cell = Cell { scheme, ..*cell };
-        let ns = measure_ns(cfg.samples, cfg.time, |b| {
-            b.iter(|| {
-                let s = list.search_null(&probes[k % probes.len()]);
-                k += 1;
-                debug_assert_eq!(s.found.is_some(), expect_hit);
-                if let Some(e) = s.found {
-                    list.append_null(e);
-                }
-                s.depth
-            })
-        });
-        let mut sink = CountingSink::new();
-        for _ in 0..probes.len() {
-            let s = list.search_count(&probes[k % probes.len()], &mut sink);
+    let ns = measure_ns(cfg.samples, cfg.time, |b| {
+        b.iter(|| {
+            let s = list.search_null(&probes[k % probes.len()]);
             k += 1;
-            assert_eq!(
-                s.found.is_some(),
-                expect_hit,
-                "cell {} desynced",
-                label(&scheme_cell)
-            );
+            debug_assert_eq!(s.found.is_some(), expect_hit);
             if let Some(e) = s.found {
-                list.append_count(e, &mut sink);
+                list.append_null(e);
             }
+            s.depth
+        })
+    });
+    let mut sink = CountingSink::new();
+    for _ in 0..probes.len() {
+        let s = list.search_count(&probes[k % probes.len()], &mut sink);
+        k += 1;
+        assert_eq!(
+            s.found.is_some(),
+            expect_hit,
+            "cell {} desynced",
+            label(cell)
+        );
+        if let Some(e) = s.found {
+            list.append_count(e, &mut sink);
         }
-        let bytes = (sink.bytes_read + sink.bytes_written) as f64 / probes.len() as f64;
-        // Read the controller AFTER this scheme's timed+replay stream, so an
-        // adaptive run reports the distance it actually converged to.
-        let adaptive = list.adaptive_dist();
-        let sim = run_sim(&scheme_cell, &entries, &probes, adaptive);
-        // The `prefetch_dist` column: nodes of lookahead the walk actually
-        // ran with — the configured stride for fixed schemes, one for the
-        // dependent chase, and the controller's converged decision for
-        // adaptive.
-        let dist = match (cell.variant, scheme) {
-            (Variant::Fieldwise, _) | (_, PrefetchScheme::Off) => 0,
-            (_, PrefetchScheme::Stride) => prefetch::distance() as u64,
-            (_, PrefetchScheme::Chase) => 1,
-            (_, PrefetchScheme::Adaptive) => adaptive.unwrap_or(0) as u64,
-        };
-        runs.push(SchemeRun {
-            scheme,
-            ns,
-            bytes,
-            sim,
-            dist,
-        });
     }
-    runs
+    CellRun {
+        ns,
+        bytes: (sink.bytes_read + sink.bytes_written) as f64 / probes.len() as f64,
+        sim: run_sim(cell, &entries, &probes),
+    }
 }
 
 fn label(cell: &Cell) -> String {
     format!(
-        "gate/{}/{}/{}/w{}/{}/{}",
+        "gate/{}/{}/{}/w{}/{}",
         cell.structure,
         cell.depth,
         cell.hit,
         (cell.wildcard * 1000.0) as u64,
-        cell.variant.scan_kind(),
-        cell.scheme_column()
+        cell.variant.scan_kind()
     )
 }
 
@@ -547,67 +428,33 @@ fn main() {
         }
     }
 
-    // `SPC_SCAN_KIND` restricts the packed sweep to one kernel — this first
-    // call parses it (emitting the one-time diagnostic on garbage) and
-    // clamps to what the CPU supports.
-    let env_forced = std::env::var("SPC_SCAN_KIND").is_ok();
-    let installed = simd::scan_kind();
-    let packed_kinds: Vec<ScanKind> = if env_forced {
-        vec![installed]
-    } else {
-        let best = simd::detect_best();
-        ScanKind::ALL.into_iter().filter(|k| *k <= best).collect()
-    };
+    let best = simd::detect_best();
+    let lla_kinds: Vec<ScanKind> = ScanKind::ALL.into_iter().filter(|k| *k <= best).collect();
     println!(
-        "gate: packed scan kinds: [{}]{}",
-        packed_kinds
+        "gate: LLA scan kinds: [{}]",
+        lla_kinds
             .iter()
             .map(|k| Variant::Packed(*k).scan_kind())
-            .collect::<Vec<_>>()
-            .join(", "),
-        if env_forced { " (SPC_SCAN_KIND)" } else { "" }
-    );
-
-    // `SPC_PREFETCH_SCHEME` pins the whole matrix to one traversal-prefetch
-    // scheme (same forced-vs-default contract as `SPC_SCAN_KIND`); without
-    // it the matrix runs under the default stride scheme and the packed
-    // linear structures are re-timed under the other three on the same list.
-    let scheme_env_forced = std::env::var("SPC_PREFETCH_SCHEME").is_ok();
-    let installed_scheme = prefetch::scheme();
-    let sweep_schemes: Vec<PrefetchScheme> = if scheme_env_forced {
-        Vec::new()
-    } else {
-        PrefetchScheme::ALL
-            .into_iter()
-            .filter(|s| *s != installed_scheme)
-            .collect()
-    };
-    println!(
-        "gate: prefetch scheme: {}{}; sweep: [{}]",
-        installed_scheme.as_str(),
-        if scheme_env_forced {
-            " (SPC_PREFETCH_SCHEME)"
-        } else {
-            ""
-        },
-        sweep_schemes
-            .iter()
-            .map(|s| s.as_str())
             .collect::<Vec<_>>()
             .join(", ")
     );
 
-    // (structure, has a slab scan the SIMD kernels accelerate). Binned
-    // structures search per-channel `SeqFifo`s with the scalar packed
-    // compare, so they get one packed row regardless of the kind sweep.
-    let structures: &[(&str, bool)] = &[
-        ("baseline", true),
-        ("lla2", true),
-        ("lla8", true),
-        ("lla32", true),
-        ("bins", false),
-        ("hashbins", false),
-        ("ranktrie", false),
+    // Which variants each structure has rows for: the linear structures
+    // carry the field-wise reference, and only the LLA has a slab for the
+    // SIMD kernels to scan.
+    let portable = [Variant::Packed(ScanKind::Portable)];
+    let baseline_variants = [Variant::Fieldwise, portable[0]];
+    let lla_variants: Vec<Variant> = std::iter::once(Variant::Fieldwise)
+        .chain(lla_kinds.iter().map(|k| Variant::Packed(*k)))
+        .collect();
+    let structures: &[(&str, &[Variant])] = &[
+        ("baseline", &baseline_variants),
+        ("lla2", &lla_variants),
+        ("lla8", &lla_variants),
+        ("lla32", &lla_variants),
+        ("bins", &portable),
+        ("hashbins", &portable),
+        ("ranktrie", &portable),
     ];
     let depths: &[usize] = if quick {
         &[64, 256]
@@ -633,71 +480,44 @@ fn main() {
     };
 
     let mut records = Vec::new();
-    let run_and_record =
-        |cell: &Cell, extras: &[PrefetchScheme], records: &mut Vec<report::Record>| {
-            for run in run_cell(cell, &cfg, extras) {
-                let rcell = Cell {
-                    scheme: run.scheme,
-                    ..*cell
-                };
-                let name = label(&rcell);
-                println!(
-                    "gate: {name:<52} {:>9.1} ns/op  {:>9.1} B/op  \
-                     {:>7.2} lines/op  L1 {:>5.1}%  L3 {:>5.1}%",
-                    run.ns, run.bytes, run.sim.lines_per_op, run.sim.l1_hit_pct, run.sim.l3_hit_pct
-                );
-                records.push(report::Record {
-                    name,
-                    ns_per_op: run.ns,
-                    structure: Some(rcell.structure.into()),
-                    depth: Some(rcell.depth as u64),
-                    hit: Some(rcell.hit.into()),
-                    wildcard: Some(rcell.wildcard),
-                    path: Some(rcell.variant.path().into()),
-                    scan_kind: Some(rcell.variant.scan_kind().into()),
-                    prefetch_scheme: Some(rcell.scheme_column().into()),
-                    prefetch_dist: Some(run.dist),
-                    bytes_per_op: Some(run.bytes),
-                    lines_per_op: Some(run.sim.lines_per_op),
-                    l1_hit_pct: Some(run.sim.l1_hit_pct),
-                    l3_hit_pct: Some(run.sim.l3_hit_pct),
-                    ..report::Record::default()
-                });
-            }
-        };
-    // Prefetch-scheme sweep: the packed linear structures (the only ones
-    // whose traversal prefetches) are re-timed under every non-default
-    // scheme ON THE SAME LIST as their main-matrix row, pinned to the best
-    // available kernel — the scheme is then the sole variable (same kernel,
-    // same heap layout) against the matching main-matrix rows.
-    let sweep_kind = *packed_kinds.last().expect("at least portable");
-    for &(structure, slab) in structures {
+    for &(structure, variants) in structures {
         for &depth in depths {
             for &hit in hits {
                 for &wildcard in wildcards {
-                    let mut variants: Vec<Variant> = Vec::new();
-                    if slab {
-                        variants.push(Variant::Fieldwise);
-                        variants.extend(packed_kinds.iter().map(|k| Variant::Packed(*k)));
-                    } else {
-                        variants.push(Variant::Packed(ScanKind::Portable));
-                    }
-                    for variant in variants {
+                    for &variant in variants {
                         let cell = Cell {
                             structure,
                             depth,
                             hit,
                             wildcard,
                             variant,
-                            scheme: installed_scheme,
                         };
-                        let extras: &[PrefetchScheme] =
-                            if slab && variant == Variant::Packed(sweep_kind) {
-                                &sweep_schemes
-                            } else {
-                                &[]
-                            };
-                        run_and_record(&cell, extras, &mut records);
+                        let run = run_cell(&cell, &cfg);
+                        let name = label(&cell);
+                        println!(
+                            "gate: {name:<44} {:>9.1} ns/op  {:>9.1} B/op  \
+                             {:>7.2} lines/op  L1 {:>5.1}%  L3 {:>5.1}%",
+                            run.ns,
+                            run.bytes,
+                            run.sim.lines_per_op,
+                            run.sim.l1_hit_pct,
+                            run.sim.l3_hit_pct
+                        );
+                        records.push(report::Record {
+                            name,
+                            ns_per_op: run.ns,
+                            structure: Some(structure.into()),
+                            depth: Some(depth as u64),
+                            hit: Some(hit.into()),
+                            wildcard: Some(wildcard),
+                            path: Some(variant.path().into()),
+                            scan_kind: Some(variant.scan_kind().into()),
+                            bytes_per_op: Some(run.bytes),
+                            lines_per_op: Some(run.sim.lines_per_op),
+                            l1_hit_pct: Some(run.sim.l1_hit_pct),
+                            l3_hit_pct: Some(run.sim.l3_hit_pct),
+                            ..report::Record::default()
+                        });
                     }
                 }
             }
@@ -744,33 +564,6 @@ fn main() {
                 println!(
                     "gate:   {:<42} {:>8.1} -> {:>8.1} ns/op  ({gain:+.1}%)  \
                      lines/op {dl:+.2}",
-                    r.name, p.ns_per_op, r.ns_per_op
-                );
-            }
-        }
-    }
-
-    // Scheme summary over the same deep-scan cells: dependent chase and the
-    // adaptive controller vs the fixed-distance stride default. The L1 delta
-    // comes from the cachesim replay (its chase unit converts warm L2 hits
-    // into L1 hits), attributing the timing change to locality.
-    for scheme in ["chase", "adaptive"] {
-        let mut shown = false;
-        for r in records.iter().filter(deep) {
-            if r.prefetch_scheme.as_deref() != Some(scheme) {
-                continue;
-            }
-            let stride_name = r.name.replace(&format!("/{scheme}"), "/stride");
-            if let Some(p) = records.iter().find(|x| x.name == stride_name) {
-                if !shown {
-                    println!("\ngate: {scheme} vs stride (deep scans, wildcard 0):");
-                    shown = true;
-                }
-                let gain = 100.0 * (p.ns_per_op - r.ns_per_op) / p.ns_per_op;
-                let dl1 = r.l1_hit_pct.unwrap_or(0.0) - p.l1_hit_pct.unwrap_or(0.0);
-                println!(
-                    "gate:   {:<48} {:>8.1} -> {:>8.1} ns/op  ({gain:+.1}%)  \
-                     L1 {dl1:+.1}pp",
                     r.name, p.ns_per_op, r.ns_per_op
                 );
             }

@@ -64,13 +64,6 @@ pub struct ArchProfile {
     pub prefetch_fill_dram_ns: f64,
     /// Same, for lines prefetched out of the shared L3.
     pub prefetch_fill_l3_ns: f64,
-    /// Pointer-chase prefetcher depth: how many dependence-chain successors
-    /// are pulled toward the core per node visit (0 disables the unit).
-    /// No shipping x86 part has one, so every stock profile leaves it off;
-    /// the gate's chase/adaptive scheme rows enable it via
-    /// [`ArchProfile::with_pointer_chase`] to model what the native
-    /// `prefetcht0` chase does to the hierarchy.
-    pub pointer_chase_degree: u32,
 }
 
 impl ArchProfile {
@@ -112,7 +105,6 @@ impl ArchProfile {
             streamer_degree: 2,
             prefetch_fill_dram_ns: 8.0,
             prefetch_fill_l3_ns: 2.0,
-            pointer_chase_degree: 0,
         }
     }
 
@@ -144,7 +136,6 @@ impl ArchProfile {
             streamer_degree: 2,
             prefetch_fill_dram_ns: 7.0,
             prefetch_fill_l3_ns: 2.5,
-            pointer_chase_degree: 0,
         }
     }
 
@@ -178,7 +169,6 @@ impl ArchProfile {
             streamer_degree: 1,
             prefetch_fill_dram_ns: 10.0,
             prefetch_fill_l3_ns: 3.0,
-            pointer_chase_degree: 0,
         }
     }
 
@@ -209,15 +199,7 @@ impl ArchProfile {
             streamer_degree: 0,
             prefetch_fill_dram_ns: 10.0,
             prefetch_fill_l3_ns: 2.0,
-            pointer_chase_degree: 0,
         }
-    }
-
-    /// Returns the profile with a pointer-chase prefetcher that runs
-    /// `degree` dependence-chain successors ahead of the demand stream.
-    pub fn with_pointer_chase(mut self, degree: u32) -> Self {
-        self.pointer_chase_degree = degree;
-        self
     }
 }
 

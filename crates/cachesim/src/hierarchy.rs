@@ -13,7 +13,7 @@ use spc_core::sink::AccessSink;
 
 use crate::cache::{CacheLevel, LINE};
 use crate::config::ArchProfile;
-use crate::prefetch::{adjacent_pair, PointerChase, Streamer};
+use crate::prefetch::{adjacent_pair, Streamer};
 
 /// Simulated base address of the synthetic compute working set streamed by
 /// [`MemSim::pollute`] — far above any region the address allocator hands
@@ -130,8 +130,6 @@ pub struct MemStats {
     pub dram_loads: u64,
     /// Lines installed by prefetchers.
     pub prefetch_fills: u64,
-    /// Subset of `prefetch_fills` installed by the pointer-chase unit.
-    pub chase_fills: u64,
     /// Lines installed/refreshed by the heater.
     pub heat_fills: u64,
     /// Demand accesses served by the dedicated network cache.
@@ -145,7 +143,6 @@ pub struct MemSim {
     l2: CacheLevel,
     l3: CacheLevel,
     streamer: Streamer,
-    chase: PointerChase,
     stamp: u64,
     time_ns: f64,
     hot: Option<HotCacheConfig>,
@@ -178,7 +175,6 @@ impl MemSim {
             } else {
                 0
             }),
-            chase: PointerChase::new(prof.pointer_chase_degree),
             prof,
             stamp: 0,
             time_ns: 0.0,
@@ -371,7 +367,6 @@ impl MemSim {
         self.l2.flush();
         self.l3.flush();
         self.streamer.reset();
-        self.chase.reset();
         self.prefetch_pending.clear();
         if let Some(nc) = &mut self.net_cache {
             nc.flush();
@@ -414,27 +409,9 @@ impl MemSim {
     }
 
     /// One demand access of `len` bytes at `addr`; returns its cost in
-    /// nanoseconds and advances simulated time. Treated as a *read*: the
-    /// pointer-chase unit (if configured) observes it.
+    /// nanoseconds and advances simulated time.
     pub fn access(&mut self, addr: u64, len: u32) -> f64 {
-        self.do_access(addr, len, true)
-    }
-
-    fn do_access(&mut self, addr: u64, len: u32, is_read: bool) -> f64 {
         self.maybe_heat();
-        // The chase unit watches the demand-read trace only: writes (entry
-        // updates, link splices) mutate nodes the walk already touched and
-        // would teach it stale visit boundaries.
-        if is_read {
-            let targets = self.chase.observe(addr, len);
-            if !targets.is_empty() {
-                self.stamp += 1;
-                let now = self.stamp;
-                for t in targets.iter() {
-                    self.prefetch_chase(t, now);
-                }
-            }
-        }
         let first = addr / LINE as u64;
         let last = (addr + len.max(1) as u64 - 1) / LINE as u64;
         let mut cycles = 0.0;
@@ -580,29 +557,6 @@ impl MemSim {
         self.stats.prefetch_fills += 1;
     }
 
-    /// Installs a pointer-chase target all the way into **L1** — the unit
-    /// models a `prefetcht0`-class hint, whose whole point is that the line
-    /// is core-adjacent when the serialized chain load reaches it. The
-    /// inclusive L2/L3 receive the line too, and its first demand use pays
-    /// the usual fill bubble.
-    fn prefetch_chase(&mut self, line: u64, now: u64) {
-        if self.l1.contains(line) {
-            return;
-        }
-        let penalty = if self.l2.contains(line) || self.l3.contains(line) {
-            self.prof.prefetch_fill_l3_ns
-        } else {
-            self.prof.prefetch_fill_dram_ns
-        };
-        self.l1.insert(line, now);
-        self.l2.insert(line, now);
-        let ways = self.l3_ways(self.is_net_line(line));
-        self.l3.insert_ways(line, now, ways);
-        self.prefetch_pending.insert(line, penalty);
-        self.stats.prefetch_fills += 1;
-        self.stats.chase_fills += 1;
-    }
-
     /// Direct L3-residency query (diagnostics/tests).
     pub fn in_l3(&self, addr: u64) -> bool {
         self.l3.contains(addr / LINE as u64)
@@ -617,9 +571,8 @@ impl AccessSink for MemSim {
     }
 
     fn write(&mut self, addr: u64, len: u32) {
-        // Write-allocate: same demand path as a read for timing purposes,
-        // but invisible to the pointer-chase unit.
-        self.do_access(addr, len, false);
+        // Write-allocate: same demand path as a read for timing purposes.
+        self.access(addr, len);
     }
 }
 
@@ -689,102 +642,6 @@ mod tests {
             "later lines should be streamed into L2: {s:?}"
         );
         assert!(s.dram_loads < 8);
-    }
-
-    /// Replays one walk of `nodes` through the sink: a 24-byte header/entry
-    /// read then an 8-byte link read at +64 per node (the baseline list's
-    /// demand trace shape).
-    fn chase_walk(m: &mut MemSim, nodes: &[u64]) {
-        for &base in nodes {
-            m.access(base, 24);
-            m.access(base + 64, 8);
-        }
-    }
-
-    #[test]
-    fn pointer_chase_turns_replayed_walk_into_l1_hits() {
-        // 8 nodes at non-power-of-two spacing (spreads L1 sets evenly): the
-        // 16-line working set overflows test_tiny's 8-line L1, so a plain
-        // warm replay runs from L2. The chase unit pulls each successor into
-        // L1 just ahead of the walk, converting those to L1 hits.
-        let nodes: Vec<u64> = (1..=8u64).map(|i| i * 0x1_0040).collect();
-        let run = |degree: u32| {
-            let mut m = MemSim::new(ArchProfile::test_tiny().with_pointer_chase(degree));
-            chase_walk(&mut m, &nodes); // cold: trains the chaser
-            chase_walk(&mut m, &nodes); // warm-up: chain + caches settled
-            m.reset_stats();
-            let t0 = m.time_ns();
-            chase_walk(&mut m, &nodes);
-            (m.stats(), m.time_ns() - t0)
-        };
-        let (off, t_off) = run(0);
-        let (on, t_on) = run(1);
-        assert_eq!(off.chase_fills, 0);
-        assert!(on.chase_fills > 0, "trained chaser issues fills: {on:?}");
-        assert!(
-            on.l1_hits > off.l1_hits,
-            "chased successors arrive in L1: {on:?} vs {off:?}"
-        );
-        assert!(
-            t_on < t_off,
-            "L1 hit + fill bubble beats the L2 round trip: {t_on} vs {t_off}"
-        );
-    }
-
-    #[test]
-    fn pointer_chase_fills_count_toward_prefetch_fills() {
-        let prof = ArchProfile::test_tiny().with_pointer_chase(1);
-        let nodes: Vec<u64> = (1..=4u64).map(|i| i * 0x1_0000).collect();
-        let mut m = MemSim::new(prof);
-        chase_walk(&mut m, &nodes);
-        let regions: Vec<(u64, u64)> = nodes.iter().map(|&b| (b, 128)).collect();
-        m.evict_regions(&regions);
-        m.reset_stats();
-        chase_walk(&mut m, &nodes);
-        let s = m.stats();
-        assert!(s.chase_fills > 0);
-        assert!(s.prefetch_fills >= s.chase_fills, "chase is a subset");
-    }
-
-    #[test]
-    fn pointer_chase_ignores_writes() {
-        let prof = ArchProfile::test_tiny().with_pointer_chase(1);
-        let nodes: Vec<u64> = (1..=4u64).map(|i| i * 0x1_0000).collect();
-        let mut m = MemSim::new(prof);
-        // Train via the write half of the sink only: nothing to learn.
-        for _ in 0..2 {
-            for &base in &nodes {
-                AccessSink::write(&mut m, base, 24);
-                AccessSink::write(&mut m, base + 64, 8);
-            }
-        }
-        m.reset_stats();
-        for &base in &nodes {
-            AccessSink::write(&mut m, base, 24);
-            AccessSink::write(&mut m, base + 64, 8);
-        }
-        assert_eq!(m.stats().chase_fills, 0, "writes are invisible to chase");
-    }
-
-    #[test]
-    fn flush_resets_chase_training() {
-        let prof = ArchProfile::test_tiny().with_pointer_chase(1);
-        let nodes: Vec<u64> = (1..=4u64).map(|i| i * 0x1_0000).collect();
-        let mut m = MemSim::new(prof);
-        chase_walk(&mut m, &nodes);
-        m.flush();
-        m.reset_stats();
-        chase_walk(&mut m, &nodes);
-        assert_eq!(m.stats().chase_fills, 0, "flush dropped the chain table");
-    }
-
-    #[test]
-    fn zero_degree_profile_never_chases() {
-        let mut m = MemSim::new(ArchProfile::test_tiny());
-        let nodes: Vec<u64> = (1..=4u64).map(|i| i * 0x1_0000).collect();
-        chase_walk(&mut m, &nodes);
-        chase_walk(&mut m, &nodes);
-        assert_eq!(m.stats().chase_fills, 0);
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub mod concurrent;
 pub mod dynengine;
 pub mod engine;
 pub mod entry;
-pub mod envcfg;
 pub mod heater;
 pub mod ingest;
 pub mod list;

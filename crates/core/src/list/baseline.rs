@@ -13,12 +13,17 @@
 //! benchmarks see real pointer-chasing), and their simulated addresses come
 //! from a fragmented [`AddrSpace`] (so the cache simulator sees the same
 //! placement behaviour deterministically).
+//!
+//! The list has one search walk, scalar on every CPU, that hints the node
+//! [`crate::prefetch::DISTANCE`] hops ahead by extrapolating the allocator
+//! stride: scattered nodes give the hardware prefetchers nothing to follow,
+//! and this is the one structure where the benchmark gate shows a software
+//! hint paying (EXPERIMENTS.md "Prefetch schemes").
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, ProbeKey};
 use crate::list::{first_match, Footprint, MatchList, Search};
 use crate::prefetch;
-use crate::simd;
 use crate::sink::AccessSink;
 
 /// Bytes of request state between the match fields and the list link,
@@ -62,9 +67,6 @@ pub struct BaselineList<E: Element> {
     tail: *mut Node<E>,
     len: usize,
     addr: AddrSpace,
-    /// Self-tuning prefetch lookahead, consulted only under
-    /// [`prefetch::PrefetchScheme::Adaptive`].
-    adaptive: prefetch::AdaptiveDist,
 }
 
 // SAFETY: all nodes are exclusively owned by the list (created from `Box`,
@@ -89,7 +91,6 @@ impl<E: Element> BaselineList<E> {
             tail: core::ptr::null_mut(),
             len: 0,
             addr,
-            adaptive: prefetch::AdaptiveDist::new(),
         }
     }
 
@@ -145,51 +146,22 @@ impl<E: Element> BaselineList<E> {
         Search::miss(depth)
     }
 
-    /// Packed-key walk behind [`MatchList::search_remove`]: dispatches
-    /// between the scalar one-node-per-test chase and the batched
-    /// multi-node SIMD walk. Both issue identical access-sink charges to
-    /// [`Self::walk_remove`] — the simulated trace is byte-for-byte the
+    /// Packed-key walk behind [`MatchList::search_remove`]: compares each
+    /// node's precomputed `u64` key against `probe` (one XOR+AND+compare)
+    /// and hints the node [`prefetch::DISTANCE`] hops ahead so its lines are
+    /// in flight while the current one is tested. Sink charges are identical
+    /// to [`Self::walk_remove`] — the simulated trace is byte-for-byte the
     /// same; only native latency changes.
     ///
-    /// The batched walk only engages under an *explicitly forced* kind
-    /// ([`simd::scan_kind_forced`], via `SPC_SCAN_KIND` or
-    /// [`simd::set_scan_kind`]). Measured on the gate, gathering keys
-    /// along a dependent pointer chase never beats the scalar chase —
-    /// every next-pointer load still serializes, and batching only delays
-    /// the compare — so the auto-detected default must not regress the
-    /// paper's reference structure. Forcing a kind keeps the path
-    /// measurable (and conformance-tested) without making it the default.
+    /// The walk is scalar on every CPU: the nodes are scattered, so a vector
+    /// compare would first have to gather keys along the dependent `next`
+    /// chain, and that chain — not the compare — is what the walk waits on.
     fn packed_walk_remove<S: AccessSink>(
         &mut self,
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        let plan = prefetch::walk_plan(&self.adaptive);
-        let r = match simd::scan_kind_forced() {
-            Some(kind) if kind.key_batch() > 1 => {
-                self.packed_walk_remove_batched(kind, plan, probe, sink)
-            }
-            _ => self.packed_walk_remove_scalar(plan, probe, sink),
-        };
-        if plan.feedback {
-            self.adaptive.observe(r.depth as usize);
-        }
-        r
-    }
-
-    /// Scalar packed walk: compares each node's precomputed `u64` key
-    /// against `probe` (one XOR+AND+compare) and, per the resolved
-    /// [`prefetch::WalkPrefetch`] plan, issues a dependent chase prefetch
-    /// of the already-loaded `next` node and/or a stride-speculative
-    /// prefetch `plan.stride` hops ahead so upcoming nodes' lines are in
-    /// flight while the current one is tested.
-    fn packed_walk_remove_scalar<S: AccessSink>(
-        &mut self,
-        plan: prefetch::WalkPrefetch,
-        probe: &PackedProbe,
-        sink: &mut S,
-    ) -> Search<E> {
-        let dist = plan.stride as isize;
+        const DIST: isize = prefetch::DISTANCE as isize;
         let mut depth = 0u32;
         let mut prev: *mut Node<E> = core::ptr::null_mut();
         let mut cur = self.head;
@@ -198,36 +170,21 @@ impl<E: Element> BaselineList<E> {
             // has not been freed (the list exclusively owns its nodes).
             let node = unsafe { &*cur };
             if !node.next.is_null() {
-                if plan.chase {
-                    // Pointer-chase prefetch: `node.next` is already
-                    // resident (it rode in on the node's second line), so
-                    // the pointed-to node's entry line and link line can be
-                    // fetched with perfect accuracy while this node's match
-                    // test runs. Lookahead is inherently one node — the
-                    // next `next` is not loaded yet.
-                    prefetch::read(node.next);
-                    prefetch::read_second_line(
-                        node.next as usize,
-                        core::mem::offset_of!(Node<E>, next),
-                    );
-                }
-                if dist != 0 {
-                    // Stride-speculative prefetch: append-order heap nodes
-                    // land at a near-constant allocator stride, so
-                    // extrapolating the observed `next - cur` stride `dist`
-                    // hops past `next` reaches upcoming nodes without the
-                    // serial demand-load chain a scout pointer would pay.
-                    // The guess is only a prefetch hint — a wrong stride
-                    // (churned free list) warms an unrelated line and costs
-                    // nothing; the address is never dereferenced.
-                    let stride = (node.next as isize).wrapping_sub(cur as isize);
-                    let guess = (node.next as usize).wrapping_add((stride * dist) as usize);
-                    prefetch::read(guess as *const Node<E>);
-                    // The link sits past the request-state gap; when the
-                    // allocation straddles a line boundary the link line
-                    // would otherwise demand-miss every hop.
-                    prefetch::read_second_line(guess, core::mem::offset_of!(Node<E>, next));
-                }
+                // Stride-speculative prefetch: append-order heap nodes land
+                // at a near-constant allocator stride, so extrapolating the
+                // observed `next - cur` stride `DIST` hops past `next`
+                // reaches upcoming nodes without the serial demand-load
+                // chain a scout pointer would pay. The guess is only a
+                // prefetch hint — a wrong stride (churned free list) warms
+                // an unrelated line and costs nothing; the address is never
+                // dereferenced.
+                let stride = (node.next as isize).wrapping_sub(cur as isize);
+                let guess = (node.next as usize).wrapping_add((stride * DIST) as usize);
+                prefetch::read(guess as *const Node<E>);
+                // The link sits past the request-state gap; when the
+                // allocation straddles a line boundary the link line would
+                // otherwise demand-miss every hop.
+                prefetch::read_second_line(guess, core::mem::offset_of!(Node<E>, next));
             }
             sink.read(node.sim_addr, core::mem::size_of::<E>() as u32);
             depth += 1;
@@ -257,128 +214,9 @@ impl<E: Element> BaselineList<E> {
         Search::miss(depth)
     }
 
-    /// Batched SIMD walk: gathers up to [`simd::ScanKind::key_batch`]
-    /// consecutive nodes' precomputed key/mask pairs while pointer-chasing
-    /// them (same per-node stride-speculative prefetch as the scalar walk),
-    /// then tests the whole batch with one vector compare
-    /// ([`simd::match_keys`]). The entry test is off the chase's critical
-    /// path — the next batch's pointers are already known when the compare
-    /// issues. In practice the dependent next-pointer loads dominate and
-    /// this never beats the scalar chase (see `packed_walk_remove`), so
-    /// the path is reachable only under a forced scan kind: it exists for
-    /// measurement — the gate's "where SIMD does NOT pay" rows — and as a
-    /// conformance target, not as a production default.
-    ///
-    /// Sink charges are replayed post-hoc in the scalar walk's exact
-    /// order — entry read, link read per non-matching node, entry read then
-    /// predecessor link write at the hit — so simulated traces stay
-    /// byte-for-byte identical across scan kinds. (Natively a hit in
-    /// mid-batch has already touched up to `batch - 1` trailing nodes'
-    /// lines; that is a latency effect only, invisible to the sink.)
-    fn packed_walk_remove_batched<S: AccessSink>(
-        &mut self,
-        kind: simd::ScanKind,
-        plan: prefetch::WalkPrefetch,
-        probe: &PackedProbe,
-        sink: &mut S,
-    ) -> Search<E> {
-        const MAX_BATCH: usize = 4;
-        let batch = kind.key_batch().min(MAX_BATCH);
-        let dist = plan.stride as isize;
-        let mut depth = 0u32;
-        let mut prev: *mut Node<E> = core::ptr::null_mut();
-        let mut cur = self.head;
-        let mut ptrs: [*mut Node<E>; MAX_BATCH] = [core::ptr::null_mut(); MAX_BATCH];
-        let mut keys = [0u64; MAX_BATCH];
-        let mut masks = [0u64; MAX_BATCH];
-        while !cur.is_null() {
-            // Gather phase: chase up to `batch` links, collecting each
-            // node's precomputed key/mask.
-            let mut n = 0usize;
-            let mut walk = cur;
-            while n < batch && !walk.is_null() {
-                // SAFETY: `walk` chains from `self.head` through live
-                // `next` pointers; nodes are exclusively owned and nothing
-                // frees them during the gather.
-                let node = unsafe { &*walk };
-                if !node.next.is_null() {
-                    if plan.chase {
-                        // Same dependent chase prefetch as the scalar walk,
-                        // issued per node gathered.
-                        prefetch::read(node.next);
-                        prefetch::read_second_line(
-                            node.next as usize,
-                            core::mem::offset_of!(Node<E>, next),
-                        );
-                    }
-                    if dist != 0 {
-                        // Same stride-speculative guess as the scalar walk,
-                        // issued per node gathered (see that walk for why).
-                        let stride = (node.next as isize).wrapping_sub(walk as isize);
-                        let guess = (node.next as usize).wrapping_add((stride * dist) as usize);
-                        prefetch::read(guess as *const Node<E>);
-                        prefetch::read_second_line(guess, core::mem::offset_of!(Node<E>, next));
-                    }
-                }
-                ptrs[n] = walk;
-                keys[n] = node.key;
-                masks[n] = node.mask;
-                n += 1;
-                walk = node.next;
-            }
-            let cand = simd::match_keys(kind, &keys[..n], &masks[..n], probe);
-            if cand == 0 {
-                for &p in &ptrs[..n] {
-                    // SAFETY: gathered above from live nodes.
-                    let node = unsafe { &*p };
-                    sink.read(node.sim_addr, core::mem::size_of::<E>() as u32);
-                    sink.read(node.sim_addr + Node::<E>::NEXT_OFFSET, 8);
-                }
-                depth += n as u32;
-                prev = ptrs[n - 1];
-                cur = walk;
-            } else {
-                let hi = cand.trailing_zeros() as usize;
-                for &p in &ptrs[..hi] {
-                    // SAFETY: gathered above from live nodes.
-                    let node = unsafe { &*p };
-                    sink.read(node.sim_addr, core::mem::size_of::<E>() as u32);
-                    sink.read(node.sim_addr + Node::<E>::NEXT_OFFSET, 8);
-                }
-                let hit_ptr = ptrs[hi];
-                // SAFETY: gathered above from a live node; unlinked and
-                // freed exactly once below.
-                let node = unsafe { &*hit_ptr };
-                sink.read(node.sim_addr, core::mem::size_of::<E>() as u32);
-                depth += hi as u32 + 1;
-                let entry = node.entry;
-                let next = node.next;
-                let hit_prev = if hi == 0 { prev } else { ptrs[hi - 1] };
-                if hit_prev.is_null() {
-                    self.head = next;
-                } else {
-                    // SAFETY: the hit's predecessor is a live node we just
-                    // traversed (either gathered or the previous batch's
-                    // last node).
-                    let prev_node = unsafe { &mut *hit_prev };
-                    prev_node.next = next;
-                    sink.write(prev_node.sim_addr + Node::<E>::NEXT_OFFSET, 8);
-                }
-                if hit_ptr == self.tail {
-                    self.tail = hit_prev;
-                }
-                // SAFETY: `hit_ptr` is unlinked; reclaim exactly once.
-                drop(unsafe { Box::from_raw(hit_ptr) });
-                self.len -= 1;
-                return Search::hit(entry, depth);
-            }
-        }
-        Search::miss(depth)
-    }
-
-    /// The pre-optimisation scan: field-by-field [`Element::matches`] with
-    /// no prefetch. Kept callable so the benchmark gate can measure the
-    /// packed/prefetched path against the exact code it replaced.
+    /// The reference scan: field-by-field [`Element::matches`] with no
+    /// prefetch. The equivalence tests and the benchmark gate compare the
+    /// packed, hinting walk against it.
     pub fn search_remove_fieldwise<S: AccessSink>(
         &mut self,
         probe: &E::Probe,
@@ -407,10 +245,6 @@ impl<E: Element> Drop for BaselineList<E> {
 }
 
 impl<E: Element> MatchList<E> for BaselineList<E> {
-    fn adaptive_prefetch_distance(&self) -> Option<usize> {
-        Some(self.adaptive.distance())
-    }
-
     fn append<S: AccessSink>(&mut self, e: E, sink: &mut S) {
         let sim_addr = self.addr.alloc(Node::<E>::SIM_SIZE, 8);
         // spc-allow(hot-path-alloc): per-node heap allocation IS the baseline under study

@@ -12,6 +12,13 @@
 //! tags and sources are invalid and all bitmask fields are set"); the
 //! head/tail indexes trim holes at the node boundaries, and a fully-emptied
 //! node is unlinked and returned to the element pool.
+//!
+//! A search scans each node's slab with the widest kernel the CPU has
+//! ([`crate::simd::detect_best`]) and prefetches no node ahead: packing
+//! entries into aligned, contiguous lines is what lets the hardware
+//! adjacent-line and streamer prefetchers do that work, which is the
+//! structure's whole argument. (Nodes wider than 32 slots stream their own
+//! next window; see the walk.)
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, PostedEntry, ProbeKey, UnexpectedEntry};
@@ -107,9 +114,6 @@ pub struct Lla<E: Element, const N: usize> {
     head: u32,
     tail: u32,
     len: usize,
-    /// Self-tuning prefetch lookahead, consulted only under
-    /// [`prefetch::PrefetchScheme::Adaptive`].
-    adaptive: prefetch::AdaptiveDist,
 }
 
 impl<E: Element, const N: usize> Lla<E, N> {
@@ -122,7 +126,6 @@ impl<E: Element, const N: usize> Lla<E, N> {
             head: NIL,
             tail: NIL,
             len: 0,
-            adaptive: prefetch::AdaptiveDist::for_arity(N as u32),
         }
     }
 
@@ -275,48 +278,35 @@ impl<E: Element, const N: usize> Lla<E, N> {
         Search::miss(depth)
     }
 
-    /// Packed-key walk: the hot path behind [`MatchList::search_remove`].
+    /// [`MatchList::search_remove`] under a named slab-scan kernel — the
+    /// only way to name one. `search_remove` passes [`simd::detect_best`];
+    /// tests and the benchmark gate pass weaker kinds to compare kernels on
+    /// one host. `kind` is clamped to what the CPU supports, so a kind it
+    /// cannot run degrades to the best one it can instead of faulting.
     ///
-    /// Differences from [`Self::walk_remove`], all latency-only: the node
-    /// reference is resolved once per node (one pool id→pointer split per
-    /// node instead of per slot); node slabs are scanned through the
-    /// [`simd`] kernels — 2 (SSE2) or 4 (AVX2) packed key/mask pairs per
-    /// instruction under the detected/forced [`simd::scan_kind`], the
-    /// scalar packed loop otherwise — and the resulting candidate bitmap
-    /// is ANDed with the occupancy register (`N <= 32`) or the hole bitmap
-    /// (windowed large-arity scan) and bit-scanned to the first live hit;
-    /// and software prefetch is issued per the resolved
-    /// [`prefetch::WalkPrefetch`] plan — a dependent chase of the resident
-    /// `next` pool id and/or a speculative guess `stride` pool ids ahead,
-    /// exploiting the pool's sequential id allocation.
-    fn packed_walk_remove<S: AccessSink>(
+    /// The walk body is monomorphised per kind through `#[target_feature]`
+    /// wrappers so the vector kernels inline into the node loop — the probe
+    /// splats hoist out of the loop and no per-node call (or AVX/SSE
+    /// transition) is paid; dispatching per node instead costs more than
+    /// the vector kernels save on small nodes.
+    #[doc(hidden)]
+    pub fn search_remove_as<S: AccessSink>(
         &mut self,
-        probe: &PackedProbe,
+        kind: simd::ScanKind,
+        probe: &E::Probe,
         sink: &mut S,
     ) -> Search<E> {
-        // Resolved once per search, not per node: the kind is a process
-        // atomic and the kernels are bit-for-bit equivalent, so mid-walk
-        // changes could only add an atomic load to every node. The walk
-        // body is monomorphised per kind through `#[target_feature]`
-        // wrappers so the vector kernels inline into the node loop — the
-        // probe splats hoist out of the loop and no per-node call (or
-        // AVX/SSE transition) is paid; dispatching per node instead costs
-        // more than the vector kernels save on small nodes.
-        let plan = prefetch::walk_plan(&self.adaptive);
-        let r = match simd::scan_kind() {
+        let probe = probe.packed();
+        match simd::clamp_supported(kind) {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Simd256` is only ever installed after
-            // `is_x86_feature_detected!("avx2")` (see `simd::set_scan_kind`).
-            simd::ScanKind::Simd256 => unsafe { self.packed_walk_avx2(plan, probe, sink) },
+            // SAFETY: `clamp_supported` yields `Simd256` only after
+            // `is_x86_feature_detected!("avx2")`.
+            simd::ScanKind::Simd256 => unsafe { self.packed_walk_avx2(&probe, sink) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-            simd::ScanKind::Simd128 => unsafe { self.packed_walk_sse2(plan, probe, sink) },
-            _ => self.packed_walk_body(simd::ScanKind::Portable, plan, probe, sink),
-        };
-        if plan.feedback {
-            self.adaptive.observe(r.depth as usize);
+            simd::ScanKind::Simd128 => unsafe { self.packed_walk_sse2(&probe, sink) },
+            _ => self.packed_walk_body(simd::ScanKind::Portable, &probe, sink),
         }
-        r
     }
 
     /// AVX2-enabled instantiation of the walk body: the `simd` kernels it
@@ -329,11 +319,10 @@ impl<E: Element, const N: usize> Lla<E, N> {
     #[target_feature(enable = "avx2")]
     unsafe fn packed_walk_avx2<S: AccessSink>(
         &mut self,
-        plan: prefetch::WalkPrefetch,
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        self.packed_walk_body(simd::ScanKind::Simd256, plan, probe, sink)
+        self.packed_walk_body(simd::ScanKind::Simd256, probe, sink)
     }
 
     /// SSE2-enabled instantiation of the walk body (x86-64 baseline ISA).
@@ -344,23 +333,33 @@ impl<E: Element, const N: usize> Lla<E, N> {
     #[target_feature(enable = "sse2")]
     unsafe fn packed_walk_sse2<S: AccessSink>(
         &mut self,
-        plan: prefetch::WalkPrefetch,
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        self.packed_walk_body(simd::ScanKind::Simd128, plan, probe, sink)
+        self.packed_walk_body(simd::ScanKind::Simd128, probe, sink)
     }
 
+    /// The packed-key walk. Differences from [`Self::walk_remove`], all
+    /// latency-only: the node reference is resolved once per node (one pool
+    /// id→pointer split per node instead of per slot), and node slabs are
+    /// scanned through the [`simd`] kernels — 2 (SSE2) or 4 (AVX2) packed
+    /// key/mask pairs per instruction, the scalar packed loop otherwise —
+    /// with the resulting candidate bitmap ANDed with the occupancy
+    /// register (`N <= 32`) or the hole bitmap (windowed large-arity scan)
+    /// and bit-scanned to the first live hit.
+    ///
+    /// No node is prefetched ahead: pool nodes are line-aligned and
+    /// contiguous, and an append-built chain links them in ascending id
+    /// order — the stream the hardware adjacent-line and streamer
+    /// prefetchers follow on their own (the paper's §3.1 argument for the
+    /// structure). Only the large-arity window scan hints, inside a node.
     #[inline(always)]
     fn packed_walk_body<S: AccessSink>(
         &mut self,
         kind: simd::ScanKind,
-        plan: prefetch::WalkPrefetch,
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        let dist = plan.stride as u32;
-        let cap = self.pool.capacity() as u32;
         let node_sz = core::mem::size_of::<LlaNode<E, N>>() as u64;
         // Chunk cache: consecutive pool ids live in the same chunk, so the
         // `chunks[c] -> nodes` indirection is resolved once per chunk
@@ -378,28 +377,6 @@ impl<E: Element, const N: usize> Lla<E, N> {
                 (cbase, csim) = self.pool.chunk_raw(c);
                 cc = c;
             }
-            if dist != 0 {
-                // Speculative sequential prefetch: append-built chains hand
-                // out consecutive pool ids, so `cur + dist` is almost
-                // always the node `dist` hops ahead — and unlike a scout
-                // pointer that demand-loads each link, the guess has no
-                // load dependency, so it genuinely overlaps line fetches
-                // with the scan. A wrong guess (churned free list) just
-                // warms an unrelated pool line; the capacity guard keeps
-                // the address inside allocated chunks.
-                let guess = cur + dist;
-                if guess < cap {
-                    let (gc, gi) = self.pool.split_id(guess);
-                    if gc == cc {
-                        // SAFETY: `guess < cap` and `gc == cc`, so `gi` is in
-                        // bounds of the cached chunk; the offset stays inside
-                        // one allocation (prefetch itself can never fault).
-                        prefetch::read(unsafe { cbase.add(gi) });
-                    } else {
-                        prefetch::read(self.pool.real_ptr(guess));
-                    }
-                }
-            }
             let node_addr = csim + i as u64 * node_sz;
             sink.read(node_addr, 8); // head/tail/occupancy header
 
@@ -408,23 +385,6 @@ impl<E: Element, const N: usize> Lla<E, N> {
             // (mutation happens only in `remove_at`, after the last use).
             let node = unsafe { &*cbase.add(i) };
             let next = node.next;
-            if plan.chase && next != NIL {
-                // Pointer-chase prefetch: `next` rode in on the header line
-                // just read, so the successor node's first line is fetched
-                // with perfect accuracy — no allocator-stride guesswork —
-                // while this node's slab scan runs. Lookahead is inherently
-                // one node; the stride guess above (when enabled) covers the
-                // deeper horizon.
-                let (nc, ni) = self.pool.split_id(next);
-                if nc == cc {
-                    // SAFETY: `next` is a live linked pool id, so `ni` is in
-                    // bounds of the cached chunk (and prefetch itself can
-                    // never fault).
-                    prefetch::read(unsafe { cbase.add(ni) });
-                } else {
-                    prefetch::read(self.pool.real_ptr(next));
-                }
-            }
             let mut hit: Option<(u32, E)> = None;
             if LlaNode::<E, N>::BITMAP {
                 // Batched node scan: [`simd::scan_candidates`] evaluates
@@ -486,13 +446,12 @@ impl<E: Element, const N: usize> Lla<E, N> {
                 while ws < t {
                     let wlen = (t - ws).min(32);
                     let wmask = (u32::MAX as u64 >> (32 - wlen)) as u32;
-                    if (dist != 0 || plan.chase) && ws + wlen < t {
+                    if ws + wlen < t {
                         // The slab spans many lines; streaming the next
                         // window's lines while this one is tested keeps the
                         // batched compare fed (the hardware streamer lags
-                        // a 2–4-entry-per-instruction consumer). The window
-                        // address needs no dependent load, so every active
-                        // scheme streams it; only `Off` disables it.
+                        // a 2–4-entry-per-instruction consumer), and the
+                        // window address needs no dependent load.
                         let next_len = (t - ws - wlen).min(32);
                         prefetch::read_span(
                             node.entries[ws + wlen..].as_ptr(),
@@ -538,10 +497,9 @@ impl<E: Element, const N: usize> Lla<E, N> {
         Search::miss(depth)
     }
 
-    /// The pre-optimisation scan: per-slot pool lookups, in-band hole test,
-    /// field-by-field [`Element::matches`], no prefetch. Kept callable so
-    /// the benchmark gate can measure the packed/bitmap/prefetched path
-    /// against the exact code it replaced.
+    /// The reference scan: per-slot pool lookups, in-band hole test,
+    /// field-by-field [`Element::matches`]. The equivalence tests and the
+    /// benchmark gate compare the packed bitmap walk against it.
     pub fn search_remove_fieldwise<S: AccessSink>(
         &mut self,
         probe: &E::Probe,
@@ -621,10 +579,6 @@ impl<E: Element, const N: usize> Default for Lla<E, N> {
 }
 
 impl<E: Element, const N: usize> MatchList<E> for Lla<E, N> {
-    fn adaptive_prefetch_distance(&self) -> Option<usize> {
-        Some(self.adaptive.distance())
-    }
-
     fn append<S: AccessSink>(&mut self, e: E, sink: &mut S) {
         // Fast path: room at the tail node.
         if self.tail != NIL {
@@ -685,7 +639,7 @@ impl<E: Element, const N: usize> MatchList<E> for Lla<E, N> {
     }
 
     fn search_remove<S: AccessSink>(&mut self, probe: &E::Probe, sink: &mut S) -> Search<E> {
-        self.packed_walk_remove(&probe.packed(), sink)
+        self.search_remove_as(simd::detect_best(), probe, sink)
     }
 
     fn remove_by_id<S: AccessSink>(&mut self, id: u64, sink: &mut S) -> Option<E> {

@@ -110,15 +110,6 @@ pub trait MatchList<E: Element> {
     /// (MPI_Cancel on a posted receive). Returns the removed element.
     fn remove_by_id<S: AccessSink>(&mut self, id: u64, sink: &mut S) -> Option<E>;
 
-    /// The self-tuning prefetch controller's current lookahead decision,
-    /// for structures whose traversal runs one ([`BaselineList`], [`Lla`]
-    /// under [`crate::prefetch::PrefetchScheme::Adaptive`]); `None` for
-    /// partitioned structures. Diagnostics only — the benchmark gate's
-    /// `prefetch_dist` column.
-    fn adaptive_prefetch_distance(&self) -> Option<usize> {
-        None
-    }
-
     /// Number of live elements.
     fn len(&self) -> usize;
 
@@ -222,7 +213,6 @@ impl<E: Element> SeqFifo<E> {
         sink: &mut S,
     ) -> (Option<usize>, u32) {
         let packed = probe.packed();
-        let ahead = prefetch::distance();
         let mut depth = 0;
         for (pos, (seq, e)) in self.items.iter().enumerate() {
             if let Some(limit) = seq_limit {
@@ -232,12 +222,10 @@ impl<E: Element> SeqFifo<E> {
                     return (None, depth);
                 }
             }
-            if ahead != 0 {
-                // The VecDeque is at most two contiguous runs; prefetching a
-                // few elements ahead hides the stride-crossing line fetches.
-                if let Some(next) = self.items.get(pos + ahead) {
-                    prefetch::read(next as *const (u64, E));
-                }
+            // The VecDeque is at most two contiguous runs; prefetching a
+            // few elements ahead hides the stride-crossing line fetches.
+            if let Some(next) = self.items.get(pos + prefetch::DISTANCE) {
+                prefetch::read(next as *const (u64, E));
             }
             sink.read(self.sim_base + pos as u64 * self.stride, self.stride as u32);
             depth += 1;

@@ -228,15 +228,6 @@ impl<T: Copy> Pool<T> {
         &mut self.chunks[c].nodes[i]
     }
 
-    /// Real pointer to a node's storage, for software prefetch while
-    /// chasing links. Chunk storage never moves, so the pointer stays valid
-    /// for the pool's lifetime (prefetching a freed slot is harmless).
-    #[inline]
-    pub fn real_ptr(&self, id: u32) -> *const T {
-        let (c, i) = self.split(id);
-        &self.chunks[c].nodes[i] as *const T
-    }
-
     /// Simulated address of a node.
     #[inline]
     pub fn sim_addr(&self, id: u32) -> u64 {

@@ -9,11 +9,14 @@
 //! back a candidate bitmap the caller ANDs with the node's occupancy bitmap
 //! and bit-scans to the first live hit.
 //!
-//! Three scan kinds exist, selected once per process:
+//! Three scan kinds exist:
 //!
-//! * [`ScanKind::Portable`] — the scalar packed loop, compiled everywhere;
+//! * [`ScanKind::Portable`] — the scalar packed loop, compiled everywhere:
+//!   the only path off x86-64, and the reference the vector kernels are
+//!   tested against;
 //! * [`ScanKind::Simd128`] — SSE2 pairs (baseline on every x86-64, no
-//!   runtime detection needed);
+//!   runtime detection needed): the only vector path on pre-AVX2 CPUs, and
+//!   the tail of the AVX2 kernel;
 //! * [`ScanKind::Simd256`] — AVX2 quads (runtime
 //!   `is_x86_feature_detected!`).
 //!
@@ -23,13 +26,11 @@
 //! traces. The differential suite in `tests/simd_props.rs` pins this for
 //! every node width, occupancy pattern, and wildcard/masked probe shape.
 //!
-//! The selection is configurable through the `SPC_SCAN_KIND` environment
-//! variable (`portable`, `simd128` or `simd256`; read once per process,
-//! unparsable values reported once on stderr) or programmatically via
-//! [`set_scan_kind`] for in-process sweeps, mirroring
-//! `SPC_PREFETCH_DIST` / [`crate::prefetch::set_distance`]. Forcing a kind
-//! the CPU cannot run is downgraded to the best supported kind, with a
-//! one-time stderr note rather than an illegal-instruction fault.
+//! The kind is a property of the CPU, so nothing selects it: list walks run
+//! under [`detect_best`]. Tests and the benchmark gate name a weaker kernel
+//! as an argument to the LLA's search, which passes it through
+//! [`clamp_supported`] so a kind the CPU cannot run degrades instead of
+//! faulting.
 //!
 //! ## Why masks need a word transform
 //!
@@ -49,8 +50,6 @@
 //! by transmute property tests next to the packed-key prefix-byte pin.
 
 use crate::entry::{packed_matches, Element, PackedProbe};
-use crate::envcfg::EnvSwitch;
-use std::sync::Once;
 
 /// Key bits that identify an in-band hole: the context-id field (bits
 /// 48..64) equal to the reserved hole context. `Element::is_hole` is
@@ -58,7 +57,7 @@ use std::sync::Once;
 /// identity, not an approximation.
 pub(crate) const HOLE_KEY_BITS: u64 = 0xFFFF_u64 << 48;
 
-/// Which slab-scan kernel the process uses.
+/// A slab-scan kernel, ordered weakest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ScanKind {
     /// Scalar packed loop — compiled on every architecture.
@@ -70,8 +69,7 @@ pub enum ScanKind {
 }
 
 impl ScanKind {
-    /// Stable lowercase name, used by `SPC_SCAN_KIND` and the bench gate's
-    /// `scan_kind` JSON column.
+    /// Stable lowercase name (the bench gate's `scan_kind` JSON column).
     pub fn as_str(self) -> &'static str {
         match self {
             ScanKind::Portable => "portable",
@@ -80,54 +78,9 @@ impl ScanKind {
         }
     }
 
-    /// Parses the `SPC_SCAN_KIND` spelling; `None` on anything else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "portable" => Some(ScanKind::Portable),
-            "simd128" => Some(ScanKind::Simd128),
-            "simd256" => Some(ScanKind::Simd256),
-            _ => None,
-        }
-    }
-
     /// All kinds, weakest first.
     pub const ALL: [ScanKind; 3] = [ScanKind::Portable, ScanKind::Simd128, ScanKind::Simd256];
-
-    /// How many packed keys one probe test consumes under this kind (the
-    /// batch width callers should gather before calling [`match_keys`]).
-    pub const fn key_batch(self) -> usize {
-        match self {
-            ScanKind::Portable => 1,
-            ScanKind::Simd128 => 2,
-            ScanKind::Simd256 => 4,
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            ScanKind::Portable => 0,
-            ScanKind::Simd128 => 1,
-            ScanKind::Simd256 => 2,
-        }
-    }
-
-    fn from_index(i: usize) -> Self {
-        match i {
-            0 => ScanKind::Portable,
-            1 => ScanKind::Simd128,
-            _ => ScanKind::Simd256,
-        }
-    }
 }
-
-/// The tri-state forced/detected switch behind `SPC_SCAN_KIND` — see
-/// [`crate::envcfg`] for the shared once-parsed / one-time-diagnostic /
-/// in-process-override contract. The forced bit matters here: callers
-/// whose vector path only pays off situationally (the baseline list's
-/// batched gather walk) engage it under a forced kind but not under mere
-/// detection — see [`scan_kind_forced`].
-static KIND: EnvSwitch = EnvSwitch::new("SPC_SCAN_KIND");
-static DOWNGRADE_DIAGNOSTIC: Once = Once::new();
 
 /// The best kind this CPU can actually execute.
 #[cfg(target_arch = "x86_64")]
@@ -147,77 +100,12 @@ pub fn detect_best() -> ScanKind {
     ScanKind::Portable
 }
 
-/// Clamps a requested kind to what the CPU supports, reporting a downgrade
-/// once on stderr (a forced-but-unsupported kind must degrade, not fault).
-fn clamp_supported(k: ScanKind) -> ScanKind {
-    let best = detect_best();
-    if k > best {
-        DOWNGRADE_DIAGNOSTIC.call_once(|| {
-            eprintln!(
-                "spc-core: scan kind {:?} is not supported on this CPU; \
-                 downgrading to {:?}",
-                k.as_str(),
-                best.as_str()
-            );
-        });
-        best
-    } else {
-        k
-    }
-}
-
-/// The process-wide slab-scan kind.
-///
-/// **Once-parsed contract:** `SPC_SCAN_KIND` is consulted exactly once, on
-/// the first call; later changes to the environment are not observed. An
-/// unparsable value falls back to [`detect_best`] and emits a one-time
-/// `stderr` diagnostic. In-process sweeps (the bench gate measuring every
-/// kind in one run) use [`set_scan_kind`].
+/// Clamps a requested kind to what the CPU supports. This is the safety
+/// check that keeps the AVX2 kernel off CPUs without it: every kind handed
+/// to [`scan_slab`] / [`scan_candidates`] must have passed through here.
 #[inline]
-pub fn scan_kind() -> ScanKind {
-    ScanKind::from_index(kind_switch().0)
-}
-
-/// The scan kind, but only when it was *explicitly requested* — via
-/// `SPC_SCAN_KIND` or [`set_scan_kind`] — rather than auto-detected.
-/// Returns `None` under pure detection.
-///
-/// The slab scans ([`scan_slab`] call sites) win under every SIMD kind and
-/// honor [`scan_kind`] unconditionally. The baseline list's batched gather
-/// walk does **not** win on detected hardware alone (the dependent
-/// next-pointer chase costs more than the vector compare saves — measured
-/// in `matching_gate`, documented in `EXPERIMENTS.md`), so it engages only
-/// through this accessor: benchmarks and tests force a kind to measure the
-/// path; production defaults keep the scalar chase.
-#[inline]
-pub fn scan_kind_forced() -> Option<ScanKind> {
-    let (i, forced) = kind_switch();
-    forced.then(|| ScanKind::from_index(i))
-}
-
-/// The `(kind index, forced)` pair from the shared switch; parse clamps an
-/// explicitly requested kind to CPU support before it is installed, so the
-/// dispatcher never sees an unexecutable kind.
-#[inline]
-fn kind_switch() -> (usize, bool) {
-    KIND.get(
-        |s| ScanKind::parse(s).map(|k| clamp_supported(k).index()),
-        || detect_best().index(),
-        "one of portable|simd128|simd256",
-        "detected best",
-    )
-}
-
-/// Overrides the scan kind for the rest of the process (clamped to what the
-/// CPU supports; returns the kind actually installed). Exists for
-/// in-process sweeps — the gate measures every kind in one run, which the
-/// once-parsed env contract cannot express. All kinds are bit-for-bit
-/// equivalent, so flipping mid-run never changes match semantics. The
-/// installed kind counts as *forced* (see [`scan_kind_forced`]).
-pub fn set_scan_kind(k: ScanKind) -> ScanKind {
-    let k = clamp_supported(k);
-    KIND.set(k.index());
-    k
+pub fn clamp_supported(k: ScanKind) -> ScanKind {
+    k.min(detect_best())
 }
 
 /// Result of scanning one slab: per-slot bitmaps (bit `i` ⟺ `entries[i]`).
@@ -266,9 +154,9 @@ fn scan_dispatch<E: Element, const HOLES: bool>(
     #[cfg(target_arch = "x86_64")]
     if vectorizable::<E>() {
         match kind {
-            // SAFETY: `Simd256` is only ever installed by `clamp_supported`
-            // after `is_x86_feature_detected!("avx2")`, so the AVX2 kernel
-            // cannot execute on a CPU without it.
+            // SAFETY: callers pass kinds clamped by `clamp_supported`, which
+            // yields `Simd256` only after `is_x86_feature_detected!("avx2")`,
+            // so the AVX2 kernel cannot execute on a CPU without it.
             ScanKind::Simd256 => return unsafe { scan_slab_avx2::<E, HOLES>(entries, probe) },
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
             ScanKind::Simd128 => return unsafe { scan_slab_sse2::<E, HOLES>(entries, probe) },
@@ -296,36 +184,6 @@ fn scan_slab_portable<E: Element, const HOLES: bool>(
         }
     }
     SlabScan { cand, holes }
-}
-
-/// Tests up to 32 gathered packed key/mask pairs against the probe,
-/// returning a match bitmap (bit `i` ⟺ `keys[i]`). Callers gather keys
-/// from non-contiguous storage — the baseline list batches
-/// [`ScanKind::key_batch`] heap nodes per call.
-#[inline(always)]
-pub fn match_keys(kind: ScanKind, keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-    debug_assert_eq!(keys.len(), masks.len());
-    debug_assert!(keys.len() <= 32);
-    #[cfg(target_arch = "x86_64")]
-    match kind {
-        // SAFETY: `Simd256` is only ever installed by `clamp_supported`
-        // after `is_x86_feature_detected!("avx2")`.
-        ScanKind::Simd256 => return unsafe { match_keys_avx2(keys, masks, probe) },
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        ScanKind::Simd128 => return unsafe { match_keys_sse2(keys, masks, probe) },
-        ScanKind::Portable => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = kind;
-    match_keys_portable(keys, masks, probe)
-}
-
-fn match_keys_portable(keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-    let mut out = 0u32;
-    for i in 0..keys.len() {
-        out |= (packed_matches(keys[i], masks[i], probe) as u32) << i;
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -553,72 +411,10 @@ mod x86 {
         }
         SlabScan { cand, holes }
     }
-
-    /// SSE2 gathered-key test: contiguous `keys`/`masks` arrays, two pairs
-    /// per step via unaligned vector loads.
-    ///
-    /// # Safety
-    /// Caller must ensure SSE2 is available (x86-64 baseline: always).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn match_keys_sse2(keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-        let n = keys.len();
-        let pk = _mm_set1_epi64x(probe.key as i64);
-        let pm = _mm_set1_epi64x(probe.mask as i64);
-        let mut out = 0u32;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY: `i + 2 <= n` keeps both 16-byte loads inside the
-            // slices; `loadu` has no alignment requirement.
-            unsafe {
-                let k = _mm_loadu_si128(keys.as_ptr().add(i) as *const __m128i);
-                let m = _mm_loadu_si128(masks.as_ptr().add(i) as *const __m128i);
-                let diff = _mm_and_si128(_mm_xor_si128(k, pk), _mm_and_si128(m, pm));
-                out |= movemask_zero64_sse2(diff) << i;
-            }
-            i += 2;
-        }
-        if i < n {
-            out |= (packed_matches(keys[i], masks[i], probe) as u32) << i;
-        }
-        out
-    }
-
-    /// AVX2 gathered-key test: four pairs per step.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available (runtime-detected).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn match_keys_avx2(keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-        let n = keys.len();
-        let pk = _mm256_set1_epi64x(probe.key as i64);
-        let pm = _mm256_set1_epi64x(probe.mask as i64);
-        let zero = _mm256_setzero_si256();
-        let mut out = 0u32;
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps both 32-byte loads inside the
-            // slices; `loadu` has no alignment requirement.
-            unsafe {
-                let k = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
-                let m = _mm256_loadu_si256(masks.as_ptr().add(i) as *const __m256i);
-                let diff = _mm256_and_si256(_mm256_xor_si256(k, pk), _mm256_and_si256(m, pm));
-                let eq = _mm256_cmpeq_epi64(diff, zero);
-                out |= (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32 & 0xF) << i;
-            }
-            i += 4;
-        }
-        if i < n {
-            // SAFETY: SSE2 is implied by AVX2.
-            out |= unsafe { match_keys_sse2(&keys[i..], &masks[i..], probe) } << i;
-        }
-        out
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{match_keys_avx2, match_keys_sse2, scan_slab_avx2, scan_slab_sse2};
+use x86::{scan_slab_avx2, scan_slab_sse2};
 
 #[cfg(test)]
 mod tests {
@@ -626,41 +422,12 @@ mod tests {
     use crate::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 
     #[test]
-    fn parse_round_trips_and_rejects_garbage() {
-        for k in ScanKind::ALL {
-            assert_eq!(ScanKind::parse(k.as_str()), Some(k));
-        }
-        assert_eq!(ScanKind::parse("SIMD256"), None);
-        assert_eq!(ScanKind::parse("avx2"), None);
-        assert_eq!(ScanKind::parse(""), None);
-    }
-
-    #[test]
-    fn clamp_never_exceeds_detection_and_batch_is_monotonic() {
+    fn clamp_never_exceeds_detection() {
         let best = detect_best();
         for k in ScanKind::ALL {
             assert!(clamp_supported(k) <= best);
             assert!(clamp_supported(k) <= k);
         }
-        assert_eq!(ScanKind::Portable.key_batch(), 1);
-        assert_eq!(ScanKind::Simd128.key_batch(), 2);
-        assert_eq!(ScanKind::Simd256.key_batch(), 4);
-    }
-
-    /// One test owns the process-global kind (mirrors the prefetch-distance
-    /// test): parsed-once stability, then the `set_scan_kind` override.
-    #[test]
-    fn kind_is_stable_and_overridable() {
-        let k = scan_kind();
-        assert_eq!(k, scan_kind(), "parsed once, then constant");
-        assert_eq!(set_scan_kind(ScanKind::Portable), ScanKind::Portable);
-        assert_eq!(scan_kind(), ScanKind::Portable);
-        let best = detect_best();
-        assert_eq!(
-            set_scan_kind(ScanKind::Simd256),
-            best.min(ScanKind::Simd256)
-        );
-        assert_eq!(set_scan_kind(k), k, "restored for sibling tests");
     }
 
     fn posted_mixed() -> Vec<PostedEntry> {
@@ -728,25 +495,6 @@ mod tests {
                         "{k:?} len {len}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn match_keys_agrees_across_kinds() {
-        let entries = posted_mixed();
-        let keys: Vec<u64> = entries.iter().map(|e| e.packed_key()).collect();
-        let masks: Vec<u64> = entries.iter().map(|e| e.packed_mask()).collect();
-        let probe = Envelope::new(2, 12, 3).packed();
-        for len in 0..=keys.len() {
-            let want = match_keys_portable(&keys[..len], &masks[..len], &probe);
-            for k in ScanKind::ALL {
-                let k = clamp_supported(k);
-                assert_eq!(
-                    match_keys(k, &keys[..len], &masks[..len], &probe),
-                    want,
-                    "{k:?} len {len}"
-                );
             }
         }
     }

@@ -12,14 +12,13 @@
 
 use spc_core::addr::AddrSpace;
 use spc_core::entry::{Element, Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
-use spc_core::list::{BaselineList, Lla, MatchList};
+use spc_core::list::{BaselineList, Lla, MatchList, Search};
 use spc_core::simd::{self, ScanKind};
 use spc_core::sink::{Access, TraceSink};
 use spc_core::{ANY_SOURCE, ANY_TAG};
 use spc_rng::{Rng, SeedableRng, StdRng};
 
-/// The kinds this CPU can execute (always includes `Portable`; CI's
-/// forced-portable leg still covers the scalar path when the host has AVX2).
+/// The kinds this CPU can execute (always includes `Portable`).
 fn supported_kinds() -> Vec<ScanKind> {
     let best = simd::detect_best();
     ScanKind::ALL.into_iter().filter(|k| *k <= best).collect()
@@ -206,47 +205,18 @@ fn unexpected_slab_scans_agree_for_every_width_and_occupancy() {
     assert!(hits > 300, "only {hits} slab hits; generator bias broken");
 }
 
-#[test]
-fn match_keys_agrees_on_entry_pairs_and_raw_bits() {
-    // `match_keys` is pure bit arithmetic over gathered key/mask words; the
-    // kernels must agree on real entry-derived pairs *and* on arbitrary raw
-    // bits (the baseline gather loop never sanitizes what it collects).
-    let kinds = supported_kinds();
-    let mut rng = StdRng::seed_from_u64(0x51D0_0003);
-    for case in 0..2_000u64 {
-        let len = rng.gen_range(0..33u32) as usize;
-        let mut keys = Vec::with_capacity(len);
-        let mut masks = Vec::with_capacity(len);
-        for i in 0..len {
-            if case % 2 == 0 {
-                let e = live_posted(&mut rng, i as u64);
-                keys.push(e.packed_key());
-                masks.push(e.packed_mask());
-            } else {
-                keys.push(rng.next_u64());
-                masks.push(rng.next_u64());
-            }
-        }
-        let probe = random_envelope(&mut rng).packed();
-        let want = simd::match_keys(ScanKind::Portable, &keys, &masks, &probe);
-        for &k in &kinds {
-            assert_eq!(
-                simd::match_keys(k, &keys, &masks, &probe),
-                want,
-                "{k:?} len {len} case {case}"
-            );
-        }
-    }
-}
-
 /// One probe step's full observable outcome: match identity, reported
 /// depth, and the byte-exact access trace.
 type Step = (Option<u64>, u32, Vec<Access>);
 
 /// Runs a fixed seeded script — appends with wildcards, hole punches, then
 /// a probe mix of hits/misses/wildcard-only matches — against `list`,
-/// recording every search's outcome and trace.
-fn run_script<L: MatchList<PostedEntry>>(list: &mut L, seed: u64) -> Vec<Step> {
+/// recording the outcome and trace of every `search` call.
+fn run_script<L: MatchList<PostedEntry>>(
+    list: &mut L,
+    seed: u64,
+    search: impl Fn(&mut L, &Envelope, &mut TraceSink) -> Search<PostedEntry>,
+) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut s = TraceSink::new();
     // Small alphabet so probes hit at varied FIFO positions.
@@ -262,84 +232,136 @@ fn run_script<L: MatchList<PostedEntry>>(list: &mut L, seed: u64) -> Vec<Step> {
     }
     let mut steps = Vec::new();
     // Punch holes and probe, interleaved: every removal changes the
-    // occupancy patterns the next scan sees.
-    for _ in 0..120 {
-        let probe = Envelope::new(rng.gen_range(0..7i32), rng.gen_range(0..9i32), 0);
+    // occupancy patterns the next scan sees. The last probe is a guaranteed
+    // full-length miss, exercising the complete walk.
+    let probes = (0..120)
+        .map(|_| Envelope::new(rng.gen_range(0..7i32), rng.gen_range(0..9i32), 0))
+        .chain([Envelope::new(99, 99, 9)])
+        .collect::<Vec<_>>();
+    for probe in &probes {
         s.clear();
-        let r = list.search_remove(&probe, &mut s);
+        let r = search(list, probe, &mut s);
         steps.push((r.found.map(|e| e.request), r.depth, s.trace.clone()));
     }
-    // A guaranteed full-length miss exercises the complete walk.
-    s.clear();
-    let r = list.search_remove(&Envelope::new(99, 99, 9), &mut s);
-    steps.push((r.found.map(|e| e.request), r.depth, s.trace.clone()));
+    // The script must actually exercise hits, not just misses.
+    let hits = steps.iter().filter(|s| s.0.is_some()).count();
+    assert!(hits > 20, "seed {seed:#x}: only {hits} hits");
     steps
 }
 
-fn assert_steps_equal(kind: ScanKind, got: &[Step], want: &[Step], structure: &str) {
+/// How a script run searches an LLA.
+#[derive(Clone, Copy, Debug)]
+enum Via {
+    /// `MatchList::search_remove` — the production entry point.
+    Default,
+    /// `Lla::search_remove_as` under the named kernel.
+    Kind(ScanKind),
+    /// `Lla::search_remove_fieldwise` — the reference scan.
+    Fieldwise,
+}
+
+fn lla_script<const N: usize>(via: Via, seed: u64) -> Vec<Step> {
+    let mut l: Lla<PostedEntry, N> = Lla::with_addr(AddrSpace::contiguous(1 << 30));
+    run_script(&mut l, seed, |l, p, s| match via {
+        Via::Default => l.search_remove(p, s),
+        Via::Kind(k) => l.search_remove_as(k, p, s),
+        Via::Fieldwise => l.search_remove_fieldwise(p, s),
+    })
+}
+
+/// The script over the LLA bitmap path (N = 2, 8, 32) and the windowed
+/// large-arity path (N = 48 spans two windows).
+fn lla_scripts(via: Via) -> [(&'static str, Vec<Step>); 4] {
+    [
+        ("lla2", lla_script::<2>(via, 0x51D0_0010)),
+        ("lla8", lla_script::<8>(via, 0x51D0_0011)),
+        ("lla32", lla_script::<32>(via, 0x51D0_0012)),
+        ("lla48", lla_script::<48>(via, 0x51D0_0013)),
+    ]
+}
+
+/// `got` and `want` agree on match identity and depth at every step, and —
+/// when `traces` — on the byte-exact access trace too.
+fn assert_steps_equal(what: &str, got: &[Step], want: &[Step], traces: bool) {
     assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(
-            g.0, w.0,
-            "{structure} step {i} found differs under {kind:?}"
-        );
-        assert_eq!(
-            g.1, w.1,
-            "{structure} step {i} depth differs under {kind:?}"
-        );
-        assert_eq!(
-            g.2, w.2,
-            "{structure} step {i} trace differs under {kind:?}"
-        );
+        assert_eq!(g.0, w.0, "{what} step {i} found differs");
+        assert_eq!(g.1, w.1, "{what} step {i} depth differs");
+        if traces {
+            assert_eq!(g.2, w.2, "{what} step {i} trace differs");
+        }
     }
 }
 
-/// One test owns the process-global scan kind (mirrors the prefetch-distance
-/// test): under each forced kind, the LLA bitmap path (N = 2, 8, 32), the
-/// windowed large-arity path (N = 48 spans two windows), and the baseline
-/// batched walk must produce byte-identical access traces, match
-/// identities, and depths.
-#[test]
-fn forced_kinds_produce_identical_traces_on_lists() {
-    let orig = simd::scan_kind();
-    let kinds = supported_kinds();
+/// Under `kind`, every LLA shape produces the portable kernel's byte-exact
+/// access traces, and the reference scan's match identities and depths
+/// (the field-wise scan charges hole slots too, so its traces differ by
+/// design).
+fn kind_matches_portable_and_fieldwise(kind: ScanKind) {
+    let got = lla_scripts(Via::Kind(kind));
+    let portable = lla_scripts(Via::Kind(ScanKind::Portable));
+    let fieldwise = lla_scripts(Via::Fieldwise);
+    for ((name, g), ((_, p), (_, f))) in got.iter().zip(portable.iter().zip(&fieldwise)) {
+        assert_steps_equal(&format!("{name} {kind:?} vs portable"), g, p, true);
+        assert_steps_equal(&format!("{name} {kind:?} vs fieldwise"), g, f, false);
+    }
+}
 
-    let mut want: Option<[Vec<Step>; 5]> = None;
-    for &k in &kinds {
-        assert_eq!(simd::set_scan_kind(k), k);
-        let mut lla2: Lla<PostedEntry, 2> = Lla::with_addr(AddrSpace::contiguous(1 << 30));
-        let mut lla8: Lla<PostedEntry, 8> = Lla::with_addr(AddrSpace::contiguous(1 << 31));
-        let mut lla32: Lla<PostedEntry, 32> = Lla::with_addr(AddrSpace::contiguous(1 << 32));
-        let mut lla48: Lla<PostedEntry, 48> = Lla::with_addr(AddrSpace::contiguous(1 << 33));
-        let mut base: BaselineList<PostedEntry> =
-            BaselineList::with_addr(AddrSpace::contiguous(1 << 34));
-        let got = [
-            run_script(&mut lla2, 0x51D0_0010),
-            run_script(&mut lla8, 0x51D0_0011),
-            run_script(&mut lla32, 0x51D0_0012),
-            run_script(&mut lla48, 0x51D0_0013),
-            run_script(&mut base, 0x51D0_0014),
-        ];
-        // The scripts must actually exercise hits, not just misses.
-        for (g, name) in got
-            .iter()
-            .zip(["lla2", "lla8", "lla32", "lla48", "baseline"])
-        {
-            let hits = g.iter().filter(|s| s.0.is_some()).count();
-            assert!(hits > 20, "{name}: only {hits} hits under {k:?}");
-        }
-        match &want {
-            None => want = Some(got),
-            Some(w) => {
-                for (i, name) in ["lla2", "lla8", "lla32", "lla48", "baseline"]
-                    .iter()
-                    .enumerate()
-                {
-                    assert_steps_equal(k, &got[i], &w[i], name);
-                }
-            }
-        }
+#[test]
+fn portable_lists_match_the_reference_scan() {
+    kind_matches_portable_and_fieldwise(ScanKind::Portable);
+}
+
+#[test]
+fn simd128_lists_trace_identically_to_portable() {
+    kind_matches_portable_and_fieldwise(ScanKind::Simd128);
+}
+
+#[test]
+fn simd256_lists_trace_identically_to_portable() {
+    kind_matches_portable_and_fieldwise(ScanKind::Simd256);
+}
+
+/// `search_remove` is `search_remove_as(detect_best())`: byte-identical
+/// traces on every LLA shape. The baseline list has one walk, so its
+/// default run is checked against its own reference scan, whose charges
+/// it reproduces exactly.
+#[test]
+fn default_search_is_the_detected_kind() {
+    let default = lla_scripts(Via::Default);
+    let detected = lla_scripts(Via::Kind(simd::detect_best()));
+    for ((name, d), (_, k)) in default.iter().zip(&detected) {
+        assert_steps_equal(&format!("{name} default vs detected"), d, k, true);
     }
 
-    simd::set_scan_kind(orig);
+    let base = || BaselineList::<PostedEntry>::with_addr(AddrSpace::contiguous(1 << 34));
+    let packed = run_script(&mut base(), 0x51D0_0014, |l, p, s| l.search_remove(p, s));
+    let reference = run_script(&mut base(), 0x51D0_0014, |l, p, s| {
+        l.search_remove_fieldwise(p, s)
+    });
+    assert_steps_equal("baseline packed vs fieldwise", &packed, &reference, true);
+}
+
+/// A kind the CPU cannot run is clamped, not executed. The clamp is `min`
+/// over `ScanKind`'s derived order, so that order — weakest first — is the
+/// safety property: were it wrong, `Simd256` would survive the clamp on a
+/// CPU without AVX2.
+#[test]
+fn a_kind_above_detection_is_clamped_not_executed() {
+    assert!(ScanKind::Portable < ScanKind::Simd128 && ScanKind::Simd128 < ScanKind::Simd256);
+    let best = simd::detect_best();
+    #[cfg(not(target_arch = "x86_64"))]
+    assert_eq!(
+        best,
+        ScanKind::Portable,
+        "no vector kernel exists off x86-64"
+    );
+    for k in ScanKind::ALL {
+        let clamped = simd::clamp_supported(k);
+        assert_eq!(clamped, k.min(best));
+        // Runs `k` as given: where `k > best` this faults unless clamped.
+        let got = lla_script::<8>(Via::Kind(k), 0x51D0_0015);
+        let want = lla_script::<8>(Via::Kind(clamped), 0x51D0_0015);
+        assert_steps_equal(&format!("{k:?} vs clamped {clamped:?}"), &got, &want, true);
+    }
 }
