@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use spc_bench::{print_table, small_flag};
 use spc_core::concurrent::SharedEngine;
-use spc_core::engine::MatchEngine;
+use spc_core::engine::{Engine, MatchEngine, Op};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use spc_core::list::BaselineList;
 use spc_core::shard::ShardedEngine;
@@ -88,20 +88,16 @@ fn decomposition_table() {
 /// One thread per source rank, each posting and immediately matching its
 /// own messages: the all-shards-busy, zero-cross-traffic regime. Returns
 /// ops/sec (posts + arrivals).
-fn throughput<E: Sync>(
-    eng: &E,
-    threads: usize,
-    per_thread: u64,
-    post: impl Fn(&E, RecvSpec, u64) + Sync,
-    arrive: impl Fn(&E, Envelope, u64) + Sync,
-) -> f64 {
+fn throughput<H>(eng: H, threads: usize, per_thread: u64) -> f64
+where
+    H: Engine<Stamp = u64> + Copy + Send,
+{
     let go = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
             let go = &go;
-            let post = &post;
-            let arrive = &arrive;
+            let mut eng = eng;
             scope.spawn(move || {
                 go.fetch_add(1, Ordering::AcqRel);
                 while (go.load(Ordering::Acquire) as usize) < threads {
@@ -110,8 +106,14 @@ fn throughput<E: Sync>(
                 let rank = t as i32;
                 for i in 0..per_thread {
                     let tag = i as i32;
-                    post(eng, RecvSpec::new(rank, tag, 0), i);
-                    arrive(eng, Envelope::new(rank, tag, 0), i);
+                    eng.apply(Op::PostRecv {
+                        spec: RecvSpec::new(rank, tag, 0),
+                        request: i,
+                    });
+                    eng.apply(Op::Arrival {
+                        env: Envelope::new(rank, tag, 0),
+                        payload: i,
+                    });
                 }
             });
         }
@@ -124,31 +126,11 @@ fn throughput_table(per_thread: u64) {
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let sh = shared();
-        let shared_ops = throughput(
-            &sh,
-            threads,
-            per_thread,
-            |e, s, r| {
-                e.post_recv(s, r);
-            },
-            |e, v, p| {
-                e.arrival(v, p);
-            },
-        );
+        let shared_ops = throughput(&sh, threads, per_thread);
         let shared_lock = sh.lock_stats();
 
         let sd = sharded();
-        let sharded_ops = throughput(
-            &sd,
-            threads,
-            per_thread,
-            |e, s, r| {
-                e.post_recv(s, r);
-            },
-            |e, v, p| {
-                e.arrival(v, p);
-            },
-        );
+        let sharded_ops = throughput(&sd, threads, per_thread);
         let sharded_lock = sd.lock_stats();
 
         rows.push(vec![

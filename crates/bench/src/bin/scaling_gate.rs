@@ -19,9 +19,10 @@
 //! keys, every thread on all of them), so shard locks genuinely collide
 //! and receives match messages from any thread; a write cell whose
 //! matches fall below 40 % of its arrivals fails the gate, because a mix
-//! that stops matching measures queue growth. The read mix pre-seeds unexpected
-//! messages and probes them from every thread with a trickle of writer
-//! traffic to keep the seqlock retry path honest.
+//! that stops matching measures queue growth. The read mix pre-seeds
+//! unexpected messages and probes them from every thread with a trickle
+//! of matched write pairs to keep the seqlock retry path honest; its cells
+//! must meet the same 40 % floor on those pairs.
 //!
 //! Usage: `scaling_gate [--quick] [--out <path>]` (also `--json`;
 //! default `BENCH_concurrency.json`). `--quick` caps the sweep at 8
@@ -31,7 +32,7 @@ use std::time::Instant;
 
 use criterion::report::{self, Record};
 use spc_core::concurrent::SharedEngine;
-use spc_core::engine::MatchEngine;
+use spc_core::engine::{Engine, MatchEngine, Op};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use spc_core::ingest::BatchedEngine;
 use spc_core::list::Lla;
@@ -47,98 +48,80 @@ const SRC_OVERLAP: i32 = 8;
 type Prq = Lla<PostedEntry, 2>;
 type Umq = Lla<UnexpectedEntry, 3>;
 
-/// The surface a gate cell drives: thread-indexed ops (the batched
-/// engine routes each thread through its own ring producer) plus the
-/// counters that attribute the cell's timing.
-trait GateEngine: Sync {
-    fn post(&self, thread: usize, spec: RecvSpec, req: u64);
-    fn arrive(&self, thread: usize, env: Envelope, payload: u64);
-    fn probe(&self, thread: usize, spec: RecvSpec) -> Option<(u64, u32)>;
+/// The engine under a gate cell. Workers drive it through
+/// [`Engine::apply`]; the rest is what attributes the cell's timing.
+enum Subject {
+    Shared(SharedEngine<Prq, Umq>),
+    Sharded(ShardedEngine<Prq, Umq>),
+    Batched(BatchedEngine<Prq, Umq>),
+}
+
+impl Subject {
+    fn new(kind: &str, producers: usize) -> Self {
+        match kind {
+            "shared" => {
+                Subject::Shared(SharedEngine::new(MatchEngine::new(Lla::new(), Lla::new())))
+            }
+            "sharded-locked" => {
+                let eng = ShardedEngine::new(SHARDS, Lla::new, Lla::new);
+                eng.set_locked_reads(true);
+                Subject::Sharded(eng)
+            }
+            "sharded" => Subject::Sharded(ShardedEngine::new(SHARDS, Lla::new, Lla::new)),
+            "batched" => Subject::Batched(BatchedEngine::new(
+                SHARDS,
+                producers,
+                BATCH,
+                Lla::new,
+                Lla::new,
+            )),
+            other => panic!("unknown engine kind {other}"),
+        }
+    }
+
+    /// Thread `t`'s handle (the batched engine routes each thread through
+    /// its own ring producer).
+    fn client(&self, t: usize) -> Box<dyn Engine<Stamp = u64> + Send + '_> {
+        match self {
+            Subject::Shared(e) => Box::new(e),
+            Subject::Sharded(e) => Box::new(e),
+            Subject::Batched(e) => Box::new(e.producer(t)),
+        }
+    }
+
     /// Quiescent-point barrier after the workers join (ring drain).
-    fn finish(&self) {}
-    fn lock_stats(&self) -> LockStats;
-    fn stats(&self) -> EngineStats;
+    fn finish(&self) {
+        if let Subject::Batched(e) = self {
+            e.flush_all();
+        }
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.client(0).stats()
+    }
+
+    fn lock_stats(&self) -> LockStats {
+        let conc = self.stats().concurrency;
+        conc.expect("concurrent engines report their locks")
+            .total_lock()
+    }
+
     /// Seqlock interference: snapshot retries plus locked fallbacks, when
     /// the engine has lock-free read paths.
     fn snap_interference(&self) -> Option<u64> {
-        None
-    }
-    fn batch(&self) -> u64 {
-        0
-    }
-}
-
-struct Shared(SharedEngine<Prq, Umq>);
-
-impl GateEngine for Shared {
-    fn post(&self, _t: usize, spec: RecvSpec, req: u64) {
-        self.0.post_recv(spec, req);
-    }
-    fn arrive(&self, _t: usize, env: Envelope, payload: u64) {
-        self.0.arrival(env, payload);
-    }
-    fn probe(&self, _t: usize, spec: RecvSpec) -> Option<(u64, u32)> {
-        self.0.iprobe(spec)
-    }
-    fn lock_stats(&self) -> LockStats {
-        self.0.lock_stats()
-    }
-    fn stats(&self) -> EngineStats {
-        self.0.stats()
-    }
-}
-
-struct Sharded(ShardedEngine<Prq, Umq>);
-
-impl GateEngine for Sharded {
-    fn post(&self, _t: usize, spec: RecvSpec, req: u64) {
-        self.0.post_recv(spec, req);
-    }
-    fn arrive(&self, _t: usize, env: Envelope, payload: u64) {
-        self.0.arrival(env, payload);
-    }
-    fn probe(&self, _t: usize, spec: RecvSpec) -> Option<(u64, u32)> {
-        self.0.iprobe(spec)
-    }
-    fn lock_stats(&self) -> LockStats {
-        self.0.lock_stats()
-    }
-    fn stats(&self) -> EngineStats {
-        self.0.stats()
-    }
-    fn snap_interference(&self) -> Option<u64> {
-        let s = self.0.snap_read_stats();
+        let s = match self {
+            Subject::Shared(_) => return None,
+            Subject::Sharded(e) => e.snap_read_stats(),
+            Subject::Batched(e) => e.inner().snap_read_stats(),
+        };
         Some(s.probe_retries + s.probe_fallbacks + s.prescan_fallbacks)
     }
-}
 
-struct Batched(BatchedEngine<Prq, Umq>);
-
-impl GateEngine for Batched {
-    fn post(&self, t: usize, spec: RecvSpec, req: u64) {
-        self.0.producer(t).post_recv(spec, req);
-    }
-    fn arrive(&self, t: usize, env: Envelope, payload: u64) {
-        self.0.producer(t).arrival(env, payload);
-    }
-    fn probe(&self, t: usize, spec: RecvSpec) -> Option<(u64, u32)> {
-        self.0.producer(t).iprobe_seq(spec).1
-    }
-    fn finish(&self) {
-        self.0.flush_all();
-    }
-    fn lock_stats(&self) -> LockStats {
-        self.0.lock_stats()
-    }
-    fn stats(&self) -> EngineStats {
-        self.0.stats()
-    }
-    fn snap_interference(&self) -> Option<u64> {
-        let s = self.0.inner().snap_read_stats();
-        Some(s.probe_retries + s.probe_fallbacks + s.prescan_fallbacks)
-    }
     fn batch(&self) -> u64 {
-        BATCH as u64
+        match self {
+            Subject::Batched(_) => BATCH as u64,
+            _ => 0,
+        }
     }
 }
 
@@ -159,60 +142,61 @@ impl Mix {
 
 /// One worker's slice of a cell: `n` ops from thread `t`, handles drawn
 /// from the thread's id space.
-fn run_worker<E: GateEngine + ?Sized>(eng: &E, mix: Mix, t: usize, n: usize) {
+fn run_worker(eng: &mut dyn Engine<Stamp = u64>, mix: Mix, t: usize, n: usize) {
     let id = |c: usize| ((t as u64) << 32) | c as u64;
-    match mix {
-        // Posts and arrivals in equal measure on overlapping sources:
-        // cross-thread matches are common and every op wants a shard
-        // lock (or a ring slot). Both halves of a pair carry the key of
-        // `i / 2` — keyed on `i` itself, posts would only ever see even
-        // keys and arrivals odd ones, and nothing would match.
-        Mix::Write => {
-            for i in 0..n {
+    let post = |src, tag, i| Op::PostRecv {
+        spec: RecvSpec::new(src, tag, 0),
+        request: id(i),
+    };
+    let arrive = |src, tag, i| Op::Arrival {
+        env: Envelope::new(src, tag, 0),
+        payload: id(i),
+    };
+    for i in 0..n {
+        let op = match mix {
+            // Posts and arrivals in equal measure on overlapping sources:
+            // cross-thread matches are common and every op wants a shard
+            // lock (or a ring slot). Both halves of a pair carry the key
+            // of `i / 2` — keyed on `i` itself, posts would only ever see
+            // even keys and arrivals odd ones, and nothing would match.
+            Mix::Write => {
                 let key = (i / 2) as i32;
-                let src = key % SRC_OVERLAP;
-                let tag = key % 32;
+                let (src, tag) = (key % SRC_OVERLAP, key % 32);
                 if i % 2 == 0 {
-                    eng.post(t, RecvSpec::new(src, tag, 0), id(i));
+                    post(src, tag, i)
                 } else {
-                    eng.arrive(t, Envelope::new(src, tag, 0), id(i));
+                    arrive(src, tag, i)
                 }
             }
-        }
-        // ~90 % probes against the pre-seeded unexpected messages, with
-        // a trickle of matched write pairs so snapshot readers really do
-        // race writers.
-        Mix::Read => {
-            for i in 0..n {
-                let src = (i as i32) % SRC_OVERLAP;
-                if i % 10 == 8 {
-                    eng.arrive(t, Envelope::new(src, 40, 0), id(i));
-                } else if i % 10 == 9 {
-                    eng.post(t, RecvSpec::new(src, 40, 0), id(i));
-                } else {
+            // 80 % probes against the pre-seeded unexpected messages,
+            // with a trickle of matched write pairs so snapshot readers
+            // really do race writers. Both halves of a pair carry the
+            // source of `i / 10`, for the reason above.
+            Mix::Read => {
+                let pair_src = (i / 10) as i32 % SRC_OVERLAP;
+                match i % 10 {
+                    8 => arrive(pair_src, 40, i),
+                    9 => post(pair_src, 40, i),
                     // Probe a tag that never matches: full-depth scan.
-                    eng.probe(t, RecvSpec::new(src, 99, 0));
+                    _ => Op::Iprobe {
+                        spec: RecvSpec::new(i as i32 % SRC_OVERLAP, 99, 0),
+                    },
                 }
             }
-        }
+        };
+        eng.apply(op);
     }
 }
 
-fn run_cell<E: GateEngine + ?Sized>(
-    eng: &E,
-    engine: &str,
-    mix: Mix,
-    threads: usize,
-    total: usize,
-) -> Record {
+fn run_cell(eng: &Subject, engine: &str, mix: Mix, threads: usize, total: usize) -> Record {
     if mix == Mix::Read {
         // Resident unexpected messages for the probes to scan past.
+        let mut seeder = eng.client(0);
         for i in 0..64u64 {
-            eng.arrive(
-                0,
-                Envelope::new((i as i32) % SRC_OVERLAP, 7, 1),
-                1 << 48 | i,
-            );
+            seeder.apply(Op::Arrival {
+                env: Envelope::new((i as i32) % SRC_OVERLAP, 7, 1),
+                payload: 1 << 48 | i,
+            });
         }
         eng.finish();
     }
@@ -223,25 +207,29 @@ fn run_cell<E: GateEngine + ?Sized>(
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
-            s.spawn(move || run_worker(eng, mix, t, per_thread));
+            s.spawn(move || run_worker(eng.client(t).as_mut(), mix, t, per_thread));
         }
     });
     eng.finish();
     let elapsed = start.elapsed();
     let after = eng.lock_stats();
-    if mix == Mix::Write {
-        // Every thread sends as many messages as it posts receives, on
-        // keys all threads share, so at quiescence nearly all of them
-        // have met; far fewer means the mix has stopped matching.
-        let arrivals = (per_thread / 2 * threads) as u64;
-        let stats = eng.stats();
-        let hits = stats.prq_hits + stats.umq_hits;
-        assert!(
-            hits * 10 >= arrivals * 4,
-            "conc/write/{engine}/t{threads}: only {hits} matches for {arrivals} arrivals — \
-             the write mix must match, not grow queues"
-        );
-    }
+    // Every thread sends as many messages as it posts receives, on keys
+    // all threads share (write) or its own (read), so at quiescence nearly
+    // all of them have met; far fewer means the mix has stopped matching
+    // and the cell measures queue growth.
+    let arrivals_per_thread = match mix {
+        Mix::Write => per_thread / 2,
+        Mix::Read => (0..per_thread).filter(|i| i % 10 == 8).count(),
+    };
+    let arrivals = (arrivals_per_thread * threads) as u64;
+    let stats = eng.stats();
+    let hits = stats.prq_hits + stats.umq_hits;
+    assert!(
+        hits * 10 >= arrivals * 4,
+        "conc/{}/{engine}/t{threads}: only {hits} matches for {arrivals} arrivals — \
+         the mix must match, not grow queues",
+        mix.label()
+    );
     let acq = after.acquisitions - before.acquisitions;
     let contended = after.contended - before.contended;
     let ns_per_op = elapsed.as_nanos() as f64 / ops as f64;
@@ -264,29 +252,6 @@ fn run_cell<E: GateEngine + ?Sized>(
             .snap_interference()
             .map(|r| 100.0 * (r - snap_before) as f64 / ops as f64),
         ..Record::default()
-    }
-}
-
-fn mk_engine(kind: &str, producers: usize) -> Box<dyn GateEngine> {
-    match kind {
-        "shared" => Box::new(Shared(SharedEngine::new(MatchEngine::new(
-            Lla::new(),
-            Lla::new(),
-        )))),
-        "sharded-locked" => {
-            let eng = ShardedEngine::new(SHARDS, Lla::new, Lla::new);
-            eng.set_locked_reads(true);
-            Box::new(Sharded(eng))
-        }
-        "sharded" => Box::new(Sharded(ShardedEngine::new(SHARDS, Lla::new, Lla::new))),
-        "batched" => Box::new(Batched(BatchedEngine::new(
-            SHARDS,
-            producers,
-            BATCH,
-            Lla::new,
-            Lla::new,
-        ))),
-        other => panic!("unknown engine kind {other}"),
     }
 }
 
@@ -314,8 +279,8 @@ fn main() {
     for &mix in &[Mix::Write, Mix::Read] {
         for &engine in &engines {
             for &t in threads {
-                let eng = mk_engine(engine, t);
-                let r = run_cell(eng.as_ref(), engine, mix, t, total);
+                let eng = Subject::new(engine, t);
+                let r = run_cell(&eng, engine, mix, t, total);
                 println!(
                     "conc: {:<28} {:>9.1} ns/op  {:>6.3} locks/op  {:>5.1}% contended",
                     r.name,

@@ -10,7 +10,7 @@
 //! `QueueBounds`) behind the `spc-workload` queueing model. A standing
 //! window of receives (popularity-shaped, never-matching tags) keeps
 //! searches at realistic depth; each request then runs one expected- or
-//! unexpected-path message flow through the bounded `try_*` surface, and
+//! unexpected-path message flow through `Engine::apply`, and
 //! its wall-clock service time feeds the discrete-event queue. A 1-client
 //! closed-loop warmup calibrates the mean service time; open-loop cells
 //! then offer `load ×` that capacity as Poisson arrivals (one cell adds 4×
@@ -27,11 +27,11 @@
 
 use criterion::report;
 use spc_core::entry::{PostedEntry, UnexpectedEntry};
-use spc_core::list::{BaselineList, HashBins, Lla, MatchList, SourceBins};
-use spc_core::{MatchEngine, QueueBounds};
+use spc_core::list::{BaselineList, HashBins, Lla, SourceBins};
+use spc_core::{Engine, MatchEngine, QueueBounds};
 use spc_workload::{
     closed_loop, drive, open_loop, Burst, ClosedLoopCfg, EngineTally, OpenLoopCfg, Popularity,
-    Request, RequestGen, TrafficCfg,
+    RequestGen, TrafficCfg,
 };
 use std::time::Instant;
 
@@ -73,67 +73,37 @@ impl ArrivalKind {
     }
 }
 
-/// Object-safe facade over the concrete engine types, so one scenario
-/// runner drives every structure row.
-trait TrafficEngine {
-    fn prime(&mut self, sources: &[i32], window: usize);
-    fn exec(&mut self, req: Request, handle: u64) -> EngineTally;
-    fn engine_rejections(&self) -> u64;
-    fn mean_prq_depth(&self) -> f64;
-}
+/// One scenario runner drives every structure row: the box hides the
+/// structure choice, [`Engine`] is the whole surface it needs.
+type BoxedEngine = Box<dyn Engine<Stamp = ()>>;
 
-struct Eng<P, U>(MatchEngine<P, U>)
-where
-    P: MatchList<PostedEntry>,
-    U: MatchList<UnexpectedEntry>;
-
-impl<P, U> TrafficEngine for Eng<P, U>
-where
-    P: MatchList<PostedEntry>,
-    U: MatchList<UnexpectedEntry>,
-{
-    fn prime(&mut self, sources: &[i32], window: usize) {
-        drive::prime_standing(&mut self.0, sources, window);
-    }
-    fn exec(&mut self, req: Request, handle: u64) -> EngineTally {
-        drive::execute(&mut self.0, req, handle)
-    }
-    fn engine_rejections(&self) -> u64 {
-        let s = self.0.stats();
-        s.prq_rejections + s.umq_rejections
-    }
-    fn mean_prq_depth(&self) -> f64 {
-        self.0.stats().prq_search.mean()
-    }
-}
-
-fn make_engine(structure: &str) -> Box<dyn TrafficEngine> {
+fn make_engine(structure: &str) -> BoxedEngine {
     let bounds = QueueBounds {
         max_prq: usize::MAX,
         max_umq: MAX_UMQ,
     };
     type Umq = Lla<UnexpectedEntry, 3>;
     match structure {
-        "baseline" => Box::new(Eng(MatchEngine::with_bounds(
+        "baseline" => Box::new(MatchEngine::with_bounds(
             BaselineList::<PostedEntry>::new(),
             Umq::new(),
             bounds,
-        ))),
-        "lla2" => Box::new(Eng(MatchEngine::with_bounds(
+        )),
+        "lla2" => Box::new(MatchEngine::with_bounds(
             Lla::<PostedEntry, 2>::new(),
             Umq::new(),
             bounds,
-        ))),
-        "bins" => Box::new(Eng(MatchEngine::with_bounds(
+        )),
+        "bins" => Box::new(MatchEngine::with_bounds(
             SourceBins::<PostedEntry>::new(SOURCES as usize),
             Umq::new(),
             bounds,
-        ))),
-        "hashbins" => Box::new(Eng(MatchEngine::with_bounds(
+        )),
+        "hashbins" => Box::new(MatchEngine::with_bounds(
             HashBins::<PostedEntry>::new(),
             Umq::new(),
             bounds,
-        ))),
+        )),
         other => panic!("unknown structure {other}"),
     }
 }
@@ -171,16 +141,16 @@ fn run_scenario(
     let standing: Vec<i32> = (0..cfg.window)
         .map(|_| std_gen.next_request().source)
         .collect();
-    eng.prime(&standing, cfg.window);
+    drive::prime_standing(eng.as_mut(), &standing, cfg.window);
 
     let mut gen = RequestGen::new(traffic);
     let mut tally = EngineTally::default();
     let mut handle = 0u64;
     let mut serve =
-        move |eng: &mut dyn TrafficEngine, gen: &mut RequestGen, tally: &mut EngineTally| {
+        move |eng: &mut dyn Engine<Stamp = ()>, gen: &mut RequestGen, tally: &mut EngineTally| {
             let req = gen.next_request();
             let t0 = Instant::now();
-            let t = eng.exec(req, handle);
+            let t = drive::execute(eng, req, handle);
             let ns = t0.elapsed().as_nanos() as u64;
             handle += 1;
             tally.absorb(t);
@@ -226,7 +196,8 @@ fn run_scenario(
     };
 
     let offered = (run.served + run.rejected) as f64;
-    let engine_rej = eng.engine_rejections();
+    let stats = eng.stats();
+    let engine_rej = stats.prq_rejections + stats.umq_rejections;
     let reject_pct = 100.0 * (run.rejected as f64 + engine_rej as f64) / offered.max(1.0);
     let name = format!(
         "traffic/{}/{}/{}/{}",
@@ -243,7 +214,7 @@ fn run_scenario(
         run.latency.percentile(0.999),
         run.occupancy.mean(),
         run.occupancy.max,
-        eng.mean_prq_depth(),
+        stats.prq_search.mean(),
     );
     report::Record {
         name,

@@ -12,10 +12,11 @@
 //!    (posts with wildcards, arrivals, probes, cancels of the thread's
 //!    own requests; no clears — a reset is not linearizable against
 //!    in-flight matches and real MPI serializes communicator teardown).
-//! 2. [`run_concurrent`] runs the streams through a [`ConcEngine`] from
-//!    real threads. Every operation comes back with a **seq stamp** the
-//!    engine assigned at its linearization point (while holding every
-//!    lock the operation used), plus its observed outcome.
+//! 2. [`run_concurrent`] runs the streams from real threads through an
+//!    [`Engine`] handle whose stamp is a `u64`. Every operation comes back
+//!    with the **seq stamp** the engine assigned at its linearization
+//!    point (while holding every lock the operation used), plus its
+//!    observed [`Outcome`].
 //! 3. [`verify_log`] sorts the merged log by seq and replays it through
 //!    the Vec-backed oracle engine. If the concurrent execution was
 //!    linearizable with FIFO (non-overtaking) matching, every outcome —
@@ -30,14 +31,11 @@
 
 use std::collections::HashSet;
 
-use crate::driver::ConformEngine;
 use crate::oracle::OracleList;
-use spc_core::concurrent::SharedEngine;
-use spc_core::engine::{ArrivalOutcome, MatchEngine, RecvOutcome};
+use spc_core::engine::{Engine, MatchEngine, Op, Outcome};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
-use spc_core::ingest::{BatchedEngine, IngestOp};
+use spc_core::ingest::BatchedEngine;
 use spc_core::list::MatchList;
-use spc_core::shard::ShardedEngine;
 use spc_rng::{Rng, SeedableRng, StdRng};
 
 use crate::ops::{CTXS, RANKS, TAGS};
@@ -86,183 +84,26 @@ pub enum ConcOp {
     },
 }
 
-/// The surface a thread-safe engine must expose to the concurrent
-/// driver: every workload operation, seq-stamped at its linearization
-/// point.
-pub trait ConcEngine: Sync {
-    /// Seq-stamped [`spc_core::MatchEngine::post_recv`].
-    fn post_recv_seq(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome);
-    /// Seq-stamped [`spc_core::MatchEngine::arrival`].
-    fn arrival_seq(&self, env: Envelope, payload: u64) -> (u64, ArrivalOutcome);
-    /// Seq-stamped [`spc_core::MatchEngine::cancel_recv`].
-    fn cancel_recv_seq(&self, request: u64) -> (u64, bool);
-    /// Seq-stamped [`spc_core::MatchEngine::iprobe`].
-    fn iprobe_seq(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>);
-    /// Current `(prq, umq)` lengths (quiescent use only).
-    fn queue_lens(&self) -> (usize, usize);
-    /// Structural invariant check, quiescent use only (the engines take
-    /// their own locks). [`run_and_verify`] and the stepped scheduler call
-    /// it after the racing threads join, under
-    /// `--features debug_invariants`.
-    fn validate(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-impl<P, U> ConcEngine for SharedEngine<P, U>
-where
-    P: MatchList<PostedEntry> + Send,
-    U: MatchList<UnexpectedEntry> + Send,
-{
-    fn post_recv_seq(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome) {
-        SharedEngine::post_recv_seq(self, spec, request)
-    }
-    fn arrival_seq(&self, env: Envelope, payload: u64) -> (u64, ArrivalOutcome) {
-        SharedEngine::arrival_seq(self, env, payload)
-    }
-    fn cancel_recv_seq(&self, request: u64) -> (u64, bool) {
-        SharedEngine::cancel_recv_seq(self, request)
-    }
-    fn iprobe_seq(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>) {
-        SharedEngine::iprobe_seq(self, spec)
-    }
-    fn queue_lens(&self) -> (usize, usize) {
-        SharedEngine::queue_lens(self)
-    }
-    fn validate(&self) -> Result<(), String> {
-        SharedEngine::validate(self)
-    }
-}
-
-impl<P, U> ConcEngine for ShardedEngine<P, U>
-where
-    P: MatchList<PostedEntry> + Send,
-    U: MatchList<UnexpectedEntry> + Send,
-{
-    fn post_recv_seq(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome) {
-        ShardedEngine::post_recv_seq(self, spec, request)
-    }
-    fn arrival_seq(&self, env: Envelope, payload: u64) -> (u64, ArrivalOutcome) {
-        ShardedEngine::arrival_seq(self, env, payload)
-    }
-    fn cancel_recv_seq(&self, request: u64) -> (u64, bool) {
-        ShardedEngine::cancel_recv_seq(self, request)
-    }
-    fn iprobe_seq(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>) {
-        ShardedEngine::iprobe_seq(self, spec)
-    }
-    fn queue_lens(&self) -> (usize, usize) {
-        ShardedEngine::queue_lens(self)
-    }
-    fn validate(&self) -> Result<(), String> {
-        ShardedEngine::validate(self)
-    }
-}
-
-/// The sharded engine can also run the single-threaded lockstep driver
-/// ([`crate::driver::diff_engine`], with [`crate::driver::DepthMode::Bounded`]
-/// — shard-local searches legitimately inspect fewer entries). Its
-/// `queue_ids` merge the shard indexes in global seq order, so snapshots
-/// are compared exactly against the oracle.
-impl<P, U> ConformEngine for ShardedEngine<P, U>
-where
-    P: MatchList<PostedEntry> + Send,
-    U: MatchList<UnexpectedEntry> + Send,
-{
-    fn post_recv(&mut self, spec: RecvSpec, request: u64) -> RecvOutcome {
-        ShardedEngine::post_recv(self, spec, request)
-    }
-    fn arrival(&mut self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        ShardedEngine::arrival(self, env, payload)
-    }
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)> {
-        ShardedEngine::iprobe(self, spec)
-    }
-    fn cancel_recv(&mut self, request: u64) -> bool {
-        ShardedEngine::cancel_recv(self, request)
-    }
-    fn prq_len(&self) -> usize {
-        self.queue_lens().0
-    }
-    fn umq_len(&self) -> usize {
-        self.queue_lens().1
-    }
-    fn reset(&mut self) {
-        ShardedEngine::reset(self)
-    }
-    fn queue_ids(&self) -> Option<(Vec<u64>, Vec<u64>)> {
-        Some(ShardedEngine::queue_ids(self))
-    }
-    fn validate(&self) -> Result<(), String> {
-        ShardedEngine::validate(self)
-    }
-}
-
-/// One executed operation: its seq stamp, the thread that ran it, and the
-/// fully-resolved action with its observed outcome.
+/// One executed operation: its seq stamp, the thread that ran it, the
+/// fully-resolved op and the outcome the engine reported.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LogRecord {
     /// Linearization stamp the engine assigned.
     pub seq: u64,
     /// Index of the thread that executed the op.
     pub thread: usize,
-    /// What ran and what it observed.
-    pub action: Action,
-}
-
-/// A resolved operation plus its observed outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Action {
-    /// A receive post; `matched` is the unexpected payload it consumed,
-    /// if any.
-    Post {
-        /// Requested rank, or `None` for `MPI_ANY_SOURCE`.
-        rank: Option<i32>,
-        /// Requested tag, or `None` for `MPI_ANY_TAG`.
-        tag: Option<i32>,
-        /// Receive context id.
-        ctx: u16,
-        /// Request handle issued for this receive.
-        req: u64,
-        /// Payload of the unexpected message it matched, if any.
-        matched: Option<u64>,
-    },
-    /// A message arrival; `matched` is the receive request it satisfied,
-    /// if any.
-    Arrive {
-        /// Message source rank.
-        rank: i32,
-        /// Message tag.
-        tag: i32,
-        /// Message context id.
-        ctx: u16,
-        /// Payload handle issued for this message.
-        payload: u64,
-        /// Request of the posted receive it matched, if any.
-        matched: Option<u64>,
-    },
-    /// A cancellation attempt and whether it found the receive pending.
-    Cancel {
-        /// Request handle targeted.
-        req: u64,
-        /// Whether the receive was still pending.
-        hit: bool,
-    },
-    /// A probe and the `(payload, depth)` it reported.
-    Probe {
-        /// Requested rank, or `None` for `MPI_ANY_SOURCE`.
-        rank: Option<i32>,
-        /// Requested tag, or `None` for `MPI_ANY_TAG`.
-        tag: Option<i32>,
-        /// Probe context id.
-        ctx: u16,
-        /// What the probe observed.
-        found: Option<(u64, u32)>,
-    },
+    /// What ran.
+    pub op: Op,
+    /// What it observed.
+    pub out: Outcome,
 }
 
 fn spec_of(rank: Option<i32>, tag: Option<i32>, ctx: u16) -> RecvSpec {
     RecvSpec::new(rank.unwrap_or(ANY_SOURCE), tag.unwrap_or(ANY_TAG), ctx)
+}
+
+fn is_probe(r: &LogRecord) -> bool {
+    matches!(r.op, Op::Iprobe { .. })
 }
 
 /// Sorts a merged log into linearization order: by seq stamp, with
@@ -271,11 +112,12 @@ fn spec_of(rank: Option<i32>, tag: Option<i32>, ctx: u16) -> RecvSpec {
 /// observed every writer `< s` and linearizes *before* the writer that
 /// next claims `s`.
 pub fn sort_log(log: &mut [LogRecord]) {
-    log.sort_unstable_by_key(|r| (r.seq, !matches!(r.action, Action::Probe { .. })));
+    log.sort_unstable_by_key(|r| (r.seq, !is_probe(r)));
 }
 
-/// Per-thread execution state: resolves [`ConcOp`]s to concrete handles
-/// from the thread's id space and records seq-stamped outcomes.
+/// Per-thread execution state: resolves [`ConcOp`]s to [`Op`]s with
+/// concrete handles from the thread's id space and records seq-stamped
+/// outcomes.
 pub struct ThreadExec {
     thread: usize,
     posted: u64,
@@ -296,80 +138,41 @@ impl ThreadExec {
         ((self.thread as u64) << 32) | counter
     }
 
-    /// Executes one op against `eng`, returning its log record.
-    pub fn run<E: ConcEngine + ?Sized>(&mut self, eng: &E, op: ConcOp) -> LogRecord {
-        let thread = self.thread;
-        match op {
+    /// Executes one op against `eng`, returning its log record — or
+    /// `None` for an op a batched engine's producer buffered, whose record
+    /// surfaces in the drain log when its ring is applied.
+    pub fn run<E: Engine<Stamp = u64>>(&mut self, eng: &mut E, op: ConcOp) -> Option<LogRecord> {
+        let op = match op {
             ConcOp::Post { rank, tag, ctx } => {
-                let req = self.id(self.posted);
+                let (spec, request) = (spec_of(rank, tag, ctx), self.id(self.posted));
                 self.posted += 1;
-                let (seq, out) = eng.post_recv_seq(spec_of(rank, tag, ctx), req);
-                let matched = match out {
-                    RecvOutcome::MatchedUnexpected { payload, .. } => Some(payload),
-                    RecvOutcome::Posted => None,
-                };
-                LogRecord {
-                    seq,
-                    thread,
-                    action: Action::Post {
-                        rank,
-                        tag,
-                        ctx,
-                        req,
-                        matched,
-                    },
-                }
+                Op::PostRecv { spec, request }
             }
             ConcOp::Arrive { rank, tag, ctx } => {
-                let payload = self.id(self.sent);
+                let (env, payload) = (Envelope::new(rank, tag, ctx), self.id(self.sent));
                 self.sent += 1;
-                let (seq, out) = eng.arrival_seq(Envelope::new(rank, tag, ctx), payload);
-                let matched = match out {
-                    ArrivalOutcome::MatchedPosted { request, .. } => Some(request),
-                    ArrivalOutcome::Queued => None,
-                };
-                LogRecord {
-                    seq,
-                    thread,
-                    action: Action::Arrive {
-                        rank,
-                        tag,
-                        ctx,
-                        payload,
-                        matched,
-                    },
-                }
+                Op::Arrival { env, payload }
             }
-            ConcOp::Probe { rank, tag, ctx } => {
-                let (seq, found) = eng.iprobe_seq(spec_of(rank, tag, ctx));
-                LogRecord {
-                    seq,
-                    thread,
-                    action: Action::Probe {
-                        rank,
-                        tag,
-                        ctx,
-                        found,
-                    },
-                }
-            }
-            ConcOp::Cancel { nth } => {
-                // Target one of this thread's own requests; a thread that
-                // has posted nothing cancels a handle never issued by
-                // anyone (its own id space), observing `false`.
-                let req = if self.posted == 0 {
-                    self.id(u32::MAX as u64)
-                } else {
-                    self.id(nth % self.posted)
-                };
-                let (seq, hit) = eng.cancel_recv_seq(req);
-                LogRecord {
-                    seq,
-                    thread,
-                    action: Action::Cancel { req, hit },
-                }
-            }
-        }
+            ConcOp::Probe { rank, tag, ctx } => Op::Iprobe {
+                spec: spec_of(rank, tag, ctx),
+            },
+            // Target one of this thread's own requests; a thread that
+            // has posted nothing cancels a handle never issued by
+            // anyone (its own id space), observing `false`.
+            ConcOp::Cancel { nth } => Op::Cancel {
+                request: match self.posted {
+                    0 => self.id(u32::MAX as u64),
+                    posted => self.id(nth % posted),
+                },
+            },
+        };
+        let (seq, out) = eng.apply(op);
+        (out != Outcome::Deferred).then_some(LogRecord {
+            seq,
+            thread: self.thread,
+            op,
+            out,
+        })
     }
 }
 
@@ -459,26 +262,39 @@ pub fn conc_ops_tagged_wild(seed: u64, threads: usize, per_thread: usize) -> Vec
         .collect()
 }
 
-/// Runs the per-thread streams against `eng` from real racing threads and
-/// returns the merged log, sorted by seq stamp (the linearization).
-pub fn run_concurrent<E: ConcEngine>(eng: &E, streams: &[Vec<ConcOp>]) -> Vec<LogRecord> {
-    let per_thread: Vec<Vec<LogRecord>> = std::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .iter()
+/// Races stream `t` through `handles[t]` on its own thread and returns
+/// the merged, unsorted log of every op that ran directly.
+fn race<H: Engine<Stamp = u64> + Send>(handles: Vec<H>, streams: &[Vec<ConcOp>]) -> Vec<LogRecord> {
+    assert_eq!(handles.len(), streams.len(), "one handle per stream");
+    std::thread::scope(|s| {
+        let workers: Vec<_> = handles
+            .into_iter()
+            .zip(streams)
             .enumerate()
-            .map(|(t, ops)| {
+            .map(|(t, (mut eng, ops))| {
                 s.spawn(move || {
                     let mut exec = ThreadExec::new(t);
-                    ops.iter().map(|op| exec.run(eng, *op)).collect::<Vec<_>>()
+                    ops.iter()
+                        .filter_map(|op| exec.run(&mut eng, *op))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        handles
+        workers
             .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
+            .flat_map(|h| h.join().expect("worker thread panicked"))
             .collect()
-    });
-    let mut log: Vec<LogRecord> = per_thread.into_iter().flatten().collect();
+    })
+}
+
+/// Runs the per-thread streams against `eng` (a `&SharedEngine` or
+/// `&ShardedEngine`) from real racing threads and returns the merged log,
+/// sorted by seq stamp (the linearization).
+pub fn run_concurrent<H>(eng: H, streams: &[Vec<ConcOp>]) -> Vec<LogRecord>
+where
+    H: Engine<Stamp = u64> + Copy + Send,
+{
+    let mut log = race(vec![eng; streams.len()], streams);
     sort_log(&mut log);
     log
 }
@@ -506,85 +322,8 @@ where
         streams.len() <= eng.num_producers(),
         "need one ring producer per stream"
     );
-    let direct: Vec<Vec<LogRecord>> = std::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .iter()
-            .enumerate()
-            .map(|(t, ops)| {
-                s.spawn(move || {
-                    let p = eng.producer(t);
-                    let id = |c: u64| ((t as u64) << 32) | c;
-                    let (mut posted, mut sent) = (0u64, 0u64);
-                    let mut out = Vec::new();
-                    for op in ops {
-                        match *op {
-                            ConcOp::Post { rank, tag, ctx } => {
-                                let req = id(posted);
-                                posted += 1;
-                                // `None`: buffered — its record surfaces in
-                                // the drain log when the ring is applied.
-                                if let Some((seq, o)) = p.post_recv(spec_of(rank, tag, ctx), req) {
-                                    let matched = match o {
-                                        RecvOutcome::MatchedUnexpected { payload, .. } => {
-                                            Some(payload)
-                                        }
-                                        RecvOutcome::Posted => None,
-                                    };
-                                    out.push(LogRecord {
-                                        seq,
-                                        thread: t,
-                                        action: Action::Post {
-                                            rank,
-                                            tag,
-                                            ctx,
-                                            req,
-                                            matched,
-                                        },
-                                    });
-                                }
-                            }
-                            ConcOp::Arrive { rank, tag, ctx } => {
-                                let payload = id(sent);
-                                sent += 1;
-                                p.arrival(Envelope::new(rank, tag, ctx), payload);
-                            }
-                            ConcOp::Probe { rank, tag, ctx } => {
-                                let (seq, found) = p.iprobe_seq(spec_of(rank, tag, ctx));
-                                out.push(LogRecord {
-                                    seq,
-                                    thread: t,
-                                    action: Action::Probe {
-                                        rank,
-                                        tag,
-                                        ctx,
-                                        found,
-                                    },
-                                });
-                            }
-                            ConcOp::Cancel { nth } => {
-                                let req = if posted == 0 {
-                                    id(u32::MAX as u64)
-                                } else {
-                                    id(nth % posted)
-                                };
-                                let (seq, hit) = p.cancel_recv_seq(req);
-                                out.push(LogRecord {
-                                    seq,
-                                    thread: t,
-                                    action: Action::Cancel { req, hit },
-                                });
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("producer thread panicked"))
-            .collect()
-    });
+    let producers = (0..streams.len()).map(|t| eng.producer(t)).collect();
+    let mut log = race(producers, streams);
     // Exactly-once accounting over the rings, counting entries still in
     // flight at the join, then after the final flush.
     let (enq, drn, pending) = (eng.enqueued(), eng.drained(), eng.pending());
@@ -611,26 +350,11 @@ where
             eng.drained()
         ));
     }
-    let mut log: Vec<LogRecord> = direct.into_iter().flatten().collect();
     log.extend(drain.into_iter().map(|r| LogRecord {
         seq: r.seq,
         thread: r.producer,
-        action: match r.op {
-            IngestOp::Post { spec, request } => Action::Post {
-                rank: (spec.rank != ANY_SOURCE).then_some(spec.rank),
-                tag: (spec.tag != ANY_TAG).then_some(spec.tag),
-                ctx: spec.context_id,
-                req: request,
-                matched: r.matched,
-            },
-            IngestOp::Arrive { env, payload } => Action::Arrive {
-                rank: env.rank,
-                tag: env.tag,
-                ctx: env.context_id,
-                payload,
-                matched: r.matched,
-            },
-        },
+        op: r.op.into(),
+        out: r.outcome,
     }));
     let issued: usize = streams.iter().map(|s| s.len()).sum();
     if log.len() != issued {
@@ -655,8 +379,7 @@ pub fn verify_log(log: &[LogRecord], final_lens: (usize, usize)) -> Result<(), S
     // of the writer that claims it next (and linearize before it). So a
     // stamp may repeat only while the earlier record is a probe.
     for w in log.windows(2) {
-        let ordered = w[0].seq < w[1].seq
-            || (w[0].seq == w[1].seq && matches!(w[0].action, Action::Probe { .. }));
+        let ordered = w[0].seq < w[1].seq || (w[0].seq == w[1].seq && is_probe(&w[0]));
         if !ordered {
             return Err(format!(
                 "seq stamps out of linearization order: {} (thread {}) then {} (thread {}) — \
@@ -672,71 +395,36 @@ pub fn verify_log(log: &[LogRecord], final_lens: (usize, usize)) -> Result<(), S
     for (i, r) in log.iter().enumerate() {
         let fail = |what: String| {
             Err(format!(
-                "log index {i} (seq {}, thread {}): {what} [{:?}]",
-                r.seq, r.thread, r.action
+                "log index {i} (seq {}, thread {}): {what} [{:?} -> {:?}]",
+                r.seq, r.thread, r.op, r.out
             ))
         };
-        match r.action {
-            Action::Post {
-                rank,
-                tag,
-                ctx,
-                req,
-                matched,
-            } => {
-                let want = match reference.post_recv(spec_of(rank, tag, ctx), req) {
-                    RecvOutcome::MatchedUnexpected { payload, .. } => Some(payload),
-                    RecvOutcome::Posted => None,
-                };
-                if matched != want {
-                    return fail(format!("post matched {matched:?}, oracle {want:?}"));
+        let want = reference.apply(r.op).1;
+        let consumed = match r.op {
+            Op::PostRecv { .. } => &mut consumed_payloads,
+            Op::Arrival { .. } => &mut consumed_requests,
+            // Probes and cancels must agree exactly, depth included.
+            Op::Iprobe { .. } | Op::Cancel { .. } => {
+                if r.out != want {
+                    return fail(format!("oracle saw {want:?}"));
                 }
-                if let Some(p) = matched {
-                    if !consumed_payloads.insert(p) {
-                        return fail(format!("payload {p} matched twice"));
-                    }
-                }
+                continue;
             }
-            Action::Arrive {
-                rank,
-                tag,
-                ctx,
-                payload,
-                matched,
-            } => {
-                let want = match reference.arrival(Envelope::new(rank, tag, ctx), payload) {
-                    ArrivalOutcome::MatchedPosted { request, .. } => Some(request),
-                    ArrivalOutcome::Queued => None,
-                };
-                if matched != want {
-                    return fail(format!("arrival matched {matched:?}, oracle {want:?}"));
-                }
-                if let Some(q) = matched {
-                    if !consumed_requests.insert(q) {
-                        return fail(format!("request {q} matched twice"));
-                    }
-                }
-            }
-            Action::Cancel { req, hit } => {
-                let want = reference.cancel_recv(req);
-                if hit != want {
-                    return fail(format!("cancel({req}) -> {hit}, oracle {want}"));
-                }
-            }
-            Action::Probe {
-                rank,
-                tag,
-                ctx,
-                found,
-            } => {
-                let want = reference.iprobe(spec_of(rank, tag, ctx));
-                if found != want {
-                    return fail(format!("probe saw {found:?}, oracle {want:?}"));
-                }
+        };
+        // Posts and arrivals: the same branch (matched or appended) and
+        // the same counterpart; the depth is the shard's own business.
+        if core::mem::discriminant(&r.out) != core::mem::discriminant(&want)
+            || r.out.matched() != want.matched()
+        {
+            return fail(format!("oracle saw {want:?}"));
+        }
+        if let Some(h) = r.out.matched() {
+            if !consumed.insert(h) {
+                return fail(format!("handle {h} matched twice"));
             }
         }
     }
-    let want_lens = (reference.prq_len(), reference.umq_len());
+    let want_lens = reference.queue_lens();
     if final_lens != want_lens {
         return Err(format!(
             "final queue lens {final_lens:?}, oracle {want_lens:?}: entries lost or duplicated"
@@ -749,7 +437,10 @@ pub fn verify_log(log: &[LogRecord], final_lens: (usize, usize)) -> Result<(), S
 /// quiescent queue lengths. Under `--features debug_invariants`, the
 /// engine's structural validators also run at the quiescent point after
 /// the racing threads join.
-pub fn run_and_verify<E: ConcEngine>(eng: &E, streams: &[Vec<ConcOp>]) -> Result<(), String> {
+pub fn run_and_verify<H>(eng: H, streams: &[Vec<ConcOp>]) -> Result<(), String>
+where
+    H: Engine<Stamp = u64> + Copy + Send,
+{
     let log = run_concurrent(eng, streams);
     #[cfg(feature = "debug_invariants")]
     eng.validate()
@@ -796,7 +487,9 @@ pub fn stress_multiplier() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spc_core::concurrent::SharedEngine;
     use spc_core::list::Lla;
+    use spc_core::shard::ShardedEngine;
 
     type Shared = SharedEngine<Lla<PostedEntry, 2>, Lla<UnexpectedEntry, 3>>;
     type Sharded = ShardedEngine<Lla<PostedEntry, 2>, Lla<UnexpectedEntry, 3>>;
@@ -866,51 +559,44 @@ mod tests {
         .unwrap();
     }
 
+    fn record(seq: u64, op: Op, out: Outcome) -> LogRecord {
+        LogRecord {
+            seq,
+            thread: 0,
+            op,
+            out,
+        }
+    }
+
     #[test]
     fn verify_rejects_a_duplicated_match() {
         // Hand-build a log where one payload satisfies two receives.
-        let post = |seq, req| LogRecord {
-            seq,
-            thread: 0,
-            action: Action::Post {
-                rank: Some(1),
-                tag: Some(1),
-                ctx: 0,
-                req,
-                matched: Some(7),
-            },
-        };
-        let arrive = LogRecord {
-            seq: 0,
-            thread: 0,
-            action: Action::Arrive {
-                rank: 1,
-                tag: 1,
-                ctx: 0,
+        let post = |seq, request| {
+            let spec = RecvSpec::new(1, 1, 0);
+            let out = Outcome::MatchedUnexpected {
                 payload: 7,
-                matched: None,
-            },
+                depth: 1,
+            };
+            record(seq, Op::PostRecv { spec, request }, out)
         };
+        let arrive = record(
+            0,
+            Op::Arrival {
+                env: Envelope::new(1, 1, 0),
+                payload: 7,
+            },
+            Outcome::Queued { depth: 0 },
+        );
         let err = verify_log(&[arrive, post(1, 10), post(2, 11)], (0, 0)).unwrap_err();
         assert!(err.contains("oracle"), "{err}");
     }
 
     #[test]
     fn verify_rejects_duplicate_seq_stamps_on_mutating_ops() {
-        let cancel = |seq| LogRecord {
-            seq,
-            thread: 0,
-            action: Action::Cancel { req: 9, hit: false },
-        };
-        let probe = |seq| LogRecord {
-            seq,
-            thread: 0,
-            action: Action::Probe {
-                rank: None,
-                tag: None,
-                ctx: 0,
-                found: None,
-            },
+        let cancel = |seq| record(seq, Op::Cancel { request: 9 }, Outcome::Cancelled(false));
+        let probe = |seq| {
+            let spec = RecvSpec::new(ANY_SOURCE, ANY_TAG, 0);
+            record(seq, Op::Iprobe { spec }, Outcome::Probed(None))
         };
         // Two mutating ops must never share a stamp; neither may a
         // mutating op precede a probe with the same stamp.

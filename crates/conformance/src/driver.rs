@@ -9,11 +9,10 @@
 use crate::ops::{EngineOp, PostedOp, UmqOp};
 use crate::oracle::OracleList;
 use spc_core::dynengine::{DynEngine, EngineKind};
-use spc_core::engine::{
-    ArrivalOutcome, MatchEngine, QueueBounds, RecvOutcome, TryArrivalOutcome, TryRecvOutcome,
-};
+use spc_core::engine::{Engine, MatchEngine, Op, Outcome, QueueBounds};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
 use spc_core::list::MatchList;
+use spc_core::stats::EngineStats;
 use spc_core::NullSink;
 
 /// How strictly search depth is compared against the oracle.
@@ -237,536 +236,143 @@ pub fn diff_umq<L: MatchList<UnexpectedEntry>>(
     Ok(())
 }
 
-/// The engine surface the differential driver needs; implemented by both
-/// the statically-typed [`MatchEngine`] and the runtime-selected
-/// [`DynEngine`].
-pub trait ConformEngine {
-    /// See [`MatchEngine::post_recv`].
-    fn post_recv(&mut self, spec: RecvSpec, request: u64) -> RecvOutcome;
-    /// See [`MatchEngine::arrival`].
-    fn arrival(&mut self, env: Envelope, payload: u64) -> ArrivalOutcome;
-    /// See [`MatchEngine::iprobe`].
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)>;
-    /// See [`MatchEngine::cancel_recv`].
-    fn cancel_recv(&mut self, request: u64) -> bool;
-    /// Current PRQ length.
-    fn prq_len(&self) -> usize;
-    /// Current UMQ length.
-    fn umq_len(&self) -> usize;
-    /// Empties both queues.
-    fn reset(&mut self);
-    /// `(PRQ request ids, UMQ payload ids)` in FIFO order, when the
-    /// engine exposes its queues ([`DynEngine`] does not).
-    fn queue_ids(&self) -> Option<(Vec<u64>, Vec<u64>)>;
-    /// Structural invariant check; engines that expose validators override
-    /// this ([`MatchEngine`] validates both queues, the sharded engine its
-    /// cross-shard protocol state). Called after every op under
-    /// `--features debug_invariants`.
-    fn validate(&self) -> Result<(), String> {
-        Ok(())
+/// Checks a subject's outcome against the reference's: same variant
+/// (matched, appended, rejected, probed, cancelled), same matched handle,
+/// and a search depth acceptable under `mode`. `searched` is the length
+/// of the queue a post or an arrival searched, before the op; `None` for
+/// a probe or a cancel, whose outcomes must agree exactly.
+fn outcome_ok(
+    mode: DepthMode,
+    got: Outcome,
+    want: Outcome,
+    searched: Option<usize>,
+) -> Result<(), String> {
+    let Some(live_before) = searched else {
+        let verb = match want {
+            Outcome::Probed(_) => "iprobe",
+            _ => "cancel",
+        };
+        return if got == want {
+            Ok(())
+        } else {
+            Err(format!("{verb} {got:?}, oracle {want:?}"))
+        };
+    };
+    if core::mem::discriminant(&got) != core::mem::discriminant(&want) {
+        return Err(format!("outcome {got:?}, oracle {want:?}"));
     }
+    if got.matched() != want.matched() {
+        return Err(format!(
+            "matched {:?}, oracle matched {:?}",
+            got.matched(),
+            want.matched()
+        ));
+    }
+    let hit = got.matched().is_some();
+    depth_ok(mode, got.depth(), want.depth(), hit, live_before)
 }
 
-impl<P, U> ConformEngine for MatchEngine<P, U>
-where
-    P: MatchList<PostedEntry>,
-    U: MatchList<UnexpectedEntry>,
-{
-    fn post_recv(&mut self, spec: RecvSpec, request: u64) -> RecvOutcome {
-        MatchEngine::post_recv(self, spec, request)
-    }
-    fn arrival(&mut self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        MatchEngine::arrival(self, env, payload)
-    }
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)> {
-        MatchEngine::iprobe(self, spec)
-    }
-    fn cancel_recv(&mut self, request: u64) -> bool {
-        MatchEngine::cancel_recv(self, request)
-    }
-    fn prq_len(&self) -> usize {
-        MatchEngine::prq_len(self)
-    }
-    fn umq_len(&self) -> usize {
-        MatchEngine::umq_len(self)
-    }
-    fn reset(&mut self) {
-        MatchEngine::reset(self)
-    }
-    fn queue_ids(&self) -> Option<(Vec<u64>, Vec<u64>)> {
-        Some((
-            self.prq().snapshot().iter().map(|e| e.request).collect(),
-            self.umq().snapshot().iter().map(|e| e.payload).collect(),
-        ))
-    }
-    fn validate(&self) -> Result<(), String> {
-        MatchEngine::validate(self)
-    }
-}
-
-impl ConformEngine for DynEngine {
-    fn post_recv(&mut self, spec: RecvSpec, request: u64) -> RecvOutcome {
-        DynEngine::post_recv(self, spec, request)
-    }
-    fn arrival(&mut self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        DynEngine::arrival(self, env, payload)
-    }
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)> {
-        DynEngine::iprobe(self, spec)
-    }
-    fn cancel_recv(&mut self, request: u64) -> bool {
-        DynEngine::cancel_recv(self, request)
-    }
-    fn prq_len(&self) -> usize {
-        DynEngine::prq_len(self)
-    }
-    fn umq_len(&self) -> usize {
-        DynEngine::umq_len(self)
-    }
-    fn reset(&mut self) {
-        DynEngine::reset(self)
-    }
-    fn queue_ids(&self) -> Option<(Vec<u64>, Vec<u64>)> {
-        None
-    }
-}
-
-/// Replays an engine-level op stream through a reference engine (both
-/// queues backed by [`OracleList`]) and `subject`, comparing outcomes,
-/// iprobe results, queue lengths and — when the subject exposes its
-/// queues — full snapshots after every step.
+/// The differential driver: replays an engine-level op stream through a
+/// reference engine (both queues backed by [`OracleList`], admission caps
+/// `bounds`) and `subject`, which must already be configured with the
+/// same caps, entirely through [`Engine::apply`]. After every step it
+/// compares outcomes — including *which* operations are rejected — queue
+/// lengths, rejection counters and full FIFO snapshots.
 ///
 /// Iprobe depth is always compared exactly: it is defined on a FIFO
-/// snapshot, so it is structure-independent by construction.
-pub fn diff_engine<Eng: ConformEngine>(
-    subject: &mut Eng,
-    mode: DepthMode,
-    ops: &[EngineOp],
-) -> Result<(), Divergence> {
-    let mut reference: MatchEngine<OracleList<PostedEntry>, OracleList<UnexpectedEntry>> =
-        MatchEngine::new(OracleList::new(), OracleList::new());
-    let mut next_req = 0u64;
-    let mut next_payload = 0u64;
-    for (step, op) in ops.iter().enumerate() {
-        match *op {
-            EngineOp::PostRecv { rank, tag, ctx } => {
-                let s = spec(rank, tag, ctx);
-                let req = next_req;
-                next_req += 1;
-                let live = reference.umq_len();
-                let want = reference.post_recv(s, req);
-                let got = ConformEngine::post_recv(subject, s, req);
-                match (got, want) {
-                    (RecvOutcome::Posted, RecvOutcome::Posted) => {}
-                    (
-                        RecvOutcome::MatchedUnexpected {
-                            payload: gp,
-                            depth: gd,
-                        },
-                        RecvOutcome::MatchedUnexpected {
-                            payload: wp,
-                            depth: wd,
-                        },
-                    ) => {
-                        if gp != wp {
-                            return Err(diverge(
-                                step,
-                                op,
-                                format!("matched payload {gp}, oracle {wp}"),
-                            ));
-                        }
-                        depth_ok(mode, gd, wd, true, live).map_err(|d| diverge(step, op, d))?;
-                    }
-                    (g, w) => {
-                        return Err(diverge(step, op, format!("outcome {g:?}, oracle {w:?}")))
-                    }
-                }
-            }
-            EngineOp::Arrival { rank, tag, ctx } => {
-                let env = Envelope::new(rank, tag, ctx);
-                let payload = next_payload;
-                next_payload += 1;
-                let live = reference.prq_len();
-                let want = reference.arrival(env, payload);
-                let got = ConformEngine::arrival(subject, env, payload);
-                match (got, want) {
-                    (ArrivalOutcome::Queued, ArrivalOutcome::Queued) => {}
-                    (
-                        ArrivalOutcome::MatchedPosted {
-                            request: gr,
-                            depth: gd,
-                        },
-                        ArrivalOutcome::MatchedPosted {
-                            request: wr,
-                            depth: wd,
-                        },
-                    ) => {
-                        if gr != wr {
-                            return Err(diverge(
-                                step,
-                                op,
-                                format!("matched request {gr}, oracle {wr}"),
-                            ));
-                        }
-                        depth_ok(mode, gd, wd, true, live).map_err(|d| diverge(step, op, d))?;
-                    }
-                    (g, w) => {
-                        return Err(diverge(step, op, format!("outcome {g:?}, oracle {w:?}")))
-                    }
-                }
-            }
-            EngineOp::Iprobe { rank, tag, ctx } => {
-                let s = spec(rank, tag, ctx);
-                let want = reference.iprobe(s);
-                let got = ConformEngine::iprobe(subject, s);
-                if got != want {
-                    return Err(diverge(
-                        step,
-                        op,
-                        format!("iprobe {got:?}, oracle {want:?}"),
-                    ));
-                }
-            }
-            EngineOp::Cancel { nth } => {
-                // Map the generator's free index onto a handle that was
-                // actually issued, so cancels usually name live receives.
-                let req = if next_req == 0 { nth } else { nth % next_req };
-                let want = reference.cancel_recv(req);
-                let got = ConformEngine::cancel_recv(subject, req);
-                if got != want {
-                    return Err(diverge(
-                        step,
-                        op,
-                        format!("cancel({req}) -> {got}, oracle {want}"),
-                    ));
-                }
-            }
-            EngineOp::Clear => {
-                reference.reset();
-                subject.reset();
-            }
-        }
-        if subject.prq_len() != reference.prq_len() || subject.umq_len() != reference.umq_len() {
-            return Err(diverge(
-                step,
-                op,
-                format!(
-                    "lens prq={}/umq={}, oracle prq={}/umq={}",
-                    subject.prq_len(),
-                    subject.umq_len(),
-                    reference.prq_len(),
-                    reference.umq_len()
-                ),
-            ));
-        }
-        if let Some((got_prq, got_umq)) = subject.queue_ids() {
-            let want_prq: Vec<u64> = reference
-                .prq()
-                .snapshot()
-                .iter()
-                .map(|e| e.request)
-                .collect();
-            let want_umq: Vec<u64> = reference
-                .umq()
-                .snapshot()
-                .iter()
-                .map(|e| e.payload)
-                .collect();
-            if got_prq != want_prq {
-                return Err(diverge(
-                    step,
-                    op,
-                    format!("prq snapshot {got_prq:?}, oracle {want_prq:?}"),
-                ));
-            }
-            if got_umq != want_umq {
-                return Err(diverge(
-                    step,
-                    op,
-                    format!("umq snapshot {got_umq:?}, oracle {want_umq:?}"),
-                ));
-            }
-        }
-        #[cfg(feature = "debug_invariants")]
-        check_invariants(subject.validate(), step, op)?;
-    }
-    Ok(())
-}
-
-/// Runs [`diff_engine`] against a freshly-built [`DynEngine`] of `kind`.
-pub fn diff_dyn_engine(
-    kind: EngineKind,
-    mode: DepthMode,
-    ops: &[EngineOp],
-) -> Result<(), Divergence> {
-    diff_engine(&mut DynEngine::new(kind), mode, ops)
-}
-
-/// The engine surface the *bounded* differential driver needs: the
-/// admission-capped `try_*` operations plus the rejection counters they
-/// maintain. Implemented by [`MatchEngine`] for every structure pair.
-pub trait BoundedConformEngine {
-    /// See [`MatchEngine::try_post_recv`].
-    fn try_post_recv(&mut self, spec: RecvSpec, request: u64) -> TryRecvOutcome;
-    /// See [`MatchEngine::try_arrival`].
-    fn try_arrival(&mut self, env: Envelope, payload: u64) -> TryArrivalOutcome;
-    /// See [`MatchEngine::iprobe`].
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)>;
-    /// See [`MatchEngine::cancel_recv`].
-    fn cancel_recv(&mut self, request: u64) -> bool;
-    /// Current PRQ length.
-    fn prq_len(&self) -> usize;
-    /// Current UMQ length.
-    fn umq_len(&self) -> usize;
-    /// Empties both queues and clears statistics.
-    fn reset(&mut self);
-    /// `(prq_rejections, umq_rejections)` since construction or the last
-    /// reset.
-    fn rejections(&self) -> (u64, u64);
-    /// `(PRQ request ids, UMQ payload ids)` in FIFO order, when exposed.
-    fn queue_ids(&self) -> Option<(Vec<u64>, Vec<u64>)>;
-    /// Structural invariant check (see [`ConformEngine::validate`]).
-    fn validate(&self) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-impl<P, U> BoundedConformEngine for MatchEngine<P, U>
-where
-    P: MatchList<PostedEntry>,
-    U: MatchList<UnexpectedEntry>,
-{
-    fn try_post_recv(&mut self, spec: RecvSpec, request: u64) -> TryRecvOutcome {
-        MatchEngine::try_post_recv(self, spec, request)
-    }
-    fn try_arrival(&mut self, env: Envelope, payload: u64) -> TryArrivalOutcome {
-        MatchEngine::try_arrival(self, env, payload)
-    }
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)> {
-        MatchEngine::iprobe(self, spec)
-    }
-    fn cancel_recv(&mut self, request: u64) -> bool {
-        MatchEngine::cancel_recv(self, request)
-    }
-    fn prq_len(&self) -> usize {
-        MatchEngine::prq_len(self)
-    }
-    fn umq_len(&self) -> usize {
-        MatchEngine::umq_len(self)
-    }
-    fn reset(&mut self) {
-        MatchEngine::reset(self)
-    }
-    fn rejections(&self) -> (u64, u64) {
-        let s = self.stats();
-        (s.prq_rejections, s.umq_rejections)
-    }
-    fn queue_ids(&self) -> Option<(Vec<u64>, Vec<u64>)> {
-        Some((
-            self.prq().snapshot().iter().map(|e| e.request).collect(),
-            self.umq().snapshot().iter().map(|e| e.payload).collect(),
-        ))
-    }
-    fn validate(&self) -> Result<(), String> {
-        MatchEngine::validate(self)
-    }
-}
-
-/// Bounded-admission counterpart of [`diff_engine`]: replays `ops`
-/// through a reference engine built with the same `bounds` (both queues
-/// backed by [`OracleList`]) and `subject`, driving every post/arrival
-/// through the capped `try_*` path and comparing outcomes — including
-/// *which* requests are rejected — queue lengths, rejection counters and
-/// snapshots after every step.
-///
-/// The subject must already be configured with `bounds`; admission is a
-/// policy on queue length, not structure, so rejection outcomes and
-/// counters are compared exactly in every [`DepthMode`]. Returns the
-/// total number of rejections the stream provoked (accumulated across
-/// `Clear` resets) so callers can assert the caps actually bit.
-pub fn diff_engine_bounded<Eng: BoundedConformEngine>(
-    subject: &mut Eng,
+/// snapshot, so it is structure-independent by construction. Admission is
+/// a policy on queue length, not structure, so rejections and their
+/// counters are compared exactly in every [`DepthMode`]. Returns the total
+/// number of rejections the stream provoked (accumulated across `Clear`
+/// resets; 0 under [`QueueBounds::UNBOUNDED`]) so callers can assert the
+/// caps actually bit.
+pub fn diff_engine<E: Engine + ?Sized>(
+    subject: &mut E,
     bounds: QueueBounds,
     mode: DepthMode,
     ops: &[EngineOp],
 ) -> Result<u64, Divergence> {
     let mut reference: MatchEngine<OracleList<PostedEntry>, OracleList<UnexpectedEntry>> =
         MatchEngine::with_bounds(OracleList::new(), OracleList::new(), bounds);
+    let rejections = |s: &EngineStats| (s.prq_rejections, s.umq_rejections);
     let mut next_req = 0u64;
     let mut next_payload = 0u64;
     let mut total_rejections = 0u64;
-    for (step, op) in ops.iter().enumerate() {
-        match *op {
+    for (step, eop) in ops.iter().enumerate() {
+        let fail = |detail: String| diverge(step, eop, detail);
+        let (prq_before, umq_before) = reference.queue_lens();
+        let applied = match *eop {
             EngineOp::PostRecv { rank, tag, ctx } => {
-                let s = spec(rank, tag, ctx);
-                let req = next_req;
+                let (spec, request) = (spec(rank, tag, ctx), next_req);
                 next_req += 1;
-                let live = reference.umq_len();
-                let want = reference.try_post_recv(s, req);
-                let got = BoundedConformEngine::try_post_recv(subject, s, req);
-                match (got, want) {
-                    (TryRecvOutcome::Posted, TryRecvOutcome::Posted) => {}
-                    (
-                        TryRecvOutcome::MatchedUnexpected {
-                            payload: gp,
-                            depth: gd,
-                        },
-                        TryRecvOutcome::MatchedUnexpected {
-                            payload: wp,
-                            depth: wd,
-                        },
-                    ) => {
-                        if gp != wp {
-                            return Err(diverge(
-                                step,
-                                op,
-                                format!("matched payload {gp}, oracle {wp}"),
-                            ));
-                        }
-                        depth_ok(mode, gd, wd, true, live).map_err(|d| diverge(step, op, d))?;
-                    }
-                    (
-                        TryRecvOutcome::RejectedPrqFull { depth: gd },
-                        TryRecvOutcome::RejectedPrqFull { depth: wd },
-                    ) => {
-                        depth_ok(mode, gd, wd, false, live).map_err(|d| diverge(step, op, d))?;
-                    }
-                    (g, w) => {
-                        return Err(diverge(step, op, format!("outcome {g:?}, oracle {w:?}")))
-                    }
-                }
+                Some((Op::PostRecv { spec, request }, Some(umq_before)))
             }
             EngineOp::Arrival { rank, tag, ctx } => {
-                let env = Envelope::new(rank, tag, ctx);
-                let payload = next_payload;
+                let (env, payload) = (Envelope::new(rank, tag, ctx), next_payload);
                 next_payload += 1;
-                let live = reference.prq_len();
-                let want = reference.try_arrival(env, payload);
-                let got = BoundedConformEngine::try_arrival(subject, env, payload);
-                match (got, want) {
-                    (TryArrivalOutcome::Queued, TryArrivalOutcome::Queued) => {}
-                    (
-                        TryArrivalOutcome::MatchedPosted {
-                            request: gr,
-                            depth: gd,
-                        },
-                        TryArrivalOutcome::MatchedPosted {
-                            request: wr,
-                            depth: wd,
-                        },
-                    ) => {
-                        if gr != wr {
-                            return Err(diverge(
-                                step,
-                                op,
-                                format!("matched request {gr}, oracle {wr}"),
-                            ));
-                        }
-                        depth_ok(mode, gd, wd, true, live).map_err(|d| diverge(step, op, d))?;
-                    }
-                    (
-                        TryArrivalOutcome::RejectedUmqFull { depth: gd },
-                        TryArrivalOutcome::RejectedUmqFull { depth: wd },
-                    ) => {
-                        depth_ok(mode, gd, wd, false, live).map_err(|d| diverge(step, op, d))?;
-                    }
-                    (g, w) => {
-                        return Err(diverge(step, op, format!("outcome {g:?}, oracle {w:?}")))
-                    }
-                }
+                Some((Op::Arrival { env, payload }, Some(prq_before)))
             }
             EngineOp::Iprobe { rank, tag, ctx } => {
-                let s = spec(rank, tag, ctx);
-                let want = reference.iprobe(s);
-                let got = BoundedConformEngine::iprobe(subject, s);
-                if got != want {
-                    return Err(diverge(
-                        step,
-                        op,
-                        format!("iprobe {got:?}, oracle {want:?}"),
-                    ));
-                }
+                let spec = spec(rank, tag, ctx);
+                Some((Op::Iprobe { spec }, None))
             }
             EngineOp::Cancel { nth } => {
-                let req = if next_req == 0 { nth } else { nth % next_req };
-                let want = reference.cancel_recv(req);
-                let got = BoundedConformEngine::cancel_recv(subject, req);
-                if got != want {
-                    return Err(diverge(
-                        step,
-                        op,
-                        format!("cancel({req}) -> {got}, oracle {want}"),
-                    ));
-                }
+                // Map the generator's free index onto a handle that was
+                // actually issued, so cancels usually name live receives.
+                let request = if next_req == 0 { nth } else { nth % next_req };
+                Some((Op::Cancel { request }, None))
             }
-            EngineOp::Clear => {
-                let s = reference.stats();
-                total_rejections += s.prq_rejections + s.umq_rejections;
-                reference.reset();
-                subject.reset();
-            }
+            EngineOp::Clear => None,
+        };
+        if let Some((op, searched)) = applied {
+            let want = reference.apply(op).1;
+            let got = subject.apply(op).1;
+            outcome_ok(mode, got, want, searched).map_err(fail)?;
+        } else {
+            let (p, u) = rejections(reference.stats());
+            total_rejections += p + u;
+            reference.reset();
+            subject.reset();
         }
-        if subject.prq_len() != reference.prq_len() || subject.umq_len() != reference.umq_len() {
-            return Err(diverge(
-                step,
-                op,
-                format!(
-                    "lens prq={}/umq={}, oracle prq={}/umq={}",
-                    subject.prq_len(),
-                    subject.umq_len(),
-                    reference.prq_len(),
-                    reference.umq_len()
-                ),
-            ));
+        let (got_lens, want_lens) = (subject.queue_lens(), reference.queue_lens());
+        if got_lens != want_lens {
+            return Err(fail(format!(
+                "lens (prq, umq) {got_lens:?}, oracle {want_lens:?}"
+            )));
         }
-        let want_rej = (
-            reference.stats().prq_rejections,
-            reference.stats().umq_rejections,
-        );
-        if subject.rejections() != want_rej {
-            return Err(diverge(
-                step,
-                op,
-                format!(
-                    "rejection counters {:?}, oracle {:?}",
-                    subject.rejections(),
-                    want_rej
-                ),
-            ));
+        let (got_rej, want_rej) = (rejections(&subject.stats()), rejections(reference.stats()));
+        if got_rej != want_rej {
+            return Err(fail(format!(
+                "rejection counters {got_rej:?}, oracle {want_rej:?}"
+            )));
         }
-        if let Some((got_prq, got_umq)) = subject.queue_ids() {
-            let want_prq: Vec<u64> = reference
-                .prq()
-                .snapshot()
-                .iter()
-                .map(|e| e.request)
-                .collect();
-            let want_umq: Vec<u64> = reference
-                .umq()
-                .snapshot()
-                .iter()
-                .map(|e| e.payload)
-                .collect();
-            if got_prq != want_prq {
-                return Err(diverge(
-                    step,
-                    op,
-                    format!("prq snapshot {got_prq:?}, oracle {want_prq:?}"),
-                ));
-            }
-            if got_umq != want_umq {
-                return Err(diverge(
-                    step,
-                    op,
-                    format!("umq snapshot {got_umq:?}, oracle {want_umq:?}"),
-                ));
-            }
+        let ((got_prq, got_umq), (want_prq, want_umq)) =
+            (subject.queue_ids(), reference.queue_ids());
+        if got_prq != want_prq {
+            return Err(fail(format!(
+                "prq snapshot {got_prq:?}, oracle {want_prq:?}"
+            )));
+        }
+        if got_umq != want_umq {
+            return Err(fail(format!(
+                "umq snapshot {got_umq:?}, oracle {want_umq:?}"
+            )));
         }
         #[cfg(feature = "debug_invariants")]
-        check_invariants(BoundedConformEngine::validate(subject), step, op)?;
+        check_invariants(subject.validate(), step, eop)?;
     }
-    let s = reference.stats();
-    Ok(total_rejections + s.prq_rejections + s.umq_rejections)
+    let (p, u) = rejections(reference.stats());
+    Ok(total_rejections + p + u)
+}
+
+/// Runs [`diff_engine`] against a freshly-built (unbounded) [`DynEngine`]
+/// of `kind`.
+pub fn diff_dyn_engine(
+    kind: EngineKind,
+    mode: DepthMode,
+    ops: &[EngineOp],
+) -> Result<(), Divergence> {
+    diff_engine(&mut DynEngine::new(kind), QueueBounds::UNBOUNDED, mode, ops).map(drop)
 }
 
 #[cfg(test)]
@@ -775,24 +381,29 @@ mod tests {
     use crate::ops;
     use spc_core::list::BaselineList;
 
+    type OracleEngine = MatchEngine<OracleList<PostedEntry>, OracleList<UnexpectedEntry>>;
+
     #[test]
     fn oracle_agrees_with_itself() {
         let stream = ops::engine_ops(1, 2_000);
-        let mut subject: MatchEngine<OracleList<PostedEntry>, OracleList<UnexpectedEntry>> =
-            MatchEngine::new(OracleList::new(), OracleList::new());
-        diff_engine(&mut subject, DepthMode::Exact, &stream).unwrap();
+        let mut subject: OracleEngine = MatchEngine::new(OracleList::new(), OracleList::new());
+        let rejected = diff_engine(
+            &mut subject,
+            QueueBounds::UNBOUNDED,
+            DepthMode::Exact,
+            &stream,
+        )
+        .unwrap();
+        assert_eq!(rejected, 0, "an unbounded engine never rejects");
     }
 
     #[test]
     fn bounded_oracle_agrees_with_itself_and_rejects() {
-        let bounds = QueueBounds {
-            max_prq: 8,
-            max_umq: 8,
-        };
-        let mut subject: MatchEngine<OracleList<PostedEntry>, OracleList<UnexpectedEntry>> =
+        let bounds = QueueBounds::both(8);
+        let mut subject: OracleEngine =
             MatchEngine::with_bounds(OracleList::new(), OracleList::new(), bounds);
         let stream = ops::engine_ops(2, 4_000);
-        let rejected = diff_engine_bounded(&mut subject, bounds, DepthMode::Exact, &stream)
+        let rejected = diff_engine(&mut subject, bounds, DepthMode::Exact, &stream)
             .expect("oracle must agree with itself under identical caps");
         assert!(rejected > 0, "caps of 8 over 4k ops must actually reject");
     }
@@ -802,28 +413,29 @@ mod tests {
         // A subject that is simply empty-forever must diverge on the
         // first append (len check).
         struct Broken;
-        impl ConformEngine for Broken {
-            fn post_recv(&mut self, _: RecvSpec, _: u64) -> RecvOutcome {
-                RecvOutcome::Posted
+        impl Engine for Broken {
+            type Stamp = ();
+            fn apply(&mut self, op: Op) -> ((), Outcome) {
+                let out = match op {
+                    Op::PostRecv { .. } => Outcome::Posted { depth: 0 },
+                    Op::Arrival { .. } => Outcome::Queued { depth: 0 },
+                    Op::Cancel { .. } => Outcome::Cancelled(false),
+                    Op::Iprobe { .. } => Outcome::Probed(None),
+                };
+                ((), out)
             }
-            fn arrival(&mut self, _: Envelope, _: u64) -> ArrivalOutcome {
-                ArrivalOutcome::Queued
+            fn queue_lens(&self) -> (usize, usize) {
+                (0, 0)
             }
-            fn iprobe(&mut self, _: RecvSpec) -> Option<(u64, u32)> {
-                None
+            fn stats(&self) -> EngineStats {
+                EngineStats::new()
             }
-            fn cancel_recv(&mut self, _: u64) -> bool {
-                false
-            }
-            fn prq_len(&self) -> usize {
-                0
-            }
-            fn umq_len(&self) -> usize {
-                0
+            fn queue_ids(&self) -> (Vec<u64>, Vec<u64>) {
+                (Vec::new(), Vec::new())
             }
             fn reset(&mut self) {}
-            fn queue_ids(&self) -> Option<(Vec<u64>, Vec<u64>)> {
-                None
+            fn validate(&self) -> Result<(), String> {
+                Ok(())
             }
         }
         let stream = vec![EngineOp::PostRecv {
@@ -831,7 +443,13 @@ mod tests {
             tag: Some(1),
             ctx: 0,
         }];
-        let err = diff_engine(&mut Broken, DepthMode::Bounded, &stream).unwrap_err();
+        let err = diff_engine(
+            &mut Broken,
+            QueueBounds::UNBOUNDED,
+            DepthMode::Bounded,
+            &stream,
+        )
+        .unwrap_err();
         assert_eq!(err.step, 0);
         assert!(err.detail.contains("lens"), "{err}");
     }

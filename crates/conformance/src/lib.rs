@@ -15,10 +15,10 @@
 //!   phases that build deep queues and configurable wildcard rates.
 //! * [`driver`] — replays a stream through the oracle and a subject
 //!   simultaneously, comparing outcomes, lengths, depths and snapshots
-//!   after every step, and reporting the first divergence. Its bounded
-//!   variant ([`driver::diff_engine_bounded`]) drives the admission-capped
-//!   `try_*` path and additionally compares which operations are rejected
-//!   and the rejection counters.
+//!   after every step, and reporting the first divergence. The
+//!   engine-level driver ([`driver::diff_engine`]) takes the admission
+//!   caps as an argument and compares which operations are rejected and
+//!   the rejection counters along with everything else.
 //! * [`shrink`] — a delta-debugging minimizer that reduces a failing
 //!   stream to a locally-minimal one and renders it as a paste-able unit
 //!   test body.
@@ -57,13 +57,8 @@ pub mod sched;
 pub mod shrink;
 
 pub use adversary::FifoViolator;
-pub use concurrent::{
-    conc_ops, run_and_verify, run_concurrent, verify_log, Action, ConcEngine, ConcOp, LogRecord,
-};
-pub use driver::{
-    diff_dyn_engine, diff_engine, diff_engine_bounded, diff_posted, diff_umq, BoundedConformEngine,
-    DepthMode, Divergence,
-};
+pub use concurrent::{conc_ops, run_and_verify, run_concurrent, verify_log, ConcOp, LogRecord};
+pub use driver::{diff_dyn_engine, diff_engine, diff_posted, diff_umq, DepthMode, Divergence};
 pub use ops::{engine_ops, engine_ops_wild_bursts, posted_ops, umq_ops, EngineOp, PostedOp, UmqOp};
 pub use oracle::OracleList;
 pub use sched::{interleavings, run_stepped, sampled_schedules};

@@ -20,7 +20,8 @@
 use std::sync::mpsc;
 use std::sync::Mutex;
 
-use crate::concurrent::{ConcEngine, ConcOp, LogRecord, ThreadExec};
+use crate::concurrent::{ConcOp, LogRecord, ThreadExec};
+use spc_core::engine::Engine;
 use spc_rng::{Rng, SeedableRng, StdRng};
 
 /// Enumerates every interleaving of `counts[t]` steps per thread as
@@ -88,11 +89,10 @@ pub fn sampled_schedules(counts: &[usize], n: usize, seed: u64) -> Vec<Vec<usize
 /// exactly `streams[t].len()` times). Threads are real and the engine's
 /// locking runs for real; only the *order in which ops start* is pinned.
 /// Returns the merged log sorted by seq stamp.
-pub fn run_stepped<E: ConcEngine>(
-    eng: &E,
-    streams: &[Vec<ConcOp>],
-    schedule: &[usize],
-) -> Vec<LogRecord> {
+pub fn run_stepped<H>(eng: H, streams: &[Vec<ConcOp>], schedule: &[usize]) -> Vec<LogRecord>
+where
+    H: Engine<Stamp = u64> + Copy + Send,
+{
     for (t, ops) in streams.iter().enumerate() {
         let steps = schedule.iter().filter(|&&x| x == t).count();
         assert_eq!(
@@ -111,13 +111,14 @@ pub fn run_stepped<E: ConcEngine>(
             let done = done_tx.clone();
             let slot = &logs[t];
             s.spawn(move || {
+                let mut eng = eng;
                 let mut exec = ThreadExec::new(t);
                 let mut out = Vec::with_capacity(ops.len());
                 for op in ops {
                     if go_rx.recv().is_err() {
                         break; // scheduler gone; abandon remaining ops
                     }
-                    out.push(exec.run(eng, *op));
+                    out.extend(exec.run(&mut eng, *op));
                     if done.send(t).is_err() {
                         break;
                     }

@@ -9,7 +9,7 @@
 use spc_conformance::{
     diff_engine, diff_posted, posted_ops, render_ops, shrink_ops, DepthMode, FifoViolator, PostedOp,
 };
-use spc_core::engine::MatchEngine;
+use spc_core::engine::{MatchEngine, QueueBounds};
 use spc_core::entry::{PostedEntry, UnexpectedEntry};
 use spc_core::list::BaselineList;
 
@@ -93,15 +93,20 @@ fn engine_level_violation_is_caught() {
         FifoViolator<BaselineList<PostedEntry>>,
         BaselineList<UnexpectedEntry>,
     > = MatchEngine::new(FifoViolator::new(BaselineList::new()), BaselineList::new());
-    let err = diff_engine(&mut engine, DepthMode::Bounded, &ops)
-        .expect_err("engine-level stream must expose the PRQ violation");
+    let err = diff_engine(
+        &mut engine,
+        QueueBounds::UNBOUNDED,
+        DepthMode::Bounded,
+        &ops,
+    )
+    .expect_err("engine-level stream must expose the PRQ violation");
 
     let fails = |s: &[EngineOp]| {
         let mut e: MatchEngine<
             FifoViolator<BaselineList<PostedEntry>>,
             BaselineList<UnexpectedEntry>,
         > = MatchEngine::new(FifoViolator::new(BaselineList::new()), BaselineList::new());
-        diff_engine(&mut e, DepthMode::Bounded, s).is_err()
+        diff_engine(&mut e, QueueBounds::UNBOUNDED, DepthMode::Bounded, s).is_err()
     };
     let min = shrink_ops(&ops, fails);
     assert!(

@@ -10,14 +10,14 @@
 
 use spc_conformance::concurrent::{
     conc_ops, conc_ops_tagged_wild, run_and_verify, run_and_verify_batched, stress_multiplier,
-    ConcEngine, ConcOp,
+    ConcOp,
 };
 use spc_conformance::{
     diff_engine, engine_ops_wild_bursts, interleavings, render_ops, run_stepped, shrink_ops,
     verify_log, DepthMode,
 };
 use spc_core::concurrent::SharedEngine;
-use spc_core::engine::MatchEngine;
+use spc_core::engine::{Engine, MatchEngine, QueueBounds};
 use spc_core::entry::{PostedEntry, UnexpectedEntry};
 use spc_core::list::{BaselineList, HashBins, Lla, MatchList, RankTrie, SourceBins};
 use spc_core::shard::ShardedEngine;
@@ -38,7 +38,11 @@ type Mix = fn(u64, usize, usize) -> Vec<Vec<ConcOp>>;
 
 /// Runs a fresh engine from `mk` against racing streams at 2, 4 and 8
 /// threads and verifies each linearization against the oracle.
-fn check_conc<E: ConcEngine>(label: &str, mk: impl Fn() -> E, mix: Mix, seed: u64) {
+fn check_conc<E>(label: &str, mk: impl Fn() -> E, mix: Mix, seed: u64)
+where
+    E: Sync,
+    for<'e> &'e E: Engine<Stamp = u64>,
+{
     for threads in [2usize, 4, 8] {
         let per_thread = total_ops().div_ceil(threads);
         let streams = mix(seed ^ (threads as u64), threads, per_thread);
@@ -302,15 +306,26 @@ fn interleaving_scheduler_convicts_the_wildcard_adversary() {
 #[test]
 fn wildcard_adversary_is_shrunk_to_a_pasteable_repro() {
     let ops = engine_ops_wild_bursts(SEED.wrapping_add(51), 10_000);
-    let err = diff_engine(&mut adversary(), DepthMode::Bounded, &ops)
-        .expect_err("wildcard bursts must expose the disabled epoch check");
+    let err = diff_engine(
+        &mut &adversary(),
+        QueueBounds::UNBOUNDED,
+        DepthMode::Bounded,
+        &ops,
+    )
+    .expect_err("wildcard bursts must expose the disabled epoch check");
     assert!(
         err.detail.contains("matched"),
         "divergence should be a wrong-match disagreement: {err}"
     );
 
     let fails = |s: &[spc_conformance::EngineOp]| {
-        diff_engine(&mut adversary(), DepthMode::Bounded, s).is_err()
+        diff_engine(
+            &mut &adversary(),
+            QueueBounds::UNBOUNDED,
+            DepthMode::Bounded,
+            s,
+        )
+        .is_err()
     };
     let min = shrink_ops(&ops, fails);
     assert!(fails(&min), "minimized stream must still fail");

@@ -10,7 +10,7 @@ use spc_conformance::{
     posted_ops, render_ops, shrink_ops, umq_ops, DepthMode, EngineOp,
 };
 use spc_core::dynengine::EngineKind;
-use spc_core::engine::MatchEngine;
+use spc_core::engine::{MatchEngine, QueueBounds};
 use spc_core::entry::{PostedEntry, UnexpectedEntry};
 use spc_core::list::{BaselineList, HashBins, Lla, MatchList, RankTrie, SourceBins};
 use spc_core::shard::ShardedEngine;
@@ -192,13 +192,19 @@ fn typed_engines_conform_with_snapshots() {
     let ops = engine_ops(SEED.wrapping_add(200), N_OPS);
     let mut baseline: MatchEngine<BaselineList<PostedEntry>, BaselineList<UnexpectedEntry>> =
         MatchEngine::new(BaselineList::new(), BaselineList::new());
-    diff_engine(&mut baseline, DepthMode::Exact, &ops)
-        .unwrap_or_else(|e| panic!("baseline engine: {e}"));
+    diff_engine(
+        &mut baseline,
+        QueueBounds::UNBOUNDED,
+        DepthMode::Exact,
+        &ops,
+    )
+    .unwrap_or_else(|e| panic!("baseline engine: {e}"));
 
     let ops = engine_ops(SEED.wrapping_add(201), N_OPS);
     let mut lla: MatchEngine<Lla<PostedEntry, 2>, Lla<UnexpectedEntry, 3>> =
         MatchEngine::new(Lla::new(), Lla::new());
-    diff_engine(&mut lla, DepthMode::Exact, &ops).unwrap_or_else(|e| panic!("LLA-2 engine: {e}"));
+    diff_engine(&mut lla, QueueBounds::UNBOUNDED, DepthMode::Exact, &ops)
+        .unwrap_or_else(|e| panic!("LLA-2 engine: {e}"));
 
     let ops = engine_ops(SEED.wrapping_add(202), N_OPS);
     let mut bins: MatchEngine<SourceBins<PostedEntry>, SourceBins<UnexpectedEntry>> =
@@ -206,13 +212,13 @@ fn typed_engines_conform_with_snapshots() {
             SourceBins::new(spc_conformance::ops::RANKS as usize),
             SourceBins::new(spc_conformance::ops::RANKS as usize),
         );
-    diff_engine(&mut bins, DepthMode::Bounded, &ops)
+    diff_engine(&mut bins, QueueBounds::UNBOUNDED, DepthMode::Bounded, &ops)
         .unwrap_or_else(|e| panic!("source-bins engine: {e}"));
 
     let ops = engine_ops(SEED.wrapping_add(203), N_OPS);
     let mut hash: MatchEngine<HashBins<PostedEntry>, HashBins<UnexpectedEntry>> =
         MatchEngine::new(HashBins::with_bins(4), HashBins::with_bins(4));
-    diff_engine(&mut hash, DepthMode::Bounded, &ops)
+    diff_engine(&mut hash, QueueBounds::UNBOUNDED, DepthMode::Bounded, &ops)
         .unwrap_or_else(|e| panic!("hash-bins engine: {e}"));
 
     let ops = engine_ops(SEED.wrapping_add(204), N_OPS);
@@ -220,7 +226,7 @@ fn typed_engines_conform_with_snapshots() {
         RankTrie::new(spc_conformance::ops::RANKS as usize),
         RankTrie::new(spc_conformance::ops::RANKS as usize),
     );
-    diff_engine(&mut trie, DepthMode::Bounded, &ops)
+    diff_engine(&mut trie, QueueBounds::UNBOUNDED, DepthMode::Bounded, &ops)
         .unwrap_or_else(|e| panic!("rank-trie engine: {e}"));
 }
 
@@ -266,10 +272,10 @@ where
     ] {
         // Bounded depths: shard-local searches legitimately inspect fewer
         // entries than the oracle's single global queue.
-        if let Err(e) = diff_engine(&mut mk(), DepthMode::Bounded, &ops) {
-            let min: Vec<EngineOp> = shrink_ops(&ops, |s| {
-                diff_engine(&mut mk(), DepthMode::Bounded, s).is_err()
-            });
+        let diff =
+            |s: &[EngineOp]| diff_engine(&mut &mk(), QueueBounds::UNBOUNDED, DepthMode::Bounded, s);
+        if let Err(e) = diff(&ops) {
+            let min: Vec<EngineOp> = shrink_ops(&ops, |s| diff(s).is_err());
             panic!(
                 "sharded {label} ({tag}): divergence: {e}\nminimized repro ({} ops):\n{}",
                 min.len(),

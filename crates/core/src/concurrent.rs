@@ -14,17 +14,17 @@
 //! below can quantify the effect alongside the search-depth growth.
 //!
 //! The per-source-decomposed alternative that escapes the single lock is
-//! [`crate::shard::ShardedEngine`]; both expose the same seq-stamped
-//! operation surface so the concurrent differential harness in
-//! `spc-conformance` can replay either engine's linearization through the
-//! Vec-backed oracle.
+//! [`crate::shard::ShardedEngine`]; a shared reference to either is an
+//! [`Engine`] whose stamp is the op's linearization seq, so the concurrent
+//! differential harness in `spc-conformance` can replay either engine's
+//! linearization through the Vec-backed oracle.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::sync::Mutex;
 
 use crate::engine::{
-    ArrivalOutcome, MatchEngine, QueueBounds, RecvOutcome, TryArrivalOutcome, TryRecvOutcome,
+    stamped_engine, stamped_verbs, ArrivalOutcome, Engine, MatchEngine, Op, Outcome, RecvOutcome,
 };
 use crate::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use crate::list::MatchList;
@@ -84,110 +84,31 @@ where
         self.inner.lock().expect("shared engine lock poisoned")
     }
 
-    fn note_occupancy(&self, g: &MatchEngine<P, U>) {
-        self.max_prq
-            .fetch_max(g.prq_len() as u64, Ordering::Relaxed);
-        self.max_umq
-            .fetch_max(g.umq_len() as u64, Ordering::Relaxed);
-    }
-
-    /// Thread-safe [`MatchEngine::post_recv`].
-    pub fn post_recv(&self, spec: RecvSpec, request: u64) -> RecvOutcome {
-        self.post_recv_seq(spec, request).1
-    }
-
-    /// [`Self::post_recv`] returning the operation's linearization stamp
-    /// (assigned while the engine lock is held).
-    pub fn post_recv_seq(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome) {
+    /// The one locked body every workload operation runs: takes the engine
+    /// lock, stamps the op's linearization seq while holding it, and
+    /// applies `op` to the wrapped engine — whose admission caps (its
+    /// [`QueueBounds`](crate::engine::QueueBounds), set before wrapping)
+    /// apply.
+    pub fn apply(&self, op: Op) -> (u64, Outcome) {
         let mut g = self.lock();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let out = g.post_recv(spec, request);
-        self.note_occupancy(&g);
+        let out = g.apply(op).1;
+        // Only an append can raise a highwater mark.
+        match out {
+            Outcome::Posted { .. } => {
+                self.max_prq
+                    .fetch_max(g.prq_len() as u64, Ordering::Relaxed);
+            }
+            Outcome::Queued { .. } => {
+                self.max_umq
+                    .fetch_max(g.umq_len() as u64, Ordering::Relaxed);
+            }
+            _ => {}
+        }
         (seq, out)
     }
 
-    /// Thread-safe [`MatchEngine::arrival`].
-    pub fn arrival(&self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        self.arrival_seq(env, payload).1
-    }
-
-    /// [`Self::arrival`] returning the operation's linearization stamp.
-    pub fn arrival_seq(&self, env: Envelope, payload: u64) -> (u64, ArrivalOutcome) {
-        let mut g = self.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let out = g.arrival(env, payload);
-        self.note_occupancy(&g);
-        (seq, out)
-    }
-
-    /// Thread-safe [`MatchEngine::try_post_recv`]: the wrapped engine's
-    /// admission caps apply (set them via [`Self::set_bounds`] or on the
-    /// engine before wrapping).
-    pub fn try_post_recv(&self, spec: RecvSpec, request: u64) -> TryRecvOutcome {
-        self.try_post_recv_seq(spec, request).1
-    }
-
-    /// [`Self::try_post_recv`] returning the operation's linearization
-    /// stamp.
-    pub fn try_post_recv_seq(&self, spec: RecvSpec, request: u64) -> (u64, TryRecvOutcome) {
-        let mut g = self.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let out = g.try_post_recv(spec, request);
-        self.note_occupancy(&g);
-        (seq, out)
-    }
-
-    /// Thread-safe [`MatchEngine::try_arrival`] under the wrapped engine's
-    /// admission caps.
-    pub fn try_arrival(&self, env: Envelope, payload: u64) -> TryArrivalOutcome {
-        self.try_arrival_seq(env, payload).1
-    }
-
-    /// [`Self::try_arrival`] returning the operation's linearization stamp.
-    pub fn try_arrival_seq(&self, env: Envelope, payload: u64) -> (u64, TryArrivalOutcome) {
-        let mut g = self.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let out = g.try_arrival(env, payload);
-        self.note_occupancy(&g);
-        (seq, out)
-    }
-
-    /// Replaces the wrapped engine's admission caps (linearized like any
-    /// workload op, but uncounted: it is configuration, not contention).
-    pub fn set_bounds(&self, bounds: QueueBounds) {
-        let mut g = self.lock_uncounted();
-        self.seq.fetch_add(1, Ordering::Relaxed);
-        g.set_bounds(bounds);
-    }
-
-    /// Current admission caps of the wrapped engine.
-    pub fn bounds(&self) -> QueueBounds {
-        self.lock_uncounted().bounds()
-    }
-
-    /// Thread-safe [`MatchEngine::cancel_recv`].
-    pub fn cancel_recv(&self, request: u64) -> bool {
-        self.cancel_recv_seq(request).1
-    }
-
-    /// [`Self::cancel_recv`] returning the operation's linearization stamp.
-    pub fn cancel_recv_seq(&self, request: u64) -> (u64, bool) {
-        let mut g = self.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        (seq, g.cancel_recv(request))
-    }
-
-    /// Thread-safe [`MatchEngine::iprobe`].
-    pub fn iprobe(&self, spec: RecvSpec) -> Option<(u64, u32)> {
-        self.iprobe_seq(spec).1
-    }
-
-    /// [`Self::iprobe`] returning the operation's linearization stamp.
-    pub fn iprobe_seq(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>) {
-        let g = self.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        (seq, g.iprobe(spec))
-    }
+    stamped_verbs!();
 
     /// Current queue lengths `(prq, umq)`. Taken through the uncounted lock
     /// path, so observer snapshots never pollute the contention counters.
@@ -254,11 +175,19 @@ where
     pub fn validate(&self) -> Result<(), String> {
         self.lock_uncounted().validate()
     }
+
+    /// `(PRQ request ids, UMQ payload ids)` in FIFO order (uncounted).
+    pub fn queue_ids(&self) -> (Vec<u64>, Vec<u64>) {
+        self.lock_uncounted().queue_ids()
+    }
 }
+
+stamped_engine!(SharedEngine);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueueBounds;
     use crate::list::{BaselineList, Lla};
 
     type TestEngine = SharedEngine<Lla<PostedEntry, 2>, Lla<UnexpectedEntry, 3>>;
@@ -426,8 +355,14 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200 {
                         let tag = t * 200 + i;
-                        let (sp, _) = eng.post_recv_seq(RecvSpec::new(1, tag, 0), tag as u64);
-                        let (sa, _) = eng.arrival_seq(Envelope::new(1, tag, 0), tag as u64);
+                        let (sp, _) = eng.apply(Op::PostRecv {
+                            spec: RecvSpec::new(1, tag, 0),
+                            request: tag as u64,
+                        });
+                        let (sa, _) = eng.apply(Op::Arrival {
+                            env: Envelope::new(1, tag, 0),
+                            payload: tag as u64,
+                        });
                         assert!(sp < sa, "a thread's own ops must be ordered");
                         stamps.lock().unwrap().push(sp);
                         stamps.lock().unwrap().push(sa);
@@ -443,12 +378,12 @@ mod tests {
 
     #[test]
     fn bounded_ops_enforce_caps_across_threads() {
-        let eng = engine();
-        eng.set_bounds(QueueBounds {
+        let bounds = QueueBounds {
             max_prq: usize::MAX,
             max_umq: 16,
-        });
-        assert_eq!(eng.bounds().max_umq, 16);
+        };
+        let eng: TestEngine =
+            SharedEngine::new(MatchEngine::with_bounds(Lla::new(), Lla::new(), bounds));
         // 4 threads race 100 unmatched arrivals each; the UMQ may never
         // exceed its cap and every op either queues or rejects.
         let queued = AtomicU64::new(0);
@@ -458,9 +393,13 @@ mod tests {
                 let (eng, queued, rejected) = (&eng, &queued, &rejected);
                 s.spawn(move || {
                     for i in 0..100 {
-                        match eng.try_arrival(Envelope::new(t, i, 0), i as u64) {
-                            TryArrivalOutcome::Queued => queued.fetch_add(1, Ordering::Relaxed),
-                            TryArrivalOutcome::RejectedUmqFull { .. } => {
+                        let op = Op::Arrival {
+                            env: Envelope::new(t, i, 0),
+                            payload: i as u64,
+                        };
+                        match eng.apply(op).1 {
+                            Outcome::Queued { .. } => queued.fetch_add(1, Ordering::Relaxed),
+                            Outcome::RejectedUmqFull { .. } => {
                                 rejected.fetch_add(1, Ordering::Relaxed)
                             }
                             other => panic!("no posts, so no match: {other:?}"),
@@ -474,12 +413,10 @@ mod tests {
         assert_eq!(eng.queue_lens(), (0, 16));
         assert_eq!(eng.stats().umq_rejections, 400 - 16);
         // Matching posts drain the cap back down; posts under the cap work.
+        let any = RecvSpec::new(crate::entry::ANY_SOURCE, crate::entry::ANY_TAG, 0);
         assert!(matches!(
-            eng.try_post_recv(
-                RecvSpec::new(crate::entry::ANY_SOURCE, crate::entry::ANY_TAG, 0),
-                1
-            ),
-            TryRecvOutcome::MatchedUnexpected { .. }
+            eng.post_recv(any, 1),
+            RecvOutcome::MatchedUnexpected { .. }
         ));
         assert_eq!(eng.queue_lens().1, 15);
     }

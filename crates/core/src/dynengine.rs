@@ -8,10 +8,10 @@
 //! fills the same number of cache lines (24-byte vs 16-byte entries: a 3:2
 //! entry ratio, Figure 2).
 
-use crate::engine::{ArrivalOutcome, MatchEngine, RecvOutcome};
+use crate::engine::{ArrivalOutcome, Engine, MatchEngine, Op, Outcome, RecvOutcome};
 use crate::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use crate::list::{BaselineList, HashBins, Lla, MatchList, RankTrie, SourceBins};
-use crate::sink::AccessSink;
+use crate::sink::{AccessSink, NullSink};
 use crate::stats::EngineStats;
 
 /// Context id reserved for padding entries that must never match (the
@@ -170,34 +170,40 @@ impl DynEngine {
         }
     }
 
-    /// See [`MatchEngine::post_recv_sink`].
+    /// See [`MatchEngine::apply_sink`].
+    pub fn apply_sink<S: AccessSink>(&mut self, op: Op, sink: &mut S) -> Outcome {
+        with_engine!(self, e => e.apply_sink(op, sink))
+    }
+
+    /// [`Op::PostRecv`] through `sink`, narrowed to [`RecvOutcome`].
     pub fn post_recv_sink<S: AccessSink>(
         &mut self,
         spec: RecvSpec,
         request: u64,
         sink: &mut S,
     ) -> RecvOutcome {
-        with_engine!(self, e => e.post_recv_sink(spec, request, sink))
+        self.apply_sink(Op::PostRecv { spec, request }, sink).recv()
     }
 
     /// See [`MatchEngine::post_recv`].
     pub fn post_recv(&mut self, spec: RecvSpec, request: u64) -> RecvOutcome {
-        with_engine!(self, e => e.post_recv(spec, request))
+        self.post_recv_sink(spec, request, &mut NullSink)
     }
 
-    /// See [`MatchEngine::arrival_sink`].
+    /// [`Op::Arrival`] through `sink`, narrowed to [`ArrivalOutcome`].
     pub fn arrival_sink<S: AccessSink>(
         &mut self,
         env: Envelope,
         payload: u64,
         sink: &mut S,
     ) -> ArrivalOutcome {
-        with_engine!(self, e => e.arrival_sink(env, payload, sink))
+        self.apply_sink(Op::Arrival { env, payload }, sink)
+            .arrival()
     }
 
     /// See [`MatchEngine::arrival`].
     pub fn arrival(&mut self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        with_engine!(self, e => e.arrival(env, payload))
+        self.arrival_sink(env, payload, &mut NullSink)
     }
 
     /// See [`MatchEngine::iprobe`].
@@ -241,7 +247,7 @@ impl DynEngine {
     /// use [`PAD_CONTEXT`], which no real traffic carries, so every search
     /// walks past them.
     pub fn pad_prq(&mut self, n: usize) {
-        let mut sink = crate::sink::NullSink;
+        let mut sink = NullSink;
         with_engine!(self, e => {
             for i in 0..n {
                 e.prq_mut().append(
@@ -256,10 +262,37 @@ impl DynEngine {
     }
 }
 
+impl Engine for DynEngine {
+    type Stamp = ();
+
+    fn apply(&mut self, op: Op) -> ((), Outcome) {
+        ((), self.apply_sink(op, &mut NullSink))
+    }
+
+    fn queue_lens(&self) -> (usize, usize) {
+        (self.prq_len(), self.umq_len())
+    }
+
+    fn stats(&self) -> EngineStats {
+        DynEngine::stats(self).clone()
+    }
+
+    fn queue_ids(&self) -> (Vec<u64>, Vec<u64>) {
+        with_engine!(self, e => e.queue_ids())
+    }
+
+    fn reset(&mut self) {
+        DynEngine::reset(self)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        with_engine!(self, e => e.validate())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ArrivalOutcome;
 
     fn all_kinds() -> Vec<EngineKind> {
         vec![

@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::RecvOutcome;
+use crate::engine::{Engine, Op, Outcome, RecvOutcome};
 use crate::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE};
 use crate::list::MatchList;
 use crate::shard::ShardedEngine;
@@ -58,6 +58,15 @@ pub enum IngestOp {
         /// Buffered payload handle.
         payload: u64,
     },
+}
+
+impl From<IngestOp> for Op {
+    fn from(op: IngestOp) -> Op {
+        match op {
+            IngestOp::Post { spec, request } => Op::PostRecv { spec, request },
+            IngestOp::Arrive { env, payload } => Op::Arrival { env, payload },
+        }
+    }
 }
 
 /// Packs an op into three atomic words: `w0 = kind | ctx<<16 | rank<<32`,
@@ -239,8 +248,11 @@ pub struct DrainRecord {
     pub seq: u64,
     /// The op itself.
     pub op: IngestOp,
-    /// Matched counterpart: the buffered payload for a matched post, the
-    /// matched request for an arrival, `None` if the op queued.
+    /// What the op did when it was applied.
+    pub outcome: Outcome,
+    /// [`Outcome::matched`] of `outcome`: the buffered payload for a
+    /// matched post, the matched request for an arrival, `None` if the op
+    /// queued.
     pub matched: Option<u64>,
 }
 
@@ -323,13 +335,14 @@ where
             let mut recs = Vec::new();
             let n = self
                 .inner
-                .drain_rings(si, rings, |producer, seq, op, matched| {
+                .drain_rings(si, rings, |producer, seq, op, outcome| {
                     // spc-allow(hot-path-alloc): drain-log capture, active only when logging is on
                     recs.push(DrainRecord {
                         producer,
                         seq,
                         op,
-                        matched,
+                        outcome,
+                        matched: outcome.matched(),
                     })
                 });
             if !recs.is_empty() {
@@ -467,45 +480,98 @@ where
         }
     }
 
-    /// Posts a receive. Concrete sources buffer into the shard's ring
-    /// and return `None` (the outcome is decided at drain time and, when
-    /// logging is enabled, recorded in the drain log). Wildcard sources
-    /// flush this producer's rings and run directly, returning the stamp
-    /// and outcome.
+    /// Applies `op` in this producer's program order. Arrivals and
+    /// concrete-source posts buffer into the shard's ring and answer
+    /// [`Outcome::Deferred`]: stamp and outcome are decided at drain time
+    /// and, when logging is enabled, recorded in the drain log. Everything
+    /// that must observe the producer's earlier ops — wildcard posts,
+    /// probes, cancels — first flushes this producer's own rings, then
+    /// runs directly and returns its linearization stamp and outcome.
+    #[inline]
+    pub fn apply(&self, op: Op) -> (u64, Outcome) {
+        let (rank, buffered) = match op {
+            Op::PostRecv { spec, request } if spec.rank != ANY_SOURCE => {
+                (spec.rank, IngestOp::Post { spec, request })
+            }
+            Op::Arrival { env, payload } => (env.rank, IngestOp::Arrive { env, payload }),
+            direct => {
+                self.eng.flush_producer(self.id);
+                return self.eng.inner.apply(direct);
+            }
+        };
+        self.enqueue(self.eng.inner.shard_index(rank), buffered);
+        (0, Outcome::Deferred)
+    }
+
+    /// [`Op::PostRecv`]: `None` when the post was buffered, the stamp and
+    /// outcome of a wildcard post that ran directly.
+    #[inline]
     pub fn post_recv(&self, spec: RecvSpec, request: u64) -> Option<(u64, RecvOutcome)> {
-        if spec.rank == ANY_SOURCE {
-            self.eng.flush_producer(self.id);
-            return Some(self.eng.inner.post_recv_seq(spec, request));
-        }
-        let si = self.eng.inner.shard_index(spec.rank);
-        self.enqueue(si, IngestOp::Post { spec, request });
-        None
+        let (seq, out) = self.apply(Op::PostRecv { spec, request });
+        (out != Outcome::Deferred).then(|| (seq, out.recv()))
     }
 
-    /// Buffers a message arrival (outcome decided at drain time).
+    /// [`Op::Arrival`] (always buffered; outcome decided at drain time).
+    #[inline]
     pub fn arrival(&self, env: Envelope, payload: u64) {
-        let si = self.eng.inner.shard_index(env.rank);
-        self.enqueue(si, IngestOp::Arrive { env, payload });
+        self.apply(Op::Arrival { env, payload });
     }
 
-    /// Probes the unexpected queue, flushing this producer's rings first
-    /// so its own earlier arrivals are observable (FIFO non-overtaking
-    /// in program order).
+    /// [`Op::Iprobe`] with its stamp: sees this producer's own earlier
+    /// arrivals (FIFO non-overtaking in program order).
     pub fn iprobe_seq(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>) {
-        self.eng.flush_producer(self.id);
-        self.eng.inner.iprobe_seq(spec)
+        let (seq, out) = self.apply(Op::Iprobe { spec });
+        (seq, out.probed())
     }
 
-    /// Cancels a posted receive, flushing this producer's rings first so
-    /// its own buffered posts are cancellable.
+    /// [`Op::Cancel`] with its stamp: reaches this producer's own
+    /// buffered posts.
     pub fn cancel_recv_seq(&self, request: u64) -> (u64, bool) {
-        self.eng.flush_producer(self.id);
-        self.eng.inner.cancel_recv_seq(request)
+        let (seq, out) = self.apply(Op::Cancel { request });
+        (seq, out == Outcome::Cancelled(true))
     }
 
     /// Drains this producer's rings (program-order barrier).
     pub fn flush(&self) -> usize {
         self.eng.flush_producer(self.id)
+    }
+}
+
+/// The observers read the wrapped engine: ops still buffered in a ring
+/// have not linearized and are not counted.
+impl<P, U> Engine for Producer<'_, P, U>
+where
+    P: MatchList<PostedEntry> + Send,
+    U: MatchList<UnexpectedEntry> + Send,
+{
+    type Stamp = u64;
+
+    #[inline]
+    fn apply(&mut self, op: Op) -> (u64, Outcome) {
+        Producer::apply(self, op)
+    }
+
+    fn queue_lens(&self) -> (usize, usize) {
+        self.eng.queue_lens()
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.eng.stats()
+    }
+
+    fn queue_ids(&self) -> (Vec<u64>, Vec<u64>) {
+        self.eng.inner.queue_ids()
+    }
+
+    /// Applies whatever any producer still has buffered, then empties the
+    /// queues: nothing issued before the reset survives it.
+    fn reset(&mut self) {
+        self.eng.flush_all();
+        self.eng.inner.reset();
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.eng.validate()
     }
 }
 

@@ -25,6 +25,12 @@
 //! [`heater`]: a thread that periodically touches registered memory regions so
 //! that cache-eviction metrics keep them resident (§3.2, Figure 3).
 //!
+//! Every engine — the single-threaded [`MatchEngine`], the runtime-selected
+//! [`dynengine::DynEngine`], and the thread-safe [`concurrent::SharedEngine`],
+//! [`ShardedEngine`] and [`ingest::BatchedEngine`] — takes the same four
+//! [`Op`]s through [`Engine::apply`] and answers with the same [`Outcome`];
+//! the plain verbs used below are views of that one call (see [`engine`]).
+//!
 //! Every structure reports its memory accesses through an [`sink::AccessSink`],
 //! so the same code path can run natively (with the zero-cost
 //! [`sink::NullSink`]) or feed the cache-hierarchy simulator in `spc-cachesim`
@@ -73,9 +79,7 @@ pub mod simd;
 pub mod sink;
 pub mod stats;
 
-pub use engine::{
-    ArrivalOutcome, MatchEngine, QueueBounds, RecvOutcome, TryArrivalOutcome, TryRecvOutcome,
-};
+pub use engine::{ArrivalOutcome, Engine, MatchEngine, Op, Outcome, QueueBounds, RecvOutcome};
 pub use entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
 pub use shard::ShardedEngine;
 pub use sink::{AccessSink, CountingSink, NullSink};

@@ -16,41 +16,18 @@
 //! P <rank> <tag> <ctx> <request>    # post a receive (rank/tag may be -1)
 //! A <rank> <tag> <ctx> <payload>    # message arrival
 //! C <request>                       # cancel a posted receive
+//! I <rank> <tag> <ctx>              # probe the unexpected queue
 //! ```
 
-use crate::engine::{ArrivalOutcome, RecvOutcome};
+use crate::engine::{Op, Outcome};
 use crate::entry::{Envelope, RecvSpec};
 use crate::sink::AccessSink;
 use crate::stats::{DepthStats, EngineStats};
 
-/// One recorded matching operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceOp {
-    /// A receive was posted.
-    Post {
-        /// The receive specification (wildcards allowed).
-        spec: RecvSpec,
-        /// Request handle.
-        request: u64,
-    },
-    /// A message arrived from the network.
-    Arrival {
-        /// The message envelope.
-        env: Envelope,
-        /// Payload handle.
-        payload: u64,
-    },
-    /// A posted receive was cancelled.
-    Cancel {
-        /// Request handle to cancel.
-        request: u64,
-    },
-}
-
-/// A recorded stream of matching operations for one process.
+/// A recorded stream of matching operations ([`Op`]s) for one process.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MatchTrace {
-    ops: Vec<TraceOp>,
+    ops: Vec<Op>,
 }
 
 /// Error parsing a serialized trace.
@@ -82,17 +59,22 @@ impl MatchTrace {
 
     /// Records a posted receive.
     pub fn post(&mut self, spec: RecvSpec, request: u64) {
-        self.ops.push(TraceOp::Post { spec, request });
+        self.ops.push(Op::PostRecv { spec, request });
     }
 
     /// Records a message arrival.
     pub fn arrival(&mut self, env: Envelope, payload: u64) {
-        self.ops.push(TraceOp::Arrival { env, payload });
+        self.ops.push(Op::Arrival { env, payload });
     }
 
     /// Records a cancellation.
     pub fn cancel(&mut self, request: u64) {
-        self.ops.push(TraceOp::Cancel { request });
+        self.ops.push(Op::Cancel { request });
+    }
+
+    /// Records a probe of the unexpected queue.
+    pub fn probe(&mut self, spec: RecvSpec) {
+        self.ops.push(Op::Iprobe { spec });
     }
 
     /// Number of operations.
@@ -106,7 +88,7 @@ impl MatchTrace {
     }
 
     /// The operations, in program order.
-    pub fn ops(&self) -> &[TraceOp] {
+    pub fn ops(&self) -> &[Op] {
         &self.ops
     }
 
@@ -116,20 +98,26 @@ impl MatchTrace {
         out.push_str("# spc-match-trace v1\n");
         for op in &self.ops {
             match op {
-                TraceOp::Post { spec, request } => {
+                Op::PostRecv { spec, request } => {
                     out.push_str(&format!(
                         "P {} {} {} {}\n",
                         spec.rank, spec.tag, spec.context_id, request
                     ));
                 }
-                TraceOp::Arrival { env, payload } => {
+                Op::Arrival { env, payload } => {
                     out.push_str(&format!(
                         "A {} {} {} {}\n",
                         env.rank, env.tag, env.context_id, payload
                     ));
                 }
-                TraceOp::Cancel { request } => {
+                Op::Cancel { request } => {
                     out.push_str(&format!("C {request}\n"));
+                }
+                Op::Iprobe { spec } => {
+                    out.push_str(&format!(
+                        "I {} {} {}\n",
+                        spec.rank, spec.tag, spec.context_id
+                    ));
                 }
             }
         }
@@ -192,6 +180,14 @@ impl MatchTrace {
                     want(1)?;
                     trace.cancel(num(fields[0])? as u64);
                 }
+                "I" => {
+                    want(3)?;
+                    trace.probe(RecvSpec::new(
+                        num(fields[0])? as i32,
+                        num(fields[1])? as i32,
+                        num(fields[2])? as u16,
+                    ));
+                }
                 other => return Err(err(format!("unknown op kind {other:?}"))),
             }
         }
@@ -206,31 +202,22 @@ impl MatchTrace {
         sink: &mut S,
     ) -> ReplayReport {
         let mut report = ReplayReport::default();
-        for op in &self.ops {
-            match *op {
-                TraceOp::Post { spec, request } => {
-                    match engine.post_recv_sink(spec, request, sink) {
-                        RecvOutcome::MatchedUnexpected { depth, .. } => {
-                            report.umq_hits += 1;
-                            report.umq_depths.record(depth as u64);
-                        }
-                        RecvOutcome::Posted => report.posted += 1,
-                    }
+        for &op in &self.ops {
+            match engine.apply_sink(op, sink) {
+                Outcome::MatchedUnexpected { depth, .. } => {
+                    report.umq_hits += 1;
+                    report.umq_depths.record(depth as u64);
                 }
-                TraceOp::Arrival { env, payload } => {
-                    match engine.arrival_sink(env, payload, sink) {
-                        ArrivalOutcome::MatchedPosted { depth, .. } => {
-                            report.prq_hits += 1;
-                            report.prq_depths.record(depth as u64);
-                        }
-                        ArrivalOutcome::Queued => report.queued += 1,
-                    }
+                Outcome::Posted { .. } => report.posted += 1,
+                Outcome::MatchedPosted { depth, .. } => {
+                    report.prq_hits += 1;
+                    report.prq_depths.record(depth as u64);
                 }
-                TraceOp::Cancel { request } => {
-                    if engine.cancel_recv(request) {
-                        report.cancelled += 1;
-                    }
-                }
+                Outcome::Queued { .. } => report.queued += 1,
+                Outcome::Cancelled(hit) => report.cancelled += hit as u64,
+                // Probes change nothing; rejections and deferrals cannot
+                // happen on an unbounded, unbatched engine.
+                _ => {}
             }
         }
         report.final_prq_len = engine.prq_len();
@@ -284,6 +271,7 @@ mod tests {
         t.arrival(Envelope::new(2, 9, 0), 101);
         t.cancel(11); // already matched by arrival 101? no: 101 matched req 11
         t.arrival(Envelope::new(3, 3, 0), 102); // queued
+        t.probe(RecvSpec::new(3, ANY_TAG, 0)); // sees it, consumes nothing
         t.post(RecvSpec::new(3, 3, 0), 12); // drains it
         t
     }

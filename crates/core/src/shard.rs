@@ -130,7 +130,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::engine::{ArrivalOutcome, MatchEngine, RecvOutcome};
+use crate::engine::{
+    stamped_engine, stamped_verbs, ArrivalOutcome, Engine, MatchEngine, Op, Outcome, RecvOutcome,
+};
 use crate::entry::{
     packed_matches, Element, Envelope, PackedProbe, PostedEntry, RecvSpec, UnexpectedEntry,
     ANY_SOURCE,
@@ -740,22 +742,32 @@ where
         self.seq.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Posts a receive. Concrete sources take the shard fast path; an
-    /// `MPI_ANY_SOURCE` spec takes the all-shard slow path described in
-    /// the module docs.
-    pub fn post_recv(&self, spec: RecvSpec, request: u64) -> RecvOutcome {
-        self.post_recv_seq(spec, request).1
+    /// Applies `op`, returning its linearization stamp (taken while the
+    /// op holds every lock it uses) and outcome. The shards are unbounded:
+    /// no outcome is ever a rejection.
+    pub fn apply(&self, op: Op) -> (u64, Outcome) {
+        match op {
+            // An `MPI_ANY_SOURCE` spec takes the slow path described in
+            // the module docs; a concrete source only its shard's lock.
+            Op::PostRecv { spec, request } if spec.rank == ANY_SOURCE => {
+                self.post_recv_wild(spec, request)
+            }
+            Op::PostRecv { spec, request } => {
+                let si = self.shard_of(spec.rank);
+                let mut g = self.shards[si].lock();
+                self.post_recv_locked(si, &mut g, spec, request)
+            }
+            Op::Arrival { env, payload } => {
+                let si = self.shard_of(env.rank);
+                let mut g = self.shards[si].lock();
+                self.arrival_locked(si, &mut g, env, payload)
+            }
+            Op::Cancel { request } => self.cancel(request),
+            Op::Iprobe { spec } => self.probe(spec),
+        }
     }
 
-    /// [`Self::post_recv`] returning the operation's linearization stamp.
-    pub fn post_recv_seq(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome) {
-        if spec.rank == ANY_SOURCE {
-            return self.post_recv_wild(spec, request);
-        }
-        let si = self.shard_of(spec.rank);
-        let mut g = self.shards[si].lock();
-        self.post_recv_locked(si, &mut g, spec, request)
-    }
+    stamped_verbs!();
 
     /// The concrete-source post body, shared by the direct path and the
     /// ring drain. Caller holds shard `si`'s lock; the spec's rank must
@@ -767,17 +779,15 @@ where
         g: &mut ShardState<P, U>,
         spec: RecvSpec,
         request: u64,
-    ) -> (u64, RecvOutcome) {
+    ) -> (u64, Outcome) {
         debug_assert_eq!(self.shard_of(spec.rank), si, "op routed to wrong shard");
         let snap = &self.snaps[si];
         let m = &self.mirrors[si];
         snap.begin();
         let seq = self.next_seq();
-        let pre = g.eng.stats().umq_search.sum;
-        let out = g.eng.post_recv(spec, request);
-        let depth = g.eng.stats().umq_search.sum - pre;
-        match out {
-            RecvOutcome::MatchedUnexpected { payload, .. } => {
+        let out = g.eng.apply(Op::PostRecv { spec, request }).1;
+        match out.matched() {
+            Some(payload) => {
                 let pos = g
                     .umq_idx
                     .iter()
@@ -791,13 +801,13 @@ where
                 self.umq_counts[si].fetch_sub(1, Ordering::SeqCst);
                 m.add_umq_hit();
             }
-            RecvOutcome::Posted => {
+            None => {
                 g.prq_idx
                     .push_back((seq, PostedEntry::from_spec(spec, request)));
                 m.add_prq_append();
             }
         }
-        m.umq_search.record(depth);
+        m.umq_search.record(out.depth() as u64);
         m.note_occupancy(g.eng.prq_len(), g.eng.umq_len());
         snap.end();
         (seq, out)
@@ -806,7 +816,7 @@ where
     /// Posts an `MPI_ANY_SOURCE` receive: lock-free-park fast path when
     /// every shard's unexpected count reads zero, otherwise the all-lock
     /// slow path (see the module docs for the soundness argument).
-    fn post_recv_wild(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome) {
+    fn post_recv_wild(&self, spec: RecvSpec, request: u64) -> (u64, Outcome) {
         let entry = PostedEntry::from_spec(spec, request);
         let slot = entry_slot(&entry);
         {
@@ -825,7 +835,7 @@ where
             // linearization point — retry through the slow path.
             if all_empty && self.seq.load(Ordering::SeqCst) == seq + 1 {
                 self.park_wild(&mut wild, seq, entry, 0);
-                return (seq, RecvOutcome::Posted);
+                return (seq, Outcome::Posted { depth: 0 });
             }
             // Counts are nonzero (or a racer stamped): before paying for
             // every shard lock, try to prove "no queued message matches"
@@ -834,7 +844,7 @@ where
                 if let Some(inspected) = self.wild_prescan_clear(&spec, seq) {
                     self.prescan_parks.fetch_add(1, Ordering::Relaxed);
                     self.park_wild(&mut wild, seq, entry, inspected);
-                    return (seq, RecvOutcome::Posted);
+                    return (seq, Outcome::Posted { depth: inspected });
                 }
                 self.prescan_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
@@ -858,9 +868,9 @@ where
     /// yet published may have read its slot *before* our bump — the
     /// count mismatch is the only trace it leaves), and the global seq
     /// unchanged (no racing remover with a later stamp).
-    fn wild_prescan_clear(&self, spec: &RecvSpec, seq: u64) -> Option<u64> {
+    fn wild_prescan_clear(&self, spec: &RecvSpec, seq: u64) -> Option<u32> {
         let probe = spec.packed();
-        let mut inspected = 0u64;
+        let mut inspected = 0u32;
         for (snap, count) in self.snaps.iter().zip(&self.umq_counts) {
             let mut live = 0usize;
             let mut matched = false;
@@ -872,7 +882,7 @@ where
             if !stable || matched || live != count.load(Ordering::SeqCst) {
                 return None;
             }
-            inspected += live as u64;
+            inspected += live as u32;
         }
         (self.seq.load(Ordering::SeqCst) == seq + 1).then_some(inspected)
     }
@@ -896,10 +906,10 @@ where
     /// lock and accounts for the occupancy words itself). `inspected` is
     /// the number of unexpected entries examined before concluding no
     /// match.
-    fn park_wild(&self, wild: &mut WildState<P>, seq: u64, entry: PostedEntry, inspected: u64) {
+    fn park_wild(&self, wild: &mut WildState<P>, seq: u64, entry: PostedEntry, inspected: u32) {
         wild.prq.append(entry, &mut crate::sink::NullSink);
         wild.prq_idx.push_back((seq, entry));
-        self.wild_mirror.umq_search.record(inspected);
+        self.wild_mirror.umq_search.record(inspected as u64);
         self.wild_mirror.add_prq_append();
         self.wild_mirror.note_occupancy(wild.prq.len(), 0);
     }
@@ -907,7 +917,7 @@ where
     /// The wildcard slow path: all shard locks + the wildcard lane, a
     /// global (seq-ordered) search of every shard's unexpected queue,
     /// then either an immediate match or parking in the wildcard lane.
-    fn post_recv_wild_slow(&self, spec: RecvSpec, request: u64) -> (u64, RecvOutcome) {
+    fn post_recv_wild_slow(&self, spec: RecvSpec, request: u64) -> (u64, Outcome) {
         let mut guards = self.lock_all();
         let mut wild = self.wild.lock();
         // A match (if any) lives in a shard unknown until the scan ends,
@@ -940,10 +950,8 @@ where
         let result = match best {
             Some((bseq, si)) => {
                 let g = &mut guards[si];
-                let pre = g.eng.stats().umq_search.sum;
-                let out = g.eng.post_recv(spec, request);
-                let depth = g.eng.stats().umq_search.sum - pre;
-                let RecvOutcome::MatchedUnexpected { payload, .. } = out else {
+                let out = g.eng.apply(Op::PostRecv { spec, request }).1;
+                let Outcome::MatchedUnexpected { payload, depth } = out else {
                     // spc-allow(hot-path-panic): seq index mirrors the structure; divergence is engine corruption
                     panic!("seq index found a match the structure missed");
                 };
@@ -960,14 +968,14 @@ where
                 self.snaps[si].kill(eseq);
                 self.umq_counts[si].fetch_sub(1, Ordering::SeqCst);
                 let m = &self.mirrors[si];
-                m.umq_search.record(depth);
+                m.umq_search.record(depth as u64);
                 m.add_umq_hit();
                 m.note_occupancy(g.eng.prq_len(), g.eng.umq_len());
                 // The shard sub-engine already recorded the hit; only the
                 // globally-inspected depth is reported to the caller.
                 (
                     seq,
-                    RecvOutcome::MatchedUnexpected {
+                    Outcome::MatchedUnexpected {
                         payload,
                         depth: inspected,
                     },
@@ -975,9 +983,9 @@ where
             }
             None => {
                 let entry = PostedEntry::from_spec(spec, request);
-                self.park_wild(&mut wild, seq, entry, inspected as u64);
+                self.park_wild(&mut wild, seq, entry, inspected);
                 self.wild_occupy(entry_slot(&entry));
-                (seq, RecvOutcome::Posted)
+                (seq, Outcome::Posted { depth: inspected })
             }
         };
         for s in &self.snaps {
@@ -986,30 +994,18 @@ where
         result
     }
 
-    /// Handles a message arrival: shard fast path, with the wildcard-lane
-    /// crossing only when the lane holds a receive on the arrival's tag
-    /// slot (or an `MPI_ANY_TAG` one).
-    pub fn arrival(&self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        self.arrival_seq(env, payload).1
-    }
-
-    /// [`Self::arrival`] returning the operation's linearization stamp.
-    pub fn arrival_seq(&self, env: Envelope, payload: u64) -> (u64, ArrivalOutcome) {
-        let si = self.shard_of(env.rank);
-        let mut g = self.shards[si].lock();
-        self.arrival_locked(si, &mut g, env, payload)
-    }
-
-    /// The arrival body, shared by the direct path and the ring drain.
-    /// Caller holds shard `si`'s lock; the envelope's rank must route to
-    /// `si`.
+    /// The arrival body, shared by the direct path and the ring drain:
+    /// shard fast path, with the wildcard-lane crossing only when the lane
+    /// holds a receive on the arrival's tag slot (or an `MPI_ANY_TAG`
+    /// one). Caller holds shard `si`'s lock; the envelope's rank must
+    /// route to `si`.
     fn arrival_locked(
         &self,
         si: usize,
         g: &mut ShardState<P, U>,
         env: Envelope,
         payload: u64,
-    ) -> (u64, ArrivalOutcome) {
+    ) -> (u64, Outcome) {
         debug_assert_eq!(self.shard_of(env.rank), si, "op routed to wrong shard");
         // Pre-bump this shard's unexpected count *before* reading the
         // wildcard-lane occupancy — the arrival half of the store-buffering
@@ -1062,7 +1058,7 @@ where
             snap.end();
             return (
                 seq,
-                ArrivalOutcome::MatchedPosted {
+                Outcome::MatchedPosted {
                     request: recv.request,
                     depth: scanned as u32,
                 },
@@ -1070,11 +1066,9 @@ where
         }
 
         drop(wild);
-        let pre = g.eng.stats().prq_search.sum;
-        let out = g.eng.arrival(env, payload);
-        let depth = g.eng.stats().prq_search.sum - pre;
-        match out {
-            ArrivalOutcome::MatchedPosted { request, .. } => {
+        let out = g.eng.apply(Op::Arrival { env, payload }).1;
+        match out.matched() {
+            Some(request) => {
                 let pos = match shard_first {
                     Some((pos, _)) => pos,
                     None => g
@@ -1091,7 +1085,7 @@ where
                 self.umq_counts[si].fetch_sub(1, Ordering::SeqCst);
                 m.add_prq_hit();
             }
-            ArrivalOutcome::Queued => {
+            None => {
                 debug_assert!(shard_first.is_none());
                 let e = UnexpectedEntry::from_envelope(env, payload);
                 g.umq_idx.push_back((seq, e));
@@ -1100,7 +1094,7 @@ where
                 // The pre-bump stands: it now counts the queued message.
             }
         }
-        m.prq_search.record(depth);
+        m.prq_search.record(out.depth() as u64);
         m.note_occupancy(g.eng.prq_len(), g.eng.umq_len());
         snap.end();
         (seq, out)
@@ -1110,12 +1104,7 @@ where
     /// be unique (as every driver in this workspace guarantees); the scan
     /// takes the all-lock slow path so it is atomic against every racing
     /// post and arrival.
-    pub fn cancel_recv(&self, request: u64) -> bool {
-        self.cancel_recv_seq(request).1
-    }
-
-    /// [`Self::cancel_recv`] returning the operation's linearization stamp.
-    pub fn cancel_recv_seq(&self, request: u64) -> (u64, bool) {
+    fn cancel(&self, request: u64) -> (u64, Outcome) {
         let mut guards = self.lock_all();
         let mut wild = self.wild.lock();
         // Cancels touch PRQ state only — no unexpected-queue rows — so no
@@ -1132,7 +1121,7 @@ where
                     .expect("structure removed the entry, index must hold it");
                 g.prq_idx.remove(pos);
                 self.mirrors[si].note_occupancy(g.eng.prq_len(), g.eng.umq_len());
-                return (seq, true);
+                return (seq, Outcome::Cancelled(true));
             }
         }
         if let Some(recv) = wild.prq.remove_by_id(request, &mut crate::sink::NullSink) {
@@ -1145,9 +1134,9 @@ where
             wild.prq_idx.remove(pos);
             self.wild_mirror.note_occupancy(wild.prq.len(), 0);
             self.wild_vacate(entry_slot(&recv));
-            return (seq, true);
+            return (seq, Outcome::Cancelled(true));
         }
-        (seq, false)
+        (seq, Outcome::Cancelled(false))
     }
 
     /// Non-destructive unexpected-queue probe (`MPI_Iprobe`). Both the
@@ -1156,25 +1145,21 @@ where
     /// and its position in the seq-merge of every shard's unexpected
     /// queue (see `merged_probe`; a concrete-source miss reads only the
     /// source's own shard).
-    pub fn iprobe(&self, spec: RecvSpec) -> Option<(u64, u32)> {
-        self.iprobe_seq(spec).1
-    }
-
-    /// [`Self::iprobe`] returning the operation's linearization stamp.
     ///
     /// The lock-free path takes its stamp by *loading* the seq counter
     /// rather than advancing it, so several concurrent probes may share a
     /// stamp with each other and with the next writer; a probe always
     /// linearizes *before* a same-stamp writer (it validated the
     /// pre-writer snapshot), which is how the conformance log sorts them.
-    pub fn iprobe_seq(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>) {
+    fn probe(&self, spec: RecvSpec) -> (u64, Outcome) {
         if !self.locked_reads.load(Ordering::SeqCst) {
-            if let Some(r) = self.iprobe_snap(&spec) {
-                return r;
+            if let Some((s0, hit)) = self.iprobe_snap(&spec) {
+                return (s0, Outcome::Probed(hit));
             }
             self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        self.iprobe_locked(spec)
+        let (seq, hit) = self.iprobe_locked(spec);
+        (seq, Outcome::Probed(hit))
     }
 
     /// Seqlock probe: up to [`SNAP_PROBE_RETRIES`] attempts at
@@ -1210,14 +1195,14 @@ where
     /// Applies every buffered op in `rings` (pairs of `(producer id,
     /// ring)` targeting shard `si`) under **one** lock acquisition,
     /// stamping each op at drain time and reporting `(producer, seq, op,
-    /// matched handle)` to `record`. Returns the number of ops applied.
+    /// outcome)` to `record`. Returns the number of ops applied.
     /// The consumer side of each ring is serialized by the shard lock
     /// taken here.
     pub(crate) fn drain_rings(
         &self,
         si: usize,
         rings: &[(usize, &IngestRing)],
-        mut record: impl FnMut(usize, u64, IngestOp, Option<u64>),
+        mut record: impl FnMut(usize, u64, IngestOp, Outcome),
     ) -> usize {
         if rings.iter().all(|(_, r)| r.is_empty()) {
             return 0;
@@ -1227,24 +1212,15 @@ where
         for (p, ring) in rings {
             while let Some(op) = ring.pop() {
                 n += 1;
-                match op {
+                let (seq, out) = match op {
                     IngestOp::Post { spec, request } => {
-                        let (seq, out) = self.post_recv_locked(si, &mut g, spec, request);
-                        let matched = match out {
-                            RecvOutcome::MatchedUnexpected { payload, .. } => Some(payload),
-                            RecvOutcome::Posted => None,
-                        };
-                        record(*p, seq, op, matched);
+                        self.post_recv_locked(si, &mut g, spec, request)
                     }
                     IngestOp::Arrive { env, payload } => {
-                        let (seq, out) = self.arrival_locked(si, &mut g, env, payload);
-                        let matched = match out {
-                            ArrivalOutcome::MatchedPosted { request, .. } => Some(request),
-                            ArrivalOutcome::Queued => None,
-                        };
-                        record(*p, seq, op, matched);
+                        self.arrival_locked(si, &mut g, env, payload)
                     }
-                }
+                };
+                record(*p, seq, op, out);
             }
         }
         n
@@ -1358,6 +1334,8 @@ where
         }
     }
 }
+
+stamped_engine!(ShardedEngine);
 
 #[cfg(test)]
 mod tests {

@@ -317,8 +317,8 @@ pub struct EngineStats {
     /// Number of receive posts appended to the PRQ.
     pub prq_appends: u64,
     /// Receive posts rejected because the PRQ was at its admission cap
-    /// (only bounded engines — [`crate::engine::MatchEngine::try_post_recv`]
-    /// under [`crate::engine::QueueBounds`] — ever increment this).
+    /// (only an engine with finite [`crate::engine::QueueBounds`] ever
+    /// increments this).
     pub prq_rejections: u64,
     /// Arrivals rejected because the UMQ was at its admission cap.
     pub umq_rejections: u64,

@@ -6,7 +6,7 @@
 
 use spc_core::engine::{ArrivalOutcome, MatchEngine, RecvOutcome};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
-use spc_core::list::{BaselineList, Lla, MatchList};
+use spc_core::list::{BaselineList, Lla};
 
 fn baseline() -> MatchEngine<BaselineList<PostedEntry>, BaselineList<UnexpectedEntry>> {
     MatchEngine::new(BaselineList::new(), BaselineList::new())
@@ -16,50 +16,20 @@ fn lla() -> MatchEngine<Lla<PostedEntry, 2>, Lla<UnexpectedEntry, 3>> {
     MatchEngine::new(Lla::new(), Lla::new())
 }
 
-/// Runs `scenario` against both engine configurations.
-fn for_both(scenario: impl Fn(&mut dyn Scenario)) {
-    scenario(&mut baseline());
-    scenario(&mut lla());
-}
-
-/// Object-safe slice of the engine API the scenarios need.
-trait Scenario {
-    fn post_recv(&mut self, spec: RecvSpec, request: u64) -> RecvOutcome;
-    fn arrival(&mut self, env: Envelope, payload: u64) -> ArrivalOutcome;
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)>;
-    fn cancel_recv(&mut self, request: u64) -> bool;
-    fn prq_len(&self) -> usize;
-    fn umq_len(&self) -> usize;
-}
-
-impl<P, U> Scenario for MatchEngine<P, U>
-where
-    P: MatchList<PostedEntry>,
-    U: MatchList<UnexpectedEntry>,
-{
-    fn post_recv(&mut self, spec: RecvSpec, request: u64) -> RecvOutcome {
-        MatchEngine::post_recv(self, spec, request)
-    }
-    fn arrival(&mut self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        MatchEngine::arrival(self, env, payload)
-    }
-    fn iprobe(&mut self, spec: RecvSpec) -> Option<(u64, u32)> {
-        MatchEngine::iprobe(self, spec)
-    }
-    fn cancel_recv(&mut self, request: u64) -> bool {
-        MatchEngine::cancel_recv(self, request)
-    }
-    fn prq_len(&self) -> usize {
-        MatchEngine::prq_len(self)
-    }
-    fn umq_len(&self) -> usize {
-        MatchEngine::umq_len(self)
-    }
+/// Runs the scenario body against both engine configurations, binding
+/// each engine in turn to the closure-style parameter.
+macro_rules! for_both {
+    (|$e:ident| $body:block) => {{
+        let mut $e = baseline();
+        $body
+        let mut $e = lla();
+        $body
+    }};
 }
 
 #[test]
 fn iprobe_then_post_recv_consumes_the_probed_message() {
-    for_both(|e| {
+    for_both!(|e| {
         assert_eq!(
             e.arrival(Envelope::new(2, 9, 0), 70),
             ArrivalOutcome::Queued
@@ -80,7 +50,7 @@ fn iprobe_then_post_recv_consumes_the_probed_message() {
 
 #[test]
 fn iprobe_respects_fifo_between_same_key_messages() {
-    for_both(|e| {
+    for_both!(|e| {
         e.arrival(Envelope::new(1, 1, 0), 100);
         e.arrival(Envelope::new(1, 1, 0), 101);
         // Probe must report the earliest arrival, at depth 1.
@@ -96,7 +66,7 @@ fn iprobe_respects_fifo_between_same_key_messages() {
 
 #[test]
 fn wildcard_iprobe_reports_global_earliest_and_depth() {
-    for_both(|e| {
+    for_both!(|e| {
         e.arrival(Envelope::new(5, 3, 0), 200);
         e.arrival(Envelope::new(1, 3, 0), 201);
         e.arrival(Envelope::new(1, 4, 0), 202);
@@ -115,7 +85,7 @@ fn wildcard_iprobe_reports_global_earliest_and_depth() {
 
 #[test]
 fn iprobe_ignores_the_posted_queue() {
-    for_both(|e| {
+    for_both!(|e| {
         // A posted receive is not an unexpected message: probe stays empty.
         assert_eq!(e.post_recv(RecvSpec::new(3, 3, 0), 9), RecvOutcome::Posted);
         assert_eq!(e.iprobe(RecvSpec::new(3, 3, 0)), None);
@@ -131,7 +101,7 @@ fn iprobe_ignores_the_posted_queue() {
 
 #[test]
 fn cancel_before_arrival_sends_the_message_unexpected() {
-    for_both(|e| {
+    for_both!(|e| {
         assert_eq!(e.post_recv(RecvSpec::new(4, 2, 0), 11), RecvOutcome::Posted);
         assert!(e.cancel_recv(11), "receive is still pending");
         // The cancelled receive must not match: the message goes unexpected.
@@ -146,7 +116,7 @@ fn cancel_before_arrival_sends_the_message_unexpected() {
 
 #[test]
 fn arrival_before_cancel_wins_the_race() {
-    for_both(|e| {
+    for_both!(|e| {
         assert_eq!(e.post_recv(RecvSpec::new(4, 2, 0), 11), RecvOutcome::Posted);
         match e.arrival(Envelope::new(4, 2, 0), 400) {
             ArrivalOutcome::MatchedPosted { request, .. } => assert_eq!(request, 11),
@@ -160,7 +130,7 @@ fn arrival_before_cancel_wins_the_race() {
 
 #[test]
 fn cancelling_the_earlier_of_two_same_key_receives_promotes_the_later() {
-    for_both(|e| {
+    for_both!(|e| {
         e.post_recv(RecvSpec::new(6, 1, 0), 21);
         e.post_recv(RecvSpec::new(6, 1, 0), 22);
         assert!(e.cancel_recv(21));
@@ -181,7 +151,7 @@ fn cancel_in_node_middle_leaves_matching_intact() {
     // LLA-specific shape (also run on baseline for parity): cancelling the
     // middle entry of a node punches an in-band hole that searches must
     // skip without miscounting depth.
-    for_both(|e| {
+    for_both!(|e| {
         for (i, req) in [(0, 31u64), (1, 32), (2, 33), (3, 34)] {
             e.post_recv(RecvSpec::new(7, i, 0), req);
         }

@@ -26,7 +26,7 @@ use spc_rng::SeedableRng;
 use spc_rng::SliceRandom;
 
 use spc_core::concurrent::SharedEngine;
-use spc_core::engine::{ArrivalOutcome, MatchEngine};
+use spc_core::engine::{Engine, MatchEngine, Op, Outcome};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use spc_core::list::{BaselineList, MatchList};
 use spc_core::shard::ShardedEngine;
@@ -321,40 +321,14 @@ enum SourceScheme {
     PerSender,
 }
 
-/// Minimal thread-safe engine surface the real-threads driver needs.
-trait ThreadedEngine: Sync {
-    fn post(&self, spec: RecvSpec, request: u64);
-    fn arrive(&self, env: Envelope, payload: u64) -> ArrivalOutcome;
-}
-
-impl ThreadedEngine for SharedEngine<BaselineList<PostedEntry>, BaselineList<UnexpectedEntry>> {
-    fn post(&self, spec: RecvSpec, request: u64) {
-        let _ = self.post_recv(spec, request);
-    }
-    fn arrive(&self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        self.arrival(env, payload)
-    }
-}
-
-impl ThreadedEngine for ShardedEngine<BaselineList<PostedEntry>, BaselineList<UnexpectedEntry>> {
-    fn post(&self, spec: RecvSpec, request: u64) {
-        let _ = self.post_recv(spec, request);
-    }
-    fn arrive(&self, env: Envelope, payload: u64) -> ArrivalOutcome {
-        self.arrival(env, payload)
-    }
-}
-
 /// `tr` poster threads and `ts` sender threads race on `eng`, exactly as a
 /// multithreaded MPI implementation's match engine is driven. Senders wait
 /// until all receives are pre-posted (the benchmark preposts via a
 /// barrier), then race each other.
-fn run_real_threads<E: ThreadedEngine>(
-    decomp: Decomp,
-    seed: u64,
-    scheme: SourceScheme,
-    eng: &E,
-) -> DepthStats {
+fn run_real_threads<H>(decomp: Decomp, seed: u64, scheme: SourceScheme, eng: H) -> DepthStats
+where
+    H: Engine<Stamp = u64> + Copy + Send,
+{
     let msgs = decomp.cross_messages();
     // Group messages by receiving thread and by sending thread.
     let mut by_receiver: std::collections::BTreeMap<[u64; 3], Vec<usize>> = Default::default();
@@ -385,12 +359,16 @@ fn run_real_threads<E: ThreadedEngine>(
         for (ti, (_, mine)) in by_receiver.iter().enumerate() {
             let posted = &posted;
             scope.spawn(move || {
+                let mut eng = eng;
                 // Jitter thread start like a real scheduler would.
                 if (seed ^ ti as u64).is_multiple_of(3) {
                     std::thread::yield_now();
                 }
                 for &m in mine {
-                    eng.post(RecvSpec::new(rank_of[m], m as i32, 0), m as u64);
+                    eng.apply(Op::PostRecv {
+                        spec: RecvSpec::new(rank_of[m], m as i32, 0),
+                        request: m as u64,
+                    });
                     posted.fetch_add(1, std::sync::atomic::Ordering::Release);
                 }
             });
@@ -399,6 +377,7 @@ fn run_real_threads<E: ThreadedEngine>(
             let posted = &posted;
             let depths = &depths;
             scope.spawn(move || {
+                let mut eng = eng;
                 while posted.load(std::sync::atomic::Ordering::Acquire) < total {
                     std::thread::yield_now();
                 }
@@ -406,8 +385,12 @@ fn run_real_threads<E: ThreadedEngine>(
                     std::thread::yield_now();
                 }
                 for &m in mine {
-                    match eng.arrive(Envelope::new(rank_of[m], m as i32, 0), m as u64) {
-                        ArrivalOutcome::MatchedPosted { depth, .. } => {
+                    let arrival = Op::Arrival {
+                        env: Envelope::new(rank_of[m], m as i32, 0),
+                        payload: m as u64,
+                    };
+                    match eng.apply(arrival).1 {
+                        Outcome::MatchedPosted { depth, .. } => {
                             depths.lock().unwrap().record(depth as u64);
                         }
                         other => panic!("pre-posted receive missing: {other:?}"),

@@ -11,15 +11,13 @@
 //! shows up: skewed traffic concentrates both the standing entries and the
 //! searches on the same hot sources.
 //!
-//! All operations go through the bounded `try_*` surface, so an engine
-//! configured with [`QueueBounds`](spc_core::QueueBounds) exerts real
-//! admission backpressure; [`EngineTally`] reports what was matched,
-//! queued, and refused.
+//! All operations go through [`Engine::apply`], so an engine configured
+//! with [`QueueBounds`](spc_core::QueueBounds) exerts real admission
+//! backpressure; [`EngineTally`] reports what was matched, queued, and
+//! refused.
 
 use crate::Request;
-use spc_core::entry::{PostedEntry, UnexpectedEntry};
-use spc_core::list::MatchList;
-use spc_core::{Envelope, MatchEngine, RecvSpec, TryArrivalOutcome, TryRecvOutcome};
+use spc_core::{Engine, Envelope, Op, Outcome, RecvSpec};
 
 /// Tag offset for standing receives; scenario traffic keeps its tags below
 /// this so the standing window is searched but never consumed.
@@ -59,18 +57,15 @@ impl EngineTally {
 /// `sources` should be sampled from the same popularity distribution as the
 /// traffic (e.g. by drawing requests from the scenario's [`RequestGen`]
 /// (crate::RequestGen) and taking their sources).
-pub fn prime_standing<P, U>(eng: &mut MatchEngine<P, U>, sources: &[i32], window: usize)
-where
-    P: MatchList<PostedEntry>,
-    U: MatchList<UnexpectedEntry>,
-{
+pub fn prime_standing<E: Engine + ?Sized>(eng: &mut E, sources: &[i32], window: usize) {
     assert!(!sources.is_empty(), "standing window needs sources");
     for i in 0..window {
         let src = sources[i % sources.len()];
         let spec = RecvSpec::new(src, STANDING_TAG_BASE + i as i32, 0);
-        let out = eng.try_post_recv(spec, STANDING_REQ_BASE + i as u64);
+        let request = STANDING_REQ_BASE + i as u64;
+        let out = eng.apply(Op::PostRecv { spec, request }).1;
         assert!(
-            matches!(out, TryRecvOutcome::Posted),
+            matches!(out, Outcome::Posted { .. }),
             "standing receives must be admitted (raise max_prq above the window): {out:?}"
         );
     }
@@ -80,37 +75,31 @@ where
 ///
 /// The per-flow payload/request handle is `handle`; callers typically pass
 /// the request index.
-pub fn execute<P, U>(eng: &mut MatchEngine<P, U>, req: Request, handle: u64) -> EngineTally
-where
-    P: MatchList<PostedEntry>,
-    U: MatchList<UnexpectedEntry>,
-{
-    let spec = RecvSpec::new(req.source, req.tag, 0);
-    let env = Envelope::new(req.source, req.tag, 0);
-    let mut t = EngineTally::default();
-    if req.unexpected {
-        match eng.try_arrival(env, handle) {
-            TryArrivalOutcome::RejectedUmqFull { .. } => t.arrival_rejected += 1,
-            // Matching an earlier flow's posted receive is fine: same
-            // source and tag, FIFO order.
-            TryArrivalOutcome::MatchedPosted { .. } => t.matched_expected += 1,
-            TryArrivalOutcome::Queued => {}
-        }
-        match eng.try_post_recv(spec, handle) {
-            TryRecvOutcome::MatchedUnexpected { .. } => t.matched_unexpected += 1,
-            TryRecvOutcome::RejectedPrqFull { .. } => t.recv_rejected += 1,
-            TryRecvOutcome::Posted => t.deferred += 1,
-        }
+pub fn execute<E: Engine + ?Sized>(eng: &mut E, req: Request, handle: u64) -> EngineTally {
+    let post = Op::PostRecv {
+        spec: RecvSpec::new(req.source, req.tag, 0),
+        request: handle,
+    };
+    let arrive = Op::Arrival {
+        env: Envelope::new(req.source, req.tag, 0),
+        payload: handle,
+    };
+    let (first, second) = if req.unexpected {
+        (arrive, post)
     } else {
-        match eng.try_post_recv(spec, handle) {
-            TryRecvOutcome::RejectedPrqFull { .. } => t.recv_rejected += 1,
-            TryRecvOutcome::MatchedUnexpected { .. } => t.matched_unexpected += 1,
-            TryRecvOutcome::Posted => {}
-        }
-        match eng.try_arrival(env, handle) {
-            TryArrivalOutcome::MatchedPosted { .. } => t.matched_expected += 1,
-            TryArrivalOutcome::RejectedUmqFull { .. } => t.arrival_rejected += 1,
-            TryArrivalOutcome::Queued => t.deferred += 1,
+        (post, arrive)
+    };
+    let mut t = EngineTally::default();
+    for (op, completes_flow) in [(first, false), (second, true)] {
+        match eng.apply(op).1 {
+            // Matching an earlier flow's half is fine: same source and
+            // tag, FIFO order.
+            Outcome::MatchedPosted { .. } => t.matched_expected += 1,
+            Outcome::MatchedUnexpected { .. } => t.matched_unexpected += 1,
+            Outcome::RejectedPrqFull { .. } => t.recv_rejected += 1,
+            Outcome::RejectedUmqFull { .. } => t.arrival_rejected += 1,
+            // The flow's second half queued instead of pairing off.
+            _ => t.deferred += completes_flow as u64,
         }
     }
     t
@@ -131,8 +120,9 @@ impl EngineTally {
 mod tests {
     use super::*;
     use crate::zipf::{Popularity, RequestGen, TrafficCfg};
+    use spc_core::entry::{PostedEntry, UnexpectedEntry};
     use spc_core::list::{Lla, SourceBins};
-    use spc_core::QueueBounds;
+    use spc_core::{MatchEngine, QueueBounds};
 
     type Eng = MatchEngine<Lla<PostedEntry, 2>, Lla<UnexpectedEntry, 3>>;
 
@@ -195,8 +185,8 @@ mod tests {
                 tag: 0,
                 unexpected: true,
             };
-            let spec = spc_core::Envelope::new(r.source, r.tag, 0);
-            let _ = eng.try_arrival(spec, h);
+            let env = Envelope::new(r.source, r.tag, 0);
+            eng.apply(Op::Arrival { env, payload: h });
         }
         assert_eq!(eng.umq_len(), 8, "cap holds");
         assert_eq!(eng.stats().umq_rejections, 100 - 8 + tally.arrival_rejected);
