@@ -11,7 +11,7 @@
 //! (§4.1): build the queue, wipe the caches (the compute phase), let the
 //! heater restore its regions if hot caching is on, then search.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use spc_core::addr::AddrSpace;
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec};
@@ -108,7 +108,7 @@ impl LocalityConfig {
 pub struct CostModel {
     prof: ArchProfile,
     cfg: LocalityConfig,
-    memo: HashMap<u32, f64>,
+    memo: BTreeMap<u32, f64>,
 }
 
 impl CostModel {
@@ -117,7 +117,7 @@ impl CostModel {
         Self {
             prof,
             cfg,
-            memo: HashMap::new(),
+            memo: BTreeMap::new(),
         }
     }
 

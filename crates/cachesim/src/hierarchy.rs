@@ -13,6 +13,7 @@ use spc_core::sink::AccessSink;
 
 use crate::cache::{CacheLevel, LINE};
 use crate::config::ArchProfile;
+use crate::linemap::LineMap;
 use crate::prefetch::{adjacent_pair, Streamer};
 
 /// Simulated base address of the synthetic compute working set streamed by
@@ -151,8 +152,8 @@ pub struct MemSim {
     last_heat_ns: f64,
     /// Lines installed by a prefetcher but not yet demanded, with the
     /// pipeline-bubble cost their first demand use will pay (prefetch hides
-    /// latency, not bandwidth).
-    prefetch_pending: std::collections::HashMap<u64, f64>,
+    /// latency, not bandwidth). An entry outlives its line's eviction.
+    prefetch_pending: LineMap,
     net: NetPlacement,
     /// Network-classified regions, sorted by base address.
     net_regions: Vec<(u64, u64)>,
@@ -182,7 +183,7 @@ impl MemSim {
             heater_active: false,
             heat_regions: Vec::new(),
             last_heat_ns: f64::NEG_INFINITY,
-            prefetch_pending: std::collections::HashMap::new(),
+            prefetch_pending: LineMap::default(),
             net: NetPlacement::None,
             net_regions: Vec::new(),
             net_cache: None,
@@ -213,8 +214,17 @@ impl MemSim {
         }
     }
 
-    /// Configures the proposed hardware support for network data.
+    /// Configures the proposed hardware support for network data, on a
+    /// cold hierarchy: a line placed under the old policy could otherwise
+    /// stay resident where the new one never looks (and be filled twice).
     pub fn set_net_placement(&mut self, net: NetPlacement) {
+        if let NetPlacement::L3Partition { ways } = net {
+            assert!(
+                ways > 0 && ways < self.prof.l3.ways,
+                "partition must leave ways for compute data"
+            );
+        }
+        self.flush();
         self.net = net;
         self.net_cache = match net {
             NetPlacement::DedicatedCache { bytes, latency } => {
@@ -228,12 +238,6 @@ impl MemSim {
             }
             _ => None,
         };
-        if let NetPlacement::L3Partition { ways } = net {
-            assert!(
-                ways > 0 && ways < self.prof.l3.ways,
-                "partition must leave ways for compute data"
-            );
-        }
     }
 
     /// Declares which regions hold network data (the match lists), for
@@ -244,6 +248,7 @@ impl MemSim {
     }
 
     /// Whether `line` falls in a network-classified region.
+    #[inline]
     fn is_net_line(&self, line: u64) -> bool {
         if self.net_regions.is_empty() {
             return false;
@@ -271,7 +276,7 @@ impl MemSim {
             let line = self.pollute_cursor;
             self.pollute_cursor += 1;
             cycles += self.demand_line(line);
-            if let Some(p) = self.prefetch_pending.remove(&line) {
+            if let Some(p) = self.prefetch_pending.remove(line) {
                 cycles += p * self.prof.clock_ghz; // penalty ns -> cycles
             }
         }
@@ -309,6 +314,7 @@ impl MemSim {
     /// hit. This interference is exactly why hot caching loses on
     /// Broadwell, whose decoupled L3 is slow relative to its L2, while
     /// winning on Sandy Bridge, whose core-clocked L3 is cheap (§4.3).
+    #[inline(never)]
     pub fn heat_now(&mut self) {
         let level = self.hot.map(|h| h.level).unwrap_or(HeatLevel::SharedL3);
         let steal = self.hot.map(|h| h.smt_steal_ns_per_line).unwrap_or(0.0);
@@ -344,6 +350,7 @@ impl MemSim {
         self.last_heat_ns = self.time_ns;
     }
 
+    #[inline]
     fn maybe_heat(&mut self) {
         if let (Some(hot), true) = (self.hot, self.heater_active) {
             if self.time_ns - self.last_heat_ns >= hot.period_ns && !self.heat_regions.is_empty() {
@@ -367,7 +374,7 @@ impl MemSim {
         self.l2.flush();
         self.l3.flush();
         self.streamer.reset();
-        self.prefetch_pending.clear();
+        self.prefetch_pending = LineMap::default();
         if let Some(nc) = &mut self.net_cache {
             nc.flush();
         }
@@ -388,7 +395,7 @@ impl MemSim {
                 if let Some(nc) = &mut self.net_cache {
                     nc.invalidate(line);
                 }
-                self.prefetch_pending.remove(&line);
+                self.prefetch_pending.remove(line);
             }
         }
     }
@@ -410,8 +417,33 @@ impl MemSim {
 
     /// One demand access of `len` bytes at `addr`; returns its cost in
     /// nanoseconds and advances simulated time.
+    ///
+    /// Most accesses are single-line L1 hits — a walk charges a node's header,
+    /// entries and link on one line — so those are answered here: `hit`
+    /// tries the slots L1 stamped last before it scans, and on a hit this
+    /// does exactly what the full path's L1-hit exit would (next stamp, slot
+    /// refreshed, hit counted, a pending bubble paid) and nothing else.
+    /// Everything else is outlined, and the caller is not inlined into: an
+    /// inlined copy in each walk loop measured half again slower.
     pub fn access(&mut self, addr: u64, len: u32) -> f64 {
         self.maybe_heat();
+        let line = addr / LINE as u64;
+        if (addr + len.max(1) as u64 - 1) / LINE as u64 == line
+            && !(self.net_cache.is_some() && self.is_net_line(line))
+            && self.l1.hit(line, self.stamp + 1)
+        {
+            self.stamp += 1;
+            self.stats.l1_hits += 1;
+            let bubble = self.prefetch_pending.remove(line).unwrap_or(0.0);
+            let ns = self.prof.cycles_to_ns(self.prof.l1.latency as f64) + bubble;
+            self.time_ns += ns;
+            return ns;
+        }
+        self.access_lines(addr, len)
+    }
+
+    #[inline(never)]
+    fn access_lines(&mut self, addr: u64, len: u32) -> f64 {
         let first = addr / LINE as u64;
         let last = (addr + len.max(1) as u64 - 1) / LINE as u64;
         let mut cycles = 0.0;
@@ -419,7 +451,7 @@ impl MemSim {
         for line in first..=last {
             cycles += self.demand_line(line);
             // First demand use of a prefetched line pays its fill bubble.
-            if let Some(p) = self.prefetch_pending.remove(&line) {
+            if let Some(p) = self.prefetch_pending.remove(line) {
                 penalty_ns += p;
             }
         }
@@ -432,13 +464,11 @@ impl MemSim {
     /// the demand cycles (`demand` false = background prefetch: no latency,
     /// but the first use pays the fill bubble).
     fn net_fill(&mut self, line: u64, now: u64, demand: bool) -> f64 {
-        let l3_ways = self.l3_ways(true);
-        let (cycles, fill_ns) = if self.l3.lookup_ways(line, now, l3_ways.clone()) {
+        let (cycles, fill_ns) = if self.l3.fetch(line, now, self.l3_ways(true)) {
             self.stats.l3_hits += 1;
             (self.prof.l3.latency as f64, self.prof.prefetch_fill_l3_ns)
         } else {
             self.stats.dram_loads += 1;
-            self.l3.insert_ways(line, now, l3_ways);
             (self.prof.dram_cycles(), self.prof.prefetch_fill_dram_ns)
         };
         self.net_cache
@@ -501,9 +531,11 @@ impl MemSim {
             self.l1.insert(line + 1, now);
             self.stats.prefetch_fills += 1;
         }
+        // Every exit below fills L1 and nothing below reads it; filled last
+        // of L1's lines, it is what the next access's `hit` tries.
+        self.l1.insert(line, now);
         if self.l2.lookup(line, now) {
             self.stats.l2_hits += 1;
-            self.l1.insert(line, now);
             // Inclusive LLC: an L2-resident line is (kept) L3-resident.
             let ways = self.l3_ways(is_net);
             self.l3.insert_ways(line, now, ways);
@@ -512,17 +544,13 @@ impl MemSim {
         }
         // L2 miss: prefetchers observe the miss stream.
         self.l2_prefetchers(line, now);
-        let l3_ways = self.l3_ways(is_net);
-        if self.l3.lookup_ways(line, now, l3_ways.clone()) {
+        let l3_hit = self.l3.fetch(line, now, self.l3_ways(is_net));
+        self.l2.insert(line, now);
+        if l3_hit {
             self.stats.l3_hits += 1;
-            self.l2.insert(line, now);
-            self.l1.insert(line, now);
             return self.prof.l3.latency as f64;
         }
         self.stats.dram_loads += 1;
-        self.l3.insert_ways(line, now, l3_ways);
-        self.l2.insert(line, now);
-        self.l1.insert(line, now);
         self.prof.dram_cycles()
     }
 
@@ -542,17 +570,22 @@ impl MemSim {
     /// bandwidth bubble its first demand use will pay. The inclusive LLC
     /// receives the line too.
     fn prefetch_into_l2(&mut self, line: u64, now: u64) {
-        if self.l2.contains(line) {
+        let Err(l2_victim) = self.l2.find(line, 0..self.prof.l2.ways) else {
             return;
-        }
-        let penalty = if self.l3.contains(line) {
+        };
+        // One L3 scan serves the source question and the inclusive fill; a
+        // partition hides a line parked in the other ways from the latter.
+        let ways = self.l3_ways(self.is_net_line(line));
+        let found = self.l3.find(line, ways.clone());
+        let penalty = if found.is_ok() || (ways.len() < self.prof.l3.ways && self.l3.contains(line))
+        {
             self.prof.prefetch_fill_l3_ns
         } else {
             self.prof.prefetch_fill_dram_ns
         };
-        self.l2.insert(line, now);
-        let ways = self.l3_ways(self.is_net_line(line));
-        self.l3.insert_ways(line, now, ways);
+        self.l2.stamp(l2_victim, line, now);
+        let (Ok(slot) | Err(slot)) = found;
+        self.l3.stamp(slot, line, now);
         self.prefetch_pending.insert(line, penalty);
         self.stats.prefetch_fills += 1;
     }
@@ -560,6 +593,11 @@ impl MemSim {
     /// Direct L3-residency query (diagnostics/tests).
     pub fn in_l3(&self, addr: u64) -> bool {
         self.l3.contains(addr / LINE as u64)
+    }
+
+    /// The L1, L2 and L3 levels, for their counters (diagnostics/tests).
+    pub fn levels(&self) -> [&CacheLevel; 3] {
+        [&self.l1, &self.l2, &self.l3]
     }
 }
 
@@ -594,11 +632,14 @@ mod tests {
 
     #[test]
     fn flush_forces_dram_again() {
+        // Two charges of one line with a flush between them: the second
+        // must not be answered from the slot the first one filled.
         let mut m = MemSim::new(ArchProfile::test_tiny());
         m.access(0, 8);
         m.flush();
-        m.access(0, 8);
+        assert_eq!(m.access(8, 8), 100.0, "DRAM, not the 4 ns of an L1 hit");
         assert_eq!(m.stats().dram_loads, 2);
+        assert_eq!(m.stats().l1_hits, 0);
     }
 
     #[test]
@@ -848,6 +889,44 @@ mod net_placement_tests {
     }
 
     #[test]
+    fn a_refused_partition_leaves_the_old_placement_installed() {
+        // Six lines of one L1 and one L2 set, spread over four L3 sets:
+        // from the second round on every access is an L3 hit — unless
+        // compute data has been left no L3 way to live in.
+        let stream =
+            |m: &mut MemSim| -> f64 { (0..64u64).map(|i| m.access((i % 6) * 512, 8)).sum() };
+        let mut m = MemSim::new(ArchProfile::test_tiny());
+        // All 4 of test_tiny's L3 ways: nothing left for compute data.
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.set_net_placement(NetPlacement::L3Partition { ways: 4 })
+        }));
+        assert!(refused.is_err(), "the partition must be refused");
+        let mut untouched = MemSim::new(ArchProfile::test_tiny());
+        assert_eq!(stream(&mut m).to_bits(), stream(&mut untouched).to_bits());
+        assert_eq!(m.stats(), untouched.stats());
+        assert_eq!(m.stats().l3_hits, 58);
+    }
+
+    #[test]
+    fn repartitioning_a_warm_hierarchy_cannot_leave_a_line_resident_twice() {
+        let mut m = MemSim::new(ArchProfile::test_tiny());
+        let l1 = m.profile().l1;
+        let line = 5u64 << 40;
+        m.access(line, 8);
+        // Push it out of L1 with `ways + 1` lines of its set.
+        for i in 1..=l1.ways as u64 + 1 {
+            m.access(line + i * (l1.sets() * LINE) as u64, 8);
+        }
+        // Placed under no policy it sits in L3 way 0; as compute data under
+        // the partition it is looked for, and filled, in ways 2..4.
+        m.set_net_placement(NetPlacement::L3Partition { ways: 2 });
+        m.access(line, 8);
+        assert!(m.in_l3(line));
+        m.evict_regions(&[(line, 8)]);
+        assert!(!m.in_l3(line), "one eviction must remove the line");
+    }
+
+    #[test]
     fn is_net_line_classification_boundaries() {
         let mut m = MemSim::new(ArchProfile::test_tiny());
         m.set_net_regions(&[(4096, 128), (8192, 64)]);
@@ -915,5 +994,71 @@ mod heat_level_tests {
             m.time_ns() - t0 >= 100.0 * hot.smt_steal_ns_per_line - 1e-9,
             "pass must cost stolen cycles"
         );
+    }
+}
+
+/// What the same-line filter must not skip: a line answered from the L1
+/// slot stamped last is still demoted by a heater pass, still becomes its
+/// set's most recent, still pays a pending prefetch bubble exactly once —
+/// and (in `tests::flush_forces_dram_again`) is still gone after a flush.
+#[cfg(test)]
+mod filter_tests {
+    use super::*;
+    use crate::config::ArchProfile;
+
+    fn hot(period_ns: f64) -> HotCacheConfig {
+        HotCacheConfig {
+            period_ns,
+            ..HotCacheConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_heater_pass_between_two_charges_of_one_line_demotes_it() {
+        let mut m = MemSim::with_hot_cache(ArchProfile::test_tiny(), hot(100.0));
+        m.set_heat_regions(&[(0, 64)]);
+        assert_eq!(m.access(0, 8), 30.0, "heated into L3");
+        assert_eq!(m.access(8, 8), 4.0, "same line, same slot: L1");
+        m.advance(101.0); // the pass snoops the line out of L1 and L2
+        assert_eq!(m.access(16, 8), 30.0, "an L3 hit, not the L1 slot's 4 ns");
+        assert_eq!((m.stats().l1_hits, m.stats().l3_hits), (1, 2));
+    }
+
+    #[test]
+    fn a_same_line_run_still_makes_the_line_its_sets_most_recent() {
+        // An SMT-sibling heater stamps its line into L1 between two charges
+        // of line `a`, which shares the (2-way) set: only the second
+        // charge's refresh makes `a` the newer of the two again.
+        let mut m = MemSim::with_hot_cache(ArchProfile::test_tiny(), hot(300.0).smt_sibling());
+        let sets = m.profile().l1.sets() as u64;
+        m.set_heat_regions(&[(0, 64)]);
+        let (a, c) = (sets * 64, 2 * sets * 64);
+        m.access(a, 8);
+        m.advance(301.0);
+        assert_eq!(m.access(a + 8, 8), 4.0);
+        m.access(c, 8); // the next fill evicts the other way, the heated line
+        assert_eq!(m.access(a, 8), 4.0, "the run kept line a in L1");
+        let before = m.stats().l1_hits;
+        m.access(0, 8);
+        assert_eq!(m.stats().l1_hits, before, "the heated line was the victim");
+    }
+
+    #[test]
+    fn a_prefetched_lines_bubble_is_paid_exactly_once_on_either_path() {
+        let mut prof = ArchProfile::test_tiny();
+        prof.l2_adjacent_pair = true;
+        // The scan path: line 1 is prefetched into L2 by line 0's demand.
+        let mut m = MemSim::new(prof);
+        m.access(0, 8);
+        assert_eq!(m.access(64, 8), 12.0 + prof.prefetch_fill_dram_ns);
+        assert_eq!(m.access(72, 8), 4.0, "the bubble is gone");
+        // The filter path: an SMT-sibling pass then stamps line 1 into L1,
+        // last of all, so its first demand is answered from that slot.
+        let mut m = MemSim::with_hot_cache(prof, hot(1e9).smt_sibling());
+        m.access(0, 8);
+        m.set_heat_regions(&[(64, 64)]);
+        assert_eq!(m.access(64, 8), 4.0 + prof.prefetch_fill_dram_ns);
+        assert_eq!(m.access(72, 8), 4.0, "the bubble is gone");
+        assert_eq!(m.levels()[0].hits, 2);
     }
 }

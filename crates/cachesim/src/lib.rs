@@ -25,6 +25,7 @@ pub mod cache;
 pub mod config;
 pub mod costmodel;
 pub mod hierarchy;
+mod linemap;
 pub mod prefetch;
 
 pub use cache::CacheLevel;
