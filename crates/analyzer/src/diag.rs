@@ -1,10 +1,11 @@
 //! Diagnostics infrastructure: the stable rule registry, inline
 //! `spc-allow` suppressions, the committed findings baseline, and the
-//! machine-readable output formats (JSON and SARIF).
+//! machine-readable JSON output.
 //!
 //! Rule IDs are append-only: a rule keeps its `SPCnn` for life so
-//! baselines, suppressions and external tooling never re-key. Names may
-//! be referenced in suppressions interchangeably with IDs.
+//! baselines, suppressions and external tooling never re-key, and a
+//! deleted rule's ID is never handed out again. Names may be referenced in
+//! suppressions interchangeably with IDs.
 
 use crate::scan::Line;
 use crate::Finding;
@@ -17,7 +18,7 @@ pub struct Rule {
     /// Human-readable name (`seqlock-protocol`), used in diagnostics and
     /// accepted in `spc-allow(...)`.
     pub name: &'static str,
-    /// One-line description for `--list-rules` and SARIF metadata.
+    /// One-line description for `--list-rules` and the JSON report.
     pub desc: &'static str,
 }
 
@@ -91,12 +92,9 @@ pub const RULES: &[Rule] = &[
         desc: "no panic!/unwrap/expect on the measured hot path outside \
                debug assertions and lock-poisoning propagation",
     },
-    Rule {
-        id: "SPC12",
-        name: "inline-dispatch",
-        desc: "SIMD dispatch wrappers taking a `kind: ScanKind` carry an \
-               `#[inline]` attribute so kernel selection stays branch-only",
-    },
+    // SPC12 `inline-dispatch` is retired: it linted `#[inline]` on the
+    // `kind: ScanKind` wrapper family, of which one seam is left, and never
+    // convicted anything. The ID stays unused.
     Rule {
         id: "SPC13",
         name: "scope-coverage",
@@ -396,7 +394,7 @@ pub fn diff_baseline(findings: Vec<Finding>, baseline: &[BaselineEntry]) -> Vec<
 }
 
 // ---------------------------------------------------------------------------
-// Writers: JSON escaping, findings JSON, baseline JSON, SARIF
+// Writers: JSON escaping, findings JSON, baseline JSON
 // ---------------------------------------------------------------------------
 
 /// JSON string escaping (quotes, backslashes, control chars).
@@ -460,42 +458,6 @@ pub fn write_baseline(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as minimal SARIF 2.1.0 — one run, one driver, the
-/// rule registry as `rules`, one `result` per finding.
-pub fn to_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\n  \"version\": \"2.1.0\",\n  \"$schema\": \
-         \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \"runs\": [\n    {\n      \
-         \"tool\": {\n        \"driver\": {\n          \"name\": \"spc-analyzer\",\n          \
-         \"informationUri\": \"https://example.invalid/spc-analyzer\",\n          \"rules\": [\n",
-    );
-    for (i, r) in RULES.iter().enumerate() {
-        out.push_str(&format!(
-            "            {{\"id\": \"{}\", \"name\": \"{}\", \"shortDescription\": \
-             {{\"text\": \"{}\"}}}}{}\n",
-            r.id,
-            r.name,
-            json_escape(r.desc),
-            if i + 1 < RULES.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \
-             \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-             {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}{}\n",
-            f.rule_id,
-            json_escape(&format!("[{}] {}", f.rule, f.message)),
-            json_escape(&f.file),
-            f.line.max(1),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ]\n    }\n  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,8 +465,10 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique_and_sequential() {
-        for (i, r) in RULES.iter().enumerate() {
-            assert_eq!(r.id, format!("SPC{:02}", i + 1));
+        // Sequential but for retired SPC12, whose gap stays.
+        let live = (1..).filter(|n| *n != 12).map(|n| format!("SPC{n:02}"));
+        for (r, id) in RULES.iter().zip(live) {
+            assert_eq!(r.id, id);
             assert!(RULES.iter().filter(|o| o.name == r.name).count() == 1);
         }
     }
@@ -553,13 +517,11 @@ mod tests {
     }
 
     #[test]
-    fn json_and_sarif_contain_schema_and_locations() {
+    fn json_contains_schema_and_locations() {
         let f = Finding::new("a.rs", 3, "seqlock-protocol", "m");
-        let j = to_json(std::slice::from_ref(&f));
+        let j = to_json(&[f]);
         assert!(j.contains("\"spc-analyzer/1\""));
         assert!(j.contains("\"SPC07\""));
-        let s = to_sarif(&[f]);
-        assert!(s.contains("\"2.1.0\""));
-        assert!(s.contains("\"startLine\": 3"));
+        assert!(j.contains("\"line\": 3"));
     }
 }

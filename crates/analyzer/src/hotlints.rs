@@ -1,5 +1,4 @@
-//! Hot-path cost lints: no allocation (SPC10), no panic paths (SPC11),
-//! `#[inline]` discipline on the SIMD dispatch seam (SPC12).
+//! Hot-path cost lints: no allocation (SPC10), no panic paths (SPC11).
 //!
 //! Scope comes from [`crate::scopes::is_hot`], which is fed by the
 //! per-module `//! spc-scope:` markers, not a hand-maintained file list.
@@ -25,7 +24,7 @@
 //!   invisible at token level.
 
 use crate::items::FnItem;
-use crate::scopes::{file_name, is_hot};
+use crate::scopes::is_hot;
 use crate::token::{matching_close, Tok, TokKind};
 use crate::Finding;
 
@@ -111,9 +110,6 @@ fn chained_on_lock(toks: &[Tok], k: usize) -> bool {
 pub fn check(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
     if is_hot(path) {
         alloc_and_panic(path, toks, fns, out);
-    }
-    if file_name(path) == "simd.rs" {
-        inline_dispatch(path, fns, out);
     }
 }
 
@@ -211,31 +207,6 @@ fn alloc_and_panic(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Findi
     }
 }
 
-/// SPC12: in `simd.rs`, every function taking the dispatch selector
-/// (`kind: ScanKind`) is a dispatch seam and must carry `#[inline]` so
-/// the selector constant-folds at the call site.
-fn inline_dispatch(path: &str, fns: &[FnItem], out: &mut Vec<Finding>) {
-    for f in fns.iter().filter(|f| !f.is_test) {
-        let takes_kind = f
-            .params
-            .iter()
-            .any(|(n, ty)| n == "kind" && ty.contains("ScanKind"));
-        if takes_kind && !f.has_attr("inline") {
-            out.push(Finding::new(
-                path,
-                f.line,
-                "inline-dispatch",
-                format!(
-                    "dispatch fn `{}` takes `kind: ScanKind` without `#[inline]` — \
-                     the kind selector cannot constant-fold across the crate \
-                     boundary and every probe pays a branchy call",
-                    f.name
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,17 +291,5 @@ mod tests {
             "impl H {\n fn run(&self) { let v = vec![0; 8]; v.get(0).unwrap(); }\n}\n",
         );
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn dispatch_without_inline_is_caught_setters_are_not() {
-        let f = run_on(
-            "crates/core/src/simd.rs",
-            "pub fn match_rows(kind: ScanKind, rows: &[u64]) -> u32 { 0 }\n\
-             #[inline(always)]\npub fn match_one(kind: ScanKind, row: u64) -> bool { false }\n\
-             pub fn set_kind(&mut self, k: ScanKind) { self.kind = k; }\n",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("match_rows"));
     }
 }

@@ -16,10 +16,11 @@
 //!    workspace lock-order graph ([`lockgraph`]), the hot-path cost
 //!    lints ([`hotlints`]) and the scope self-checks ([`scopes`]);
 //! 4. [`diag`] applies `// spc-allow(RULE): rationale` suppressions,
-//!    checks their hygiene, and renders text/JSON/SARIF plus the
+//!    checks their hygiene, and renders text/JSON plus the
 //!    committed baseline.
 //!
-//! Every rule has a stable ID (`SPC01`–`SPC14`, see [`diag::RULES`]);
+//! Every rule has a stable ID (`SPC01`–`SPC14`, SPC12 retired; see
+//! [`diag::RULES`]);
 //! run `cargo run -p spc-analyzer -- --list-rules` for the table, and
 //! `cargo run -p spc-analyzer -- --check` as the gate (exits nonzero
 //! with `file:line` diagnostics). The fixture suite in `tests/rules.rs`

@@ -1,7 +1,7 @@
 //! CLI gate:
 //!
 //! ```text
-//! spc-analyzer --check [--root PATH] [--format text|json|sarif]
+//! spc-analyzer --check [--root PATH] [--format text|json]
 //!              [--baseline FILE] [--write-baseline FILE] [--dot FILE]
 //! spc-analyzer --list-rules
 //! ```
@@ -9,16 +9,15 @@
 //! Exits 0 when the tree is clean (after baseline subtraction, if
 //! `--baseline` was given), 1 with `file:line: [SPCnn/rule] message`
 //! diagnostics otherwise, 2 on usage or I/O errors. CI runs
-//! `--check --baseline analyzer-baseline.json --format sarif --dot
-//! lock-order.dot`; run the plain `--check` locally before pushing
-//! hot-path changes.
+//! `--check --baseline analyzer-baseline.json --dot lock-order.dot`; run
+//! the plain `--check` locally before pushing hot-path changes.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use spc_analyzer::diag;
 
-const USAGE: &str = "usage: spc-analyzer --check [--root PATH] [--format text|json|sarif] \
+const USAGE: &str = "usage: spc-analyzer --check [--root PATH] [--format text|json] \
                      [--baseline FILE] [--write-baseline FILE] [--dot FILE] | --list-rules";
 
 fn main() -> ExitCode {
@@ -58,13 +57,13 @@ fn main() -> ExitCode {
                 Err(()) => return ExitCode::from(2),
             },
             "--format" => match args.next() {
-                Some(f) if matches!(f.as_str(), "text" | "json" | "sarif") => format = f,
+                Some(f) if matches!(f.as_str(), "text" | "json") => format = f,
                 Some(f) => {
-                    eprintln!("unknown format `{f}` (expected text, json or sarif)");
+                    eprintln!("unknown format `{f}` (expected text or json)");
                     return ExitCode::from(2);
                 }
                 None => {
-                    eprintln!("--format requires text|json|sarif");
+                    eprintln!("--format requires text|json");
                     return ExitCode::from(2);
                 }
             },
@@ -139,7 +138,6 @@ fn main() -> ExitCode {
     };
     match format.as_str() {
         "json" => print!("{}", diag::to_json(&findings)),
-        "sarif" => print!("{}", diag::to_sarif(&findings)),
         _ => {
             for f in &findings {
                 eprintln!("{f}");

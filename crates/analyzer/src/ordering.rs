@@ -87,13 +87,6 @@ pub const SPECS: &[AtomicSpec] = &[
     },
     AtomicSpec {
         file: "shard.rs",
-        receiver: "locked_reads",
-        req: Req::SeqCst,
-        rationale: "gates the lock-free pre-scan park decision against writer \
-                    activity; must sit in the same total order as seq",
-    },
-    AtomicSpec {
-        file: "shard.rs",
         receiver: "acquisitions",
         req: Req::Relaxed,
         rationale: "lock-acquisition tally surfaced in LockStats, committed through \

@@ -334,7 +334,7 @@ fn consistent_lock_order_has_no_cycle() {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-path cost lints (SPC10–SPC12)
+// Hot-path cost lints (SPC10–SPC11)
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -356,15 +356,6 @@ fn hot_path_panic_is_caught() {
         2,
         "the unwrap and the panic!; the lock-poisoning expect is exempt: {findings:?}"
     );
-}
-
-#[test]
-fn simd_dispatch_without_inline_is_caught() {
-    let path = "crates/core/src/simd.rs";
-    let findings = analyze_source(path, &fixture("inline_nodispatch.rs"));
-    let hits = rule_findings(&findings, "inline-dispatch");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert!(hits[0].message.contains("scan_slab"), "{hits:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -391,15 +382,12 @@ fn suppression_with_rationale_silences_a_finding() {
 }
 
 #[test]
-fn json_and_sarif_outputs_are_well_formed() {
+fn json_output_is_well_formed() {
     let findings = analyze_source("crates/core/src/engine.rs", &fixture("hotpath_clock.rs"));
     assert!(!findings.is_empty());
     let json = spc_analyzer::diag::to_json(&findings);
     assert!(json.contains("\"schema\": \"spc-analyzer/1\""), "{json}");
     assert!(json.contains("\"rule_id\": \"SPC06\""), "{json}");
-    let sarif = spc_analyzer::diag::to_sarif(&findings);
-    assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-    assert!(sarif.contains("\"ruleId\": \"SPC06\""), "{sarif}");
 }
 
 #[test]
@@ -420,12 +408,9 @@ fn baseline_subtracts_known_findings_only() {
 #[test]
 fn every_rule_has_a_stable_registry_entry() {
     let ids: Vec<&str> = spc_analyzer::diag::RULES.iter().map(|r| r.id).collect();
-    for (i, id) in ids.iter().enumerate() {
-        assert_eq!(
-            *id,
-            format!("SPC{:02}", i + 1),
-            "registry must stay append-only and densely numbered"
-        );
-    }
-    assert_eq!(ids.len(), 14);
+    let expected: Vec<String> = (1..=14)
+        .filter(|n| *n != 12) // retired, never reused
+        .map(|n| format!("SPC{n:02}"))
+        .collect();
+    assert_eq!(ids, expected, "registry must stay append-only");
 }

@@ -9,8 +9,6 @@
 //! seqlock-retry columns:
 //!
 //! * `shared` — one mutex around the whole engine (the floor);
-//! * `sharded-locked` — per-source shards, all reads through locks
-//!   (`set_locked_reads`, the pre-seqlock behaviour);
 //! * `sharded` — per-source shards with lock-free probes and stats;
 //! * `batched` — sharded plus per-producer ingest rings, one lock
 //!   acquisition per drained batch.
@@ -61,11 +59,6 @@ impl Subject {
         match kind {
             "shared" => {
                 Subject::Shared(SharedEngine::new(MatchEngine::new(Lla::new(), Lla::new())))
-            }
-            "sharded-locked" => {
-                let eng = ShardedEngine::new(SHARDS, Lla::new, Lla::new);
-                eng.set_locked_reads(true);
-                Subject::Sharded(eng)
             }
             "sharded" => Subject::Sharded(ShardedEngine::new(SHARDS, Lla::new, Lla::new)),
             "batched" => Subject::Batched(BatchedEngine::new(
@@ -273,7 +266,7 @@ fn main() {
         &[2, 4, 8, 16, 32, 64]
     };
     let total = if quick { 40_000 } else { 200_000 };
-    let engines = ["shared", "sharded-locked", "sharded", "batched"];
+    let engines = ["shared", "sharded", "batched"];
 
     let mut records = Vec::new();
     for &mix in &[Mix::Write, Mix::Read] {

@@ -14,11 +14,13 @@
 //! * [`list::Lla`] — the paper's **linked list of arrays**, packing a
 //!   configurable number of match entries into each contiguous node
 //!   (§3.1, Figure 2), allocated from an element pool;
-//! * [`list::SourceBins`] — the Open MPI-style hierarchical structure with one
+//! * [`list::Partitioned`] — one list of seq-stamped channels plus a wildcard
+//!   channel, routed three ways:
+//!   [`list::SourceBins`], the Open MPI-style hierarchical structure with one
 //!   short list per source rank (§2.2);
-//! * [`list::HashBins`] — the Flajslik-style hash-map structure keyed on the
-//!   full set of matching criteria (§5);
-//! * [`list::RankTrie`] — a Zounmevo-style multi-dimensional rank decomposition
+//!   [`list::HashBins`], the Flajslik-style hash-map structure keyed on the
+//!   full set of matching criteria (§5); and
+//!   [`list::RankTrie`], a Zounmevo-style multi-dimensional rank decomposition
 //!   that skips regions of the match list where no match can occur (§5).
 //!
 //! Temporal locality is exercised by the **hot caching** implementation in

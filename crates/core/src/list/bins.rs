@@ -5,30 +5,26 @@
 //! communicator per process — the paper's scalability criticism (O(N²)
 //! job-wide). Wildcard (`MPI_ANY_SOURCE`) receives live on a separate
 //! channel; global sequence numbers arbitrate FIFO order between a bin and
-//! the wildcard channel, preserving MPI non-overtaking.
+//! the wildcard channel, preserving MPI non-overtaking — all of which is
+//! [`Partitioned`]; this module is the routing rule.
 
 use crate::addr::fresh_region_base;
-use crate::entry::{Element, ProbeKey};
-use crate::list::{
-    collect_metas, global_search, merged_search_remove, Footprint, MatchList, Search, SeqFifo,
-};
+use crate::entry::Element;
+use crate::list::partitioned::{Partitioned, Route, RouteKey, Router, CHANNEL_REGION};
+use crate::list::{Footprint, SeqFifo};
 use crate::sink::AccessSink;
 
-/// Simulated bytes reserved per bin so bins never alias.
-const BIN_REGION: u64 = 64 * 1024;
+/// Routes a key to the bin of its source rank.
+#[derive(Clone, Copy, Debug)]
+pub struct BySource;
 
 /// Per-source-rank binned match queue (Open MPI style).
-pub struct SourceBins<E: Element> {
-    bins: Vec<SeqFifo<E>>,
-    wild: SeqFifo<E>,
-    next_seq: u64,
-    len: usize,
-}
+pub type SourceBins<E> = Partitioned<E, BySource>;
 
 impl<E: Element> SourceBins<E> {
     /// Creates the structure for a communicator of `comm_size` ranks. The
     /// bin array is allocated eagerly, as Open MPI does — this is exactly
-    /// the O(ranks) cost [`MatchList::footprint`] reports.
+    /// the O(ranks) cost [`crate::list::MatchList::footprint`] reports.
     pub fn new(comm_size: usize) -> Self {
         assert!(
             comm_size <= 1 << 16,
@@ -36,154 +32,37 @@ impl<E: Element> SourceBins<E> {
              communicators would alias bins"
         );
         let base = fresh_region_base();
-        let bins = (0..comm_size)
-            .map(|i| SeqFifo::new(base + i as u64 * BIN_REGION))
-            .collect();
-        Self {
-            bins,
-            wild: SeqFifo::new(base + comm_size as u64 * BIN_REGION),
-            next_seq: 0,
-            len: 0,
-        }
+        let wild_base = base + comm_size as u64 * CHANNEL_REGION;
+        Self::with_layout(BySource, comm_size, base, wild_base)
     }
 
     /// Number of source bins (the communicator size).
     pub fn comm_size(&self) -> usize {
-        self.bins.len()
-    }
-
-    fn channel(&self, ci: usize) -> &SeqFifo<E> {
-        if ci < self.bins.len() {
-            &self.bins[ci]
-        } else {
-            &self.wild
-        }
-    }
-
-    fn channel_mut(&mut self, ci: usize) -> &mut SeqFifo<E> {
-        if ci < self.bins.len() {
-            &mut self.bins[ci]
-        } else {
-            &mut self.wild
-        }
+        self.nchannels()
     }
 }
 
-impl<E: Element> MatchList<E> for SourceBins<E> {
-    fn append<S: AccessSink>(&mut self, e: E, sink: &mut S) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match e.bin_source() {
-            Some(src) => {
-                // spc-allow(hot-path-panic): MPI source ranks are non-negative by contract
-                let src = usize::try_from(src).expect("source rank must be non-negative");
-                assert!(src < self.bins.len(), "rank {src} outside communicator");
-                // spc-allow(hot-path-alloc): SeqFifo::push is the list insert, not Vec growth
-                self.bins[src].push(seq, e, sink);
-            }
-            // spc-allow(hot-path-alloc): SeqFifo::push is the list insert, not Vec growth
-            None => self.wild.push(seq, e, sink),
-        }
-        self.len += 1;
-    }
-
-    fn search_remove<S: AccessSink>(&mut self, probe: &E::Probe, sink: &mut S) -> Search<E> {
-        let r = match probe.bin_source() {
-            Some(src) => {
-                // spc-allow(hot-path-panic): MPI source ranks are non-negative by contract
-                let src = usize::try_from(src).expect("source rank must be non-negative");
-                assert!(src < self.bins.len(), "rank {src} outside communicator");
-                // Split borrow: bin and wildcard channel are disjoint fields.
-                let (bins, wild) = (&mut self.bins, &mut self.wild);
-                merged_search_remove(&mut bins[src], wild, probe, sink)
-            }
-            None => {
-                // Wildcard-source receive: the structure degenerates to a
-                // global sequence-ordered scan.
-                let mut metas = collect_metas(self.bins.iter().chain(core::iter::once(&self.wild)));
-                let (hit, depth) = global_search(&mut metas, probe, sink);
-                match hit {
-                    Some((ci, pos)) => {
-                        let (_, e) = self.channel_mut(ci).remove(pos);
-                        Search::hit(e, depth)
-                    }
-                    None => Search::miss(depth),
-                }
-            }
+impl Router for BySource {
+    #[inline]
+    fn route<S: AccessSink>(&self, key: RouteKey, nbins: usize, _sink: &mut S) -> Route {
+        // A wildcard-source probe degenerates to the global scan.
+        let Some(src) = key.source.map(usize::from) else {
+            return Route::All;
         };
-        if r.found.is_some() {
-            self.len -= 1;
-        }
-        r
+        assert!(src < nbins, "rank {src} outside communicator");
+        Route::Channel(src)
     }
 
-    fn remove_by_id<S: AccessSink>(&mut self, id: u64, _sink: &mut S) -> Option<E> {
-        // Ids are unique, so the earliest-seq rule reduces to "whichever
-        // channel has it"; still check all channels and take the minimum
-        // sequence to be safe under id reuse.
-        let mut best: Option<(u64, usize)> = None;
-        for ci in 0..=self.bins.len() {
-            if let Some(seq) = self
-                .channel(ci)
-                .iter()
-                .filter(|(_, e)| e.id() == id)
-                .map(|(s, _)| *s)
-                .min()
-            {
-                if best.is_none_or(|(bs, _)| seq < bs) {
-                    best = Some((seq, ci));
-                }
-            }
-        }
-        let (_, ci) = best?;
-        let (_, e) = self.channel_mut(ci).remove_by_id(id)?;
-        self.len -= 1;
-        Some(e)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn snapshot(&self) -> Vec<E> {
-        let mut all: Vec<(u64, E)> = Vec::with_capacity(self.len);
-        for ci in 0..=self.bins.len() {
-            all.extend(self.channel(ci).iter().copied());
-        }
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        all.into_iter().map(|(_, e)| e).collect()
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.bins {
-            b.clear();
-        }
-        self.wild.clear();
-        self.len = 0;
-    }
-
-    fn footprint(&self) -> Footprint {
+    fn table<E: Element>(&self, nbins: usize) -> Footprint {
         // The bin array itself is the O(ranks) term.
-        let array = (self.bins.len() * core::mem::size_of::<SeqFifo<E>>()) as u64;
-        let storage: u64 = self.bins.iter().map(SeqFifo::bytes).sum::<u64>() + self.wild.bytes();
         Footprint {
-            bytes: array + storage,
-            allocations: self.bins.len() as u64 + 1,
+            bytes: (nbins * core::mem::size_of::<SeqFifo<E>>()) as u64,
+            allocations: 0,
         }
     }
 
-    fn heat_regions(&self, out: &mut Vec<(u64, u64)>) {
-        for b in self.bins.iter().chain(core::iter::once(&self.wild)) {
-            let (base, len) = b.region();
-            if len > 0 {
-                // spc-allow(hot-path-alloc): heater registration path, runs per region not per message
-                out.push((base, len));
-            }
-        }
-    }
-
-    fn kind_name(&self) -> String {
-        format!("source-bins({})", self.bins.len())
+    fn kind_name(&self, nbins: usize) -> String {
+        format!("source-bins({nbins})")
     }
 }
 
@@ -191,6 +70,7 @@ impl<E: Element> MatchList<E> for SourceBins<E> {
 mod tests {
     use super::*;
     use crate::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
+    use crate::list::MatchList;
     use crate::sink::NullSink;
 
     fn post(rank: i32, tag: i32, req: u64) -> PostedEntry {

@@ -3,7 +3,8 @@
 //! The match list is replaced by a fixed number of bins keyed by a hash of
 //! the *full* matching criteria (context, source, tag). Entries containing a
 //! wildcard cannot be hashed and live on a separate wildcard channel; global
-//! sequence numbers arbitrate FIFO order between a bin and that channel.
+//! sequence numbers arbitrate FIFO order between a bin and that channel
+//! ([`Partitioned`]; this module is the routing rule).
 //!
 //! As the paper notes, this design "has a constant overhead in queue
 //! selection, which slows down the most common case of a very short list
@@ -11,34 +12,33 @@
 //! extra simulated access on every operation.
 
 use crate::addr::fresh_region_base;
-use crate::entry::{Element, ProbeKey};
-use crate::list::{
-    collect_metas, global_search, merged_search_remove, Footprint, MatchList, Search, SeqFifo,
-};
+use crate::entry::Element;
+use crate::list::partitioned::{Partitioned, Route, RouteKey, Router, CHANNEL_REGION};
+use crate::list::Footprint;
 use crate::sink::AccessSink;
-
-/// Simulated bytes reserved per bin.
-const BIN_REGION: u64 = 64 * 1024;
 
 /// Default bin count: the configuration the paper's related work found
 /// effective ("256 bins reduce the number of match attempts per message
 /// significantly").
 pub const DEFAULT_BINS: usize = 256;
 
-/// Hash-binned match queue keyed on (context, rank, tag).
-pub struct HashBins<E: Element> {
-    bins: Vec<SeqFifo<E>>,
-    wild: SeqFifo<E>,
+/// Routes a fully concrete key to the bin its hash names.
+#[derive(Clone, Copy, Debug)]
+pub struct ByHash {
     /// Simulated address of the bin-pointer table (charged on every lookup).
     table_base: u64,
-    next_seq: u64,
-    len: usize,
 }
 
-fn hash_key(ctx: u16, rank: i32, tag: i32) -> u64 {
+/// Hash-binned match queue keyed on (context, rank, tag).
+pub type HashBins<E> = Partitioned<E, ByHash>;
+
+/// `rank` is wider than the 16-bit ranks [`ByHash`] passes so the router-law
+/// test in `partitioned.rs` can replay the un-normalised derivation it
+/// replaced.
+pub(super) fn hash_key(ctx: u16, rank: u32, tag: i32) -> u64 {
     // SplitMix64 finalizer over the packed key: cheap and well-distributed
     // for the clustered rank/tag values MPI applications use.
-    let mut z = ((ctx as u64) << 48) ^ ((rank as u32 as u64) << 24) ^ (tag as u32 as u64);
+    let mut z = ((ctx as u64) << 48) ^ ((rank as u64) << 24) ^ (tag as u32 as u64);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -54,47 +54,16 @@ impl<E: Element> HashBins<E> {
     pub fn with_bins(nbins: usize) -> Self {
         assert!(nbins > 0, "hash matching needs at least one bin");
         let base = fresh_region_base();
-        let bins = (0..nbins)
-            .map(|i| SeqFifo::new(base + i as u64 * BIN_REGION))
-            .collect();
-        Self {
-            bins,
-            wild: SeqFifo::new(base + nbins as u64 * BIN_REGION),
-            table_base: base + (nbins as u64 + 1) * BIN_REGION,
-            next_seq: 0,
-            len: 0,
-        }
+        let wild_base = base + nbins as u64 * CHANNEL_REGION;
+        let router = ByHash {
+            table_base: wild_base + CHANNEL_REGION,
+        };
+        Self::with_layout(router, nbins, base, wild_base)
     }
 
     /// Number of hash bins.
     pub fn nbins(&self) -> usize {
-        self.bins.len()
-    }
-
-    fn bin_of(&self, key: (u16, i32, i32)) -> usize {
-        (hash_key(key.0, key.1, key.2) % self.bins.len() as u64) as usize
-    }
-
-    fn channel(&self, ci: usize) -> &SeqFifo<E> {
-        if ci < self.bins.len() {
-            &self.bins[ci]
-        } else {
-            &self.wild
-        }
-    }
-
-    fn channel_mut(&mut self, ci: usize) -> &mut SeqFifo<E> {
-        if ci < self.bins.len() {
-            &mut self.bins[ci]
-        } else {
-            &mut self.wild
-        }
-    }
-
-    /// Charges the constant-time queue-selection overhead: one read of the
-    /// bin table entry.
-    fn charge_lookup<S: AccessSink>(&self, bin: usize, sink: &mut S) {
-        sink.read(self.table_base + bin as u64 * 8, 8);
+        self.nchannels()
     }
 }
 
@@ -104,114 +73,29 @@ impl<E: Element> Default for HashBins<E> {
     }
 }
 
-impl<E: Element> MatchList<E> for HashBins<E> {
-    fn append<S: AccessSink>(&mut self, e: E, sink: &mut S) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match e.full_key() {
-            Some(key) => {
-                let b = self.bin_of(key);
-                self.charge_lookup(b, sink);
-                // spc-allow(hot-path-alloc): SeqFifo::push is the list insert, not Vec growth
-                self.bins[b].push(seq, e, sink);
-            }
-            // spc-allow(hot-path-alloc): SeqFifo::push is the list insert, not Vec growth
-            None => self.wild.push(seq, e, sink),
-        }
-        self.len += 1;
-    }
-
-    fn search_remove<S: AccessSink>(&mut self, probe: &E::Probe, sink: &mut S) -> Search<E> {
-        let r = match probe.full_key() {
-            Some(key) => {
-                let b = self.bin_of(key);
-                self.charge_lookup(b, sink);
-                let (bins, wild) = (&mut self.bins, &mut self.wild);
-                merged_search_remove(&mut bins[b], wild, probe, sink)
-            }
-            None => {
-                // A probe with wildcards cannot be hashed: global scan in
-                // sequence order.
-                let mut metas = collect_metas(self.bins.iter().chain(core::iter::once(&self.wild)));
-                let (hit, depth) = global_search(&mut metas, probe, sink);
-                match hit {
-                    Some((ci, pos)) => {
-                        let (_, e) = self.channel_mut(ci).remove(pos);
-                        Search::hit(e, depth)
-                    }
-                    None => Search::miss(depth),
-                }
-            }
+impl Router for ByHash {
+    #[inline]
+    fn route<S: AccessSink>(&self, key: RouteKey, nbins: usize, sink: &mut S) -> Route {
+        // A key with a wildcard cannot be hashed: global scan in seq order.
+        let Some((ctx, rank, tag)) = key.full else {
+            return Route::All;
         };
-        if r.found.is_some() {
-            self.len -= 1;
-        }
-        r
+        let bin = (hash_key(ctx, rank.into(), tag) % nbins as u64) as usize;
+        // The constant-time queue-selection overhead: one read of the bin
+        // table entry.
+        sink.read(self.table_base + bin as u64 * 8, 8);
+        Route::Channel(bin)
     }
 
-    fn remove_by_id<S: AccessSink>(&mut self, id: u64, _sink: &mut S) -> Option<E> {
-        let mut best: Option<(u64, usize)> = None;
-        for ci in 0..=self.bins.len() {
-            if let Some(seq) = self
-                .channel(ci)
-                .iter()
-                .filter(|(_, e)| e.id() == id)
-                .map(|(s, _)| *s)
-                .min()
-            {
-                if best.is_none_or(|(bs, _)| seq < bs) {
-                    best = Some((seq, ci));
-                }
-            }
-        }
-        let (_, ci) = best?;
-        let (_, e) = self.channel_mut(ci).remove_by_id(id)?;
-        self.len -= 1;
-        Some(e)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn snapshot(&self) -> Vec<E> {
-        let mut all: Vec<(u64, E)> = Vec::with_capacity(self.len);
-        for ci in 0..=self.bins.len() {
-            all.extend(self.channel(ci).iter().copied());
-        }
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        all.into_iter().map(|(_, e)| e).collect()
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.bins {
-            b.clear();
-        }
-        self.wild.clear();
-        self.len = 0;
-    }
-
-    fn footprint(&self) -> Footprint {
-        let table = (self.bins.len() * 8) as u64;
-        let storage: u64 = self.bins.iter().map(SeqFifo::bytes).sum::<u64>() + self.wild.bytes();
+    fn table<E: Element>(&self, nbins: usize) -> Footprint {
         Footprint {
-            bytes: table + storage,
-            allocations: self.bins.len() as u64 + 1,
+            bytes: (nbins * 8) as u64,
+            allocations: 0,
         }
     }
 
-    fn heat_regions(&self, out: &mut Vec<(u64, u64)>) {
-        for b in self.bins.iter().chain(core::iter::once(&self.wild)) {
-            let (base, len) = b.region();
-            if len > 0 {
-                // spc-allow(hot-path-alloc): heater registration path, runs per region not per message
-                out.push((base, len));
-            }
-        }
-    }
-
-    fn kind_name(&self) -> String {
-        format!("hash-bins({})", self.bins.len())
+    fn kind_name(&self, nbins: usize) -> String {
+        format!("hash-bins({nbins})")
     }
 }
 
@@ -219,6 +103,7 @@ impl<E: Element> MatchList<E> for HashBins<E> {
 mod tests {
     use super::*;
     use crate::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
+    use crate::list::MatchList;
     use crate::sink::{CountingSink, NullSink};
 
     fn post(rank: i32, tag: i32, req: u64) -> PostedEntry {

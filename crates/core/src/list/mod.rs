@@ -18,17 +18,23 @@
 //! | [`SourceBins`] | O(1) bin per source, O(ranks) memory per communicator |
 //! | [`HashBins`] | fixed bins keyed by full matching criteria |
 //! | [`RankTrie`] | multi-level rank decomposition, skips no-match regions |
+//!
+//! The last three are one implementation, [`Partitioned`], under three
+//! [`partitioned::Router`]s: they differ only in which channel a key is sent
+//! to.
 
 pub mod baseline;
 pub mod bins;
 pub mod hashbins;
 pub mod lla;
+pub mod partitioned;
 pub mod ranktrie;
 
 pub use baseline::BaselineList;
 pub use bins::SourceBins;
 pub use hashbins::HashBins;
 pub use lla::Lla;
+pub use partitioned::Partitioned;
 pub use ranktrie::RankTrie;
 
 use crate::entry::{packed_matches, Element, ProbeKey};
@@ -263,21 +269,30 @@ impl<E: Element> SeqFifo<E> {
     }
 }
 
-/// Merge-searches two sequence-ordered channels (a concrete bin and a
-/// wildcard list), removing and returning the globally earliest match.
+/// Merge-searches two sequence-ordered channels (a concrete bin, when the
+/// key has one, and the wildcard list), removing and returning the globally
+/// earliest match.
 ///
 /// This is the FIFO-correctness core of every binned structure: a message
 /// must match the *earliest posted* receive that can accept it, whether that
 /// receive lives in a per-source bin or on the wildcard channel.
 pub(crate) fn merged_search_remove<E: Element, S: AccessSink>(
-    bin: &mut SeqFifo<E>,
+    bin: Option<&mut SeqFifo<E>>,
     wild: &mut SeqFifo<E>,
     probe: &E::Probe,
     sink: &mut S,
 ) -> Search<E> {
-    let (bin_hit, d1) = bin.find(probe, None, sink);
-    // spc-allow(hot-path-panic): position comes from find() on the same structure
-    let bin_seq = bin_hit.map(|p| bin.iter().nth(p).expect("found position exists").0);
+    let (bin_hit, d1) = match bin {
+        Some(bin) => {
+            let (hit, depth) = bin.find(probe, None, sink);
+            (hit.map(|pos| (bin, pos)), depth)
+        }
+        None => (None, 0),
+    };
+    let bin_seq = bin_hit.as_ref().map(|(bin, pos)| {
+        // spc-allow(hot-path-panic): position comes from find() on the same structure
+        bin.iter().nth(*pos).expect("found position exists").0
+    });
     // Only scan the wildcard channel up to the bin match's sequence number:
     // anything newer cannot win.
     let (wild_hit, d2) = wild.find(probe, bin_seq, sink);
@@ -289,7 +304,7 @@ pub(crate) fn merged_search_remove<E: Element, S: AccessSink>(
             let (_, e) = wild.remove(wp);
             Search::hit(e, depth)
         }
-        (Some(bp), None) => {
+        (Some((bin, bp)), None) => {
             let (_, e) = bin.remove(bp);
             Search::hit(e, depth)
         }

@@ -8,39 +8,32 @@
 //! number of communicating peers rather than the communicator size.
 //!
 //! Wildcard entries live on a separate channel ordered by global sequence
-//! numbers, exactly as in [`crate::list::SourceBins`].
+//! numbers, exactly as in [`crate::list::SourceBins`]: both are
+//! [`Partitioned`], and this module is the routing rule.
 
 use crate::addr::fresh_region_base;
-use crate::entry::{Element, ProbeKey};
-use crate::list::{
-    collect_metas, global_search, merged_search_remove, Footprint, MatchList, Search, SeqFifo,
-};
+use crate::entry::Element;
+use crate::list::partitioned::{Partitioned, Route, RouteKey, Router, CHANNEL_REGION};
+use crate::list::Footprint;
 use crate::sink::AccessSink;
 
 /// "No child" marker in trie tables.
 const NONE: u32 = u32::MAX;
-/// Simulated bytes reserved per leaf FIFO.
-const LEAF_REGION: u64 = 64 * 1024;
 
-/// Four-level rank-decomposed match queue.
-pub struct RankTrie<E: Element> {
-    /// Digit width per level; `dims[0]` is the most-significant digit.
-    dims: [u32; 4],
-    /// Level-1 table: digit → index into `l2`.
-    root: Vec<u32>,
-    /// Levels 2–4: each entry is a table of child indices.
-    l2: Vec<Vec<u32>>,
-    l3: Vec<Vec<u32>>,
-    l4: Vec<Vec<u32>>,
-    /// Leaf FIFOs, one per active rank.
-    leaves: Vec<SeqFifo<E>>,
-    wild: SeqFifo<E>,
+/// Routes a key down four table levels, one per digit of its source rank.
+#[derive(Clone, Debug)]
+pub struct RankDigits {
+    /// Width of each of the four digits.
+    width: u32,
+    /// Every table of the trie, the root first. An entry of a level-1–3
+    /// table indexes its child table; a level-4 entry is the leaf channel.
+    tables: Vec<Vec<u32>>,
     /// Simulated base for trie tables (charged one read per level hop).
     table_base: u64,
-    region_base: u64,
-    next_seq: u64,
-    len: usize,
 }
+
+/// Four-level rank-decomposed match queue.
+pub type RankTrie<E> = Partitioned<E, RankDigits>;
 
 impl<E: Element> RankTrie<E> {
     /// Creates a trie able to hold ranks `0..capacity`, decomposed into four
@@ -58,232 +51,92 @@ impl<E: Element> RankTrie<E> {
             d += 1;
         }
         let base = fresh_region_base();
-        Self {
-            dims: [d; 4],
-            root: vec![NONE; d as usize],
-            l2: Vec::new(),
-            l3: Vec::new(),
-            l4: Vec::new(),
-            leaves: Vec::new(),
-            wild: SeqFifo::new(base),
-            table_base: base + LEAF_REGION,
-            region_base: base + 2 * LEAF_REGION,
-            next_seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Decomposes a rank into its four digits.
-    fn digits(&self, rank: u32) -> [usize; 4] {
-        let [_, d2, d3, d4] = self.dims;
-        let (d2, d3, d4) = (d2, d3, d4);
-        let i4 = rank % d4;
-        let i3 = (rank / d4) % d3;
-        let i2 = (rank / (d4 * d3)) % d2;
-        let i1 = rank / (d4 * d3 * d2);
-        [i1 as usize, i2 as usize, i3 as usize, i4 as usize]
-    }
-
-    /// Walks to the leaf for `rank`, charging one table read per level;
-    /// returns the leaf index if every level exists.
-    fn find_leaf<S: AccessSink>(&self, rank: u32, sink: &mut S) -> Option<usize> {
-        let [i1, i2, i3, i4] = self.digits(rank);
-        sink.read(self.table_base + i1 as u64 * 4, 4);
-        let t2 = *self.root.get(i1)?;
-        if t2 == NONE {
-            return None;
-        }
-        sink.read(self.table_base + 0x1000 + i2 as u64 * 4, 4);
-        let t3 = self.l2[t2 as usize][i2];
-        if t3 == NONE {
-            return None;
-        }
-        sink.read(self.table_base + 0x2000 + i3 as u64 * 4, 4);
-        let t4 = self.l3[t3 as usize][i3];
-        if t4 == NONE {
-            return None;
-        }
-        sink.read(self.table_base + 0x3000 + i4 as u64 * 4, 4);
-        let leaf = self.l4[t4 as usize][i4];
-        (leaf != NONE).then_some(leaf as usize)
-    }
-
-    /// Walks to the leaf for `rank`, creating missing levels.
-    fn find_or_create_leaf<S: AccessSink>(&mut self, rank: u32, sink: &mut S) -> usize {
-        let [i1, i2, i3, i4] = self.digits(rank);
-        sink.read(self.table_base + i1 as u64 * 4, 4);
-        assert!(i1 < self.root.len(), "rank {rank} exceeds trie capacity");
-        if self.root[i1] == NONE {
-            // spc-allow(hot-path-alloc): first-touch level creation, amortized once per rank
-            self.l2.push(vec![NONE; self.dims[1] as usize]);
-            self.root[i1] = (self.l2.len() - 1) as u32;
-        }
-        let t2 = self.root[i1] as usize;
-        if self.l2[t2][i2] == NONE {
-            // spc-allow(hot-path-alloc): first-touch level creation, amortized once per rank
-            self.l3.push(vec![NONE; self.dims[2] as usize]);
-            self.l2[t2][i2] = (self.l3.len() - 1) as u32;
-        }
-        let t3 = self.l2[t2][i2] as usize;
-        if self.l3[t3][i3] == NONE {
-            // spc-allow(hot-path-alloc): first-touch level creation, amortized once per rank
-            self.l4.push(vec![NONE; self.dims[3] as usize]);
-            self.l3[t3][i3] = (self.l4.len() - 1) as u32;
-        }
-        let t4 = self.l3[t3][i3] as usize;
-        if self.l4[t4][i4] == NONE {
-            let leaf_base = self.region_base + self.leaves.len() as u64 * LEAF_REGION;
-            // spc-allow(hot-path-alloc): first-touch level creation, amortized once per rank
-            self.leaves.push(SeqFifo::new(leaf_base));
-            self.l4[t4][i4] = (self.leaves.len() - 1) as u32;
-        }
-        self.l4[t4][i4] as usize
-    }
-
-    fn channel(&self, ci: usize) -> &SeqFifo<E> {
-        if ci < self.leaves.len() {
-            &self.leaves[ci]
-        } else {
-            &self.wild
-        }
-    }
-
-    fn channel_mut(&mut self, ci: usize) -> &mut SeqFifo<E> {
-        if ci < self.leaves.len() {
-            &mut self.leaves[ci]
-        } else {
-            &mut self.wild
-        }
+        let router = RankDigits {
+            width: d,
+            tables: vec![vec![NONE; d as usize]],
+            table_base: base + CHANNEL_REGION,
+        };
+        // Leaves are created on first touch, above the wildcard channel
+        // and the tables.
+        Self::with_layout(router, 0, base + 2 * CHANNEL_REGION, base)
     }
 }
 
-impl<E: Element> MatchList<E> for RankTrie<E> {
-    fn append<S: AccessSink>(&mut self, e: E, sink: &mut S) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match e.bin_source() {
-            Some(src) => {
-                // spc-allow(hot-path-panic): MPI source ranks are non-negative by contract
-                let leaf = self.find_or_create_leaf(u32::try_from(src).expect("rank >= 0"), sink);
-                // spc-allow(hot-path-alloc): SeqFifo::push is the list insert, not Vec growth
-                self.leaves[leaf].push(seq, e, sink);
-            }
-            // spc-allow(hot-path-alloc): SeqFifo::push is the list insert, not Vec growth
-            None => self.wild.push(seq, e, sink),
-        }
-        self.len += 1;
+impl RankDigits {
+    /// Decomposes a rank into its four digits, most significant first (the
+    /// first is unbounded: a rank past the capacity indexes past the root).
+    fn digits(&self, rank: u32) -> [usize; 4] {
+        let d = self.width;
+        let (d2, d3) = (d * d, d * d * d);
+        [rank / d3, rank / d2 % d, rank / d % d, rank % d].map(|i| i as usize)
     }
+}
 
-    fn search_remove<S: AccessSink>(&mut self, probe: &E::Probe, sink: &mut S) -> Search<E> {
-        let r = match probe.bin_source() {
-            Some(src) => {
-                // spc-allow(hot-path-panic): MPI source ranks are non-negative by contract
-                match self.find_leaf(u32::try_from(src).expect("rank >= 0"), sink) {
-                    Some(leaf) => {
-                        let (leaves, wild) = (&mut self.leaves, &mut self.wild);
-                        merged_search_remove(&mut leaves[leaf], wild, probe, sink)
-                    }
-                    None => {
-                        // No per-rank entries: only the wildcard channel can
-                        // match. This is the structure's O(1) skip.
-                        let (hit, depth) = self.wild.find(probe, None, sink);
-                        match hit {
-                            Some(pos) => {
-                                let (_, e) = self.wild.remove(pos);
-                                Search::hit(e, depth)
-                            }
-                            None => Search::miss(depth),
-                        }
-                    }
-                }
-            }
-            None => {
-                let mut metas =
-                    collect_metas(self.leaves.iter().chain(core::iter::once(&self.wild)));
-                let (hit, depth) = global_search(&mut metas, probe, sink);
-                match hit {
-                    Some((ci, pos)) => {
-                        let (_, e) = self.channel_mut(ci).remove(pos);
-                        Search::hit(e, depth)
-                    }
-                    None => Search::miss(depth),
-                }
-            }
+impl Router for RankDigits {
+    /// Walks to the leaf for the key's rank, charging one table read per
+    /// level.
+    #[inline]
+    fn route<S: AccessSink>(&self, key: RouteKey, _nleaves: usize, sink: &mut S) -> Route {
+        let Some(rank) = key.source else {
+            return Route::All;
         };
-        if r.found.is_some() {
-            self.len -= 1;
-        }
-        r
-    }
-
-    fn remove_by_id<S: AccessSink>(&mut self, id: u64, _sink: &mut S) -> Option<E> {
-        let mut best: Option<(u64, usize)> = None;
-        for ci in 0..=self.leaves.len() {
-            if let Some(seq) = self
-                .channel(ci)
-                .iter()
-                .filter(|(_, e)| e.id() == id)
-                .map(|(s, _)| *s)
-                .min()
-            {
-                if best.is_none_or(|(bs, _)| seq < bs) {
-                    best = Some((seq, ci));
-                }
+        let mut at = 0;
+        for (level, digit) in self.digits(rank.into()).into_iter().enumerate() {
+            let table = self.table_base + level as u64 * 0x1000;
+            sink.read(table + digit as u64 * 4, 4);
+            match self.tables[at].get(digit) {
+                Some(&child) if child != NONE => at = child as usize,
+                // No per-rank entries: only the wildcard channel can
+                // match. This is the structure's O(1) skip.
+                _ => return Route::WildOnly,
             }
         }
-        let (_, ci) = best?;
-        let (_, e) = self.channel_mut(ci).remove_by_id(id)?;
-        self.len -= 1;
-        Some(e)
+        Route::Channel(at)
     }
 
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn snapshot(&self) -> Vec<E> {
-        let mut all: Vec<(u64, E)> = Vec::with_capacity(self.len);
-        for ci in 0..=self.leaves.len() {
-            all.extend(self.channel(ci).iter().copied());
+    /// Walks to the leaf for the key's rank, creating missing levels.
+    #[inline]
+    fn place<S: AccessSink>(
+        &mut self,
+        key: RouteKey,
+        nleaves: usize,
+        sink: &mut S,
+    ) -> Option<usize> {
+        let rank = key.source?;
+        let digits = self.digits(rank.into());
+        sink.read(self.table_base + digits[0] as u64 * 4, 4);
+        assert!(
+            digits[0] < self.tables[0].len(),
+            "rank {rank} exceeds trie capacity"
+        );
+        let mut at = 0;
+        for (level, digit) in digits.into_iter().enumerate() {
+            if self.tables[at][digit] == NONE {
+                // A last-level entry names the new leaf channel, any other
+                // a new child table.
+                let child = if level == 3 {
+                    nleaves
+                } else {
+                    // spc-allow(hot-path-alloc): first-touch level creation, amortized once per rank
+                    self.tables.push(vec![NONE; self.width as usize]);
+                    self.tables.len() - 1
+                };
+                self.tables[at][digit] = child as u32;
+            }
+            at = self.tables[at][digit] as usize;
         }
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        all.into_iter().map(|(_, e)| e).collect()
+        Some(at)
     }
 
-    fn clear(&mut self) {
-        for leaf in &mut self.leaves {
-            leaf.clear();
-        }
-        self.wild.clear();
-        self.len = 0;
-    }
-
-    fn footprint(&self) -> Footprint {
-        let tables = (self.root.len()
-            + self.l2.iter().map(Vec::len).sum::<usize>()
-            + self.l3.iter().map(Vec::len).sum::<usize>()
-            + self.l4.iter().map(Vec::len).sum::<usize>()) as u64
-            * 4;
-        let storage: u64 = self.leaves.iter().map(SeqFifo::bytes).sum::<u64>() + self.wild.bytes();
+    fn table<E: Element>(&self, _nleaves: usize) -> Footprint {
         Footprint {
-            bytes: tables + storage,
-            allocations: (1 + self.l2.len() + self.l3.len() + self.l4.len() + self.leaves.len())
-                as u64,
+            bytes: self.tables.iter().map(Vec::len).sum::<usize>() as u64 * 4,
+            allocations: self.tables.len() as u64 - 1,
         }
     }
 
-    fn heat_regions(&self, out: &mut Vec<(u64, u64)>) {
-        for leaf in self.leaves.iter().chain(core::iter::once(&self.wild)) {
-            let (base, len) = leaf.region();
-            if len > 0 {
-                // spc-allow(hot-path-alloc): heater registration path, runs per region not per message
-                out.push((base, len));
-            }
-        }
-    }
-
-    fn kind_name(&self) -> String {
-        format!("rank-trie({}^4)", self.dims[0])
+    fn kind_name(&self, _nleaves: usize) -> String {
+        format!("rank-trie({}^4)", self.width)
     }
 }
 
@@ -291,6 +144,7 @@ impl<E: Element> MatchList<E> for RankTrie<E> {
 mod tests {
     use super::*;
     use crate::entry::{Envelope, PostedEntry, RecvSpec, ANY_SOURCE};
+    use crate::list::MatchList;
     use crate::sink::{CountingSink, NullSink};
 
     fn post(rank: i32, tag: i32, req: u64) -> PostedEntry {
@@ -303,7 +157,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for rank in 0..10_000u32 {
             assert!(
-                seen.insert(t.digits(rank)),
+                seen.insert(t.router.digits(rank)),
                 "digits collide for rank {rank}"
             );
         }

@@ -127,7 +127,7 @@
 //! under one lock acquisition, stamping each op at drain time.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::engine::{
@@ -451,9 +451,6 @@ where
     /// rows never published) — the injected "skips the seq bump on write"
     /// conformance adversary. See [`Self::with_snap_commit_disabled`].
     snap_commit: bool,
-    /// When true, probes and the wildcard pre-scan use the locked paths —
-    /// the pre-seqlock behavior, kept selectable for the scaling gate.
-    locked_reads: AtomicBool,
     /// Lock-free probe attempts that had to retry (writer interference).
     snap_retries: AtomicU64,
     /// Lock-free probes that exhausted their retries and locked.
@@ -510,7 +507,6 @@ where
             wild_crossings: AtomicU64::new(0),
             check_wild_overtaking: true,
             snap_commit,
-            locked_reads: AtomicBool::new(false),
             snap_retries: AtomicU64::new(0),
             snap_fallbacks: AtomicU64::new(0),
             prescan_parks: AtomicU64::new(0),
@@ -546,14 +542,6 @@ where
         mk_umq: impl FnMut() -> U,
     ) -> Self {
         Self::build(num_shards, mk_prq, mk_umq, false)
-    }
-
-    /// Forces probes and the wildcard pre-scan back onto the locked
-    /// paths (`true`) — the pre-seqlock engine the scaling gate measures
-    /// as its "sharded-locked" variant — or restores the lock-free
-    /// default (`false`).
-    pub fn set_locked_reads(&self, locked: bool) {
-        self.locked_reads.store(locked, Ordering::SeqCst);
     }
 
     /// Retry/fallback counters for the lock-free read paths.
@@ -840,14 +828,12 @@ where
             // Counts are nonzero (or a racer stamped): before paying for
             // every shard lock, try to prove "no queued message matches"
             // from the published snapshots alone.
-            if !self.locked_reads.load(Ordering::SeqCst) {
-                if let Some(inspected) = self.wild_prescan_clear(&spec, seq) {
-                    self.prescan_parks.fetch_add(1, Ordering::Relaxed);
-                    self.park_wild(&mut wild, seq, entry, inspected);
-                    return (seq, Outcome::Posted { depth: inspected });
-                }
-                self.prescan_fallbacks.fetch_add(1, Ordering::Relaxed);
+            if let Some(inspected) = self.wild_prescan_clear(&spec, seq) {
+                self.prescan_parks.fetch_add(1, Ordering::Relaxed);
+                self.park_wild(&mut wild, seq, entry, inspected);
+                return (seq, Outcome::Posted { depth: inspected });
             }
+            self.prescan_fallbacks.fetch_add(1, Ordering::Relaxed);
             self.wild_vacate(slot);
             // The wildcard lock is released before the slow path re-locks
             // shards-then-wild, preserving the global lock order.
@@ -1152,12 +1138,10 @@ where
     /// linearizes *before* a same-stamp writer (it validated the
     /// pre-writer snapshot), which is how the conformance log sorts them.
     fn probe(&self, spec: RecvSpec) -> (u64, Outcome) {
-        if !self.locked_reads.load(Ordering::SeqCst) {
-            if let Some((s0, hit)) = self.iprobe_snap(&spec) {
-                return (s0, Outcome::Probed(hit));
-            }
-            self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
+        if let Some((s0, hit)) = self.iprobe_snap(&spec) {
+            return (s0, Outcome::Probed(hit));
         }
+        self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
         let (seq, hit) = self.iprobe_locked(spec);
         (seq, Outcome::Probed(hit))
     }
@@ -1182,8 +1166,8 @@ where
         None
     }
 
-    /// The locked probe (also the `set_locked_reads` baseline): all shard
-    /// locks, then the same [`merged_probe`] over the seq indexes.
+    /// The locked probe, the fallback once the seqlock retries are spent:
+    /// all shard locks, then the same [`merged_probe`] over the seq indexes.
     fn iprobe_locked(&self, spec: RecvSpec) -> (u64, Option<(u64, u32)>) {
         let guards = self.lock_all();
         let seq = self.next_seq();
@@ -1800,8 +1784,7 @@ mod tests {
             "the commit-skipping adversary must hide the message"
         );
         // ...while the locked path still sees the truth.
-        eng.set_locked_reads(true);
-        assert_eq!(eng.iprobe(RecvSpec::new(2, 2, 0)), Some((22, 1)));
+        assert_eq!(eng.iprobe_locked(RecvSpec::new(2, 2, 0)).1, Some((22, 1)));
     }
 
     #[test]
@@ -1825,15 +1808,15 @@ mod tests {
             ArrivalOutcome::MatchedPosted { request, .. } => assert_eq!(request, 1),
             other => panic!("unexpected {other:?}"),
         }
-        // With locked reads forced, the same situation pays the slow path.
-        eng.set_locked_reads(true);
+        // Without the pre-scan, the same situation pays the slow path.
         let before: u64 = eng.shard_stats().iter().map(|s| s.lock.acquisitions).sum();
         assert!(matches!(
-            eng.post_recv(RecvSpec::new(ANY_SOURCE, 9, 0), 2),
-            RecvOutcome::Posted
+            eng.post_recv_wild_slow(RecvSpec::new(ANY_SOURCE, 9, 0), 2)
+                .1,
+            Outcome::Posted { .. }
         ));
         let after: u64 = eng.shard_stats().iter().map(|s| s.lock.acquisitions).sum();
-        assert_eq!(after - before, 4, "locked reads force the all-lock path");
+        assert_eq!(after - before, 4, "the slow path takes every shard lock");
         eng.validate().unwrap();
     }
 
@@ -1970,11 +1953,9 @@ mod tests {
         ));
         assert_eq!(slot_count(&eng, 12), 0);
         eng.validate().unwrap();
-        // The slow-path park (locked reads skip the pre-scan) counts too.
+        // The slow-path park counts too.
         eng.arrival(Envelope::new(6, 13, 0), 61);
-        eng.set_locked_reads(true);
-        eng.post_recv(RecvSpec::new(ANY_SOURCE, 14, 0), 3);
-        eng.set_locked_reads(false);
+        eng.post_recv_wild_slow(RecvSpec::new(ANY_SOURCE, 14, 0), 3);
         assert_eq!(slot_count(&eng, 14), 1);
         eng.validate().unwrap();
         // reset

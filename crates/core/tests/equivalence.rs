@@ -233,6 +233,63 @@ fn umq_rank_trie_matches_baseline() {
     check_umq(4, || RankTrie::<UnexpectedEntry>::new(RANKS as usize));
 }
 
+/// Ranks on both sides of the entry layout's 16-bit rank field, which
+/// entries store and match in: 65 536 aliases 0 there and 70 000 aliases
+/// 4 464, so the reference matches them across the boundary and every
+/// structure that admits such ranks must route them the same way.
+const WIDE_RANKS: [i32; RANKS as usize] = [0, 1, 4_464, 5, 65_535, 65_536, 70_000, 7];
+const WIDE_CASES: u64 = 32;
+
+fn widen(rank: &mut i32) {
+    *rank = WIDE_RANKS[*rank as usize];
+}
+
+#[test]
+fn posted_ranks_past_the_16_bit_field_match_baseline() {
+    for case in 0..WIDE_CASES {
+        let mut ops = posted_ops(0x1D_0000 + case);
+        for op in &mut ops {
+            match op {
+                PostedOp::Append { rank, .. } => rank.iter_mut().for_each(widen),
+                PostedOp::Search { rank, .. } => widen(rank),
+                PostedOp::Cancel { .. } => {}
+            }
+        }
+        let reference = run_posted(&mut BaselineList::new(), &ops);
+        let same = |name: &str, got: Vec<String>| {
+            assert_eq!(got, reference, "{name}, case {case}; ops: {ops:?}");
+        };
+        same("lla8", run_posted(&mut Lla::<PostedEntry, 8>::new(), &ops));
+        same(
+            "source-bins",
+            run_posted(&mut SourceBins::new(1 << 16), &ops),
+        );
+        same("hash-bins", run_posted(&mut HashBins::with_bins(4), &ops));
+        same("rank-trie", run_posted(&mut RankTrie::new(1 << 16), &ops));
+    }
+}
+
+#[test]
+fn umq_ranks_past_the_16_bit_field_match_baseline() {
+    for case in 0..WIDE_CASES {
+        let mut ops = umq_ops(0x1D_0000 + case);
+        for op in &mut ops {
+            match op {
+                UmqOp::Arrive { rank, .. } => widen(rank),
+                UmqOp::Recv { rank, .. } => rank.iter_mut().for_each(widen),
+            }
+        }
+        let reference = run_umq(&mut BaselineList::new(), &ops);
+        let same = |name: &str, got: Vec<String>| {
+            assert_eq!(got, reference, "{name}, case {case}; ops: {ops:?}");
+        };
+        same("lla3", run_umq(&mut Lla::<UnexpectedEntry, 3>::new(), &ops));
+        same("source-bins", run_umq(&mut SourceBins::new(1 << 16), &ops));
+        same("hash-bins", run_umq(&mut HashBins::with_bins(4), &ops));
+        same("rank-trie", run_umq(&mut RankTrie::new(1 << 16), &ops));
+    }
+}
+
 /// Search depth on the baseline equals the 1-based position of the match in
 /// FIFO order — the definitional property Table 1 relies on (and the depth
 /// contract documented on [`MatchList::search_remove`]).
