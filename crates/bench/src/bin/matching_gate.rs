@@ -6,8 +6,8 @@
 //! search (`search_remove`; on the LLAs, under each supported slab-scan
 //! kind) and, for the linear structures, the reference field-wise scan
 //! (`search_remove_fieldwise`), and writes the results as
-//! `BENCH_matching.json` with the stable `spc-bench/1` schema (see the
-//! `spc-minibench` crate docs).
+//! `BENCH_matching.json` with the stable `spc-bench/1` schema (see
+//! [`spc_bench::report`]).
 //!
 //! Methodology: each cell builds a fresh list of `depth` entries over a
 //! small tag alphabet with *unique (rank, tag) pairs*, so a probe targets
@@ -20,9 +20,9 @@
 //! exactly and every timed operation scans to the same position. Miss cells
 //! probe a tag no entry carries (a full scan, the deep-list figure the
 //! acceptance gate keys on). Wall time per op comes from
-//! `spc_minibench::measure_ns` (the same calibrate-then-best-mean core the
-//! criterion-style targets use); simulated bytes per op come from replaying
-//! one full probe cycle against a `CountingSink` twin; the cachesim columns
+//! [`spc_bench::measure::measure_ns`] (calibrate, then best mean); simulated
+//! bytes per op come from replaying one full probe cycle against a
+//! `CountingSink` twin on a freshly built list; the cachesim columns
 //! (`lines_per_op`, `l1_hit_pct`, `l3_hit_pct`) come from replaying the
 //! identical seeded op stream against an `spc-cachesim` `MemSim` on the
 //! Sandy Bridge profile — one full warm-up cycle, a stats reset, then one
@@ -49,7 +49,8 @@
 //! divergence — perf regressions are recorded, not fatal, so CI stays green
 //! on noisy runners.
 
-use criterion::{measure_ns, report};
+use spc_bench::measure::measure_ns;
+use spc_bench::report;
 use spc_cachesim::{ArchProfile, MemSim};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, ANY_SOURCE};
 use spc_core::list::{BaselineList, HashBins, Lla, MatchList, RankTrie, Search, SourceBins};
@@ -350,6 +351,37 @@ fn run_sim(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope]) -> SimColu
     }
 }
 
+/// Simulated bytes per op, from a `CountingSink` twin driven exactly as
+/// [`run_sim`] drives the cachesim — a freshly built list, one settling
+/// cycle, one counted cycle — so the column is a function of the cell alone
+/// (the list the timed loop leaves behind depends on how many batches
+/// calibration ran).
+fn run_count(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope]) -> f64 {
+    let mut list = make_list(cell.structure, cell.variant, cell.depth);
+    for e in entries {
+        list.append_null(*e);
+    }
+    let mut sink = CountingSink::new();
+    for cycle in 0..2 {
+        if cycle == 1 {
+            sink = CountingSink::new();
+        }
+        for p in probes {
+            let s = list.search_count(p, &mut sink);
+            assert_eq!(
+                s.found.is_some(),
+                cell.hit != "miss",
+                "cell {} desynced",
+                label(cell)
+            );
+            if let Some(e) = s.found {
+                list.append_count(e, &mut sink);
+            }
+        }
+    }
+    (sink.bytes_read + sink.bytes_written) as f64 / probes.len() as f64
+}
+
 /// One cell's measurements.
 struct CellRun {
     ns: f64,
@@ -357,8 +389,9 @@ struct CellRun {
     sim: SimColumns,
 }
 
-/// Runs one matrix cell: times the steady-state loop, then replays one full
-/// probe cycle against a `CountingSink` twin and the cachesim.
+/// Runs one matrix cell: times the steady-state loop, then replays the
+/// probe cycle on fresh lists against a `CountingSink` twin and the
+/// cachesim.
 fn run_cell(cell: &Cell, cfg: &MeasureCfg) -> CellRun {
     let entries = make_entries(cell.depth, cell.wildcard);
     let probes = cell_probes(cell, &entries);
@@ -371,7 +404,7 @@ fn run_cell(cell: &Cell, cfg: &MeasureCfg) -> CellRun {
     }
     let expect_hit = cell.hit != "miss";
     // The probe index and the list's rotation state advance together, so the
-    // cycle stays aligned across calibration batches and the bytes replay.
+    // cycle stays aligned across calibration batches.
     let mut k = 0usize;
     let ns = measure_ns(cfg.samples, cfg.time, |b| {
         b.iter(|| {
@@ -384,23 +417,17 @@ fn run_cell(cell: &Cell, cfg: &MeasureCfg) -> CellRun {
             s.depth
         })
     });
-    let mut sink = CountingSink::new();
-    for _ in 0..probes.len() {
-        let s = list.search_count(&probes[k % probes.len()], &mut sink);
-        k += 1;
-        assert_eq!(
-            s.found.is_some(),
-            expect_hit,
-            "cell {} desynced",
-            label(cell)
-        );
-        if let Some(e) = s.found {
-            list.append_count(e, &mut sink);
-        }
-    }
+    // The timed loop's own check is a debug assertion; in release this one
+    // probe is what notices a loop that drifted off its cycle.
+    assert_eq!(
+        list.search_null(&probes[k % probes.len()]).found.is_some(),
+        expect_hit,
+        "cell {} desynced",
+        label(cell)
+    );
     CellRun {
         ns,
-        bytes: (sink.bytes_read + sink.bytes_written) as f64 / probes.len() as f64,
+        bytes: run_count(cell, &entries, &probes),
         sim: run_sim(cell, &entries, &probes),
     }
 }
@@ -516,7 +543,6 @@ fn main() {
                             lines_per_op: Some(run.sim.lines_per_op),
                             l1_hit_pct: Some(run.sim.l1_hit_pct),
                             l3_hit_pct: Some(run.sim.l3_hit_pct),
-                            ..report::Record::default()
                         });
                     }
                 }

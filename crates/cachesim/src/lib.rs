@@ -16,8 +16,8 @@
 //! making hot caching profitable while Broadwell's decoupled higher-latency
 //! L3 makes it a loss) are properties of specific multi-core cache
 //! hierarchies that the reproduction host does not have. The model makes
-//! them reproducible arithmetic. Native Criterion benchmarks complement it
-//! with real-machine numbers for the structures themselves.
+//! them reproducible arithmetic. The repo benchmark (`benchmark/`)
+//! complements it with real-machine numbers for the structures themselves.
 
 #![warn(missing_docs)]
 

@@ -20,9 +20,17 @@
 //! ```
 
 use crate::engine::{Op, Outcome};
-use crate::entry::{Envelope, RecvSpec};
+use crate::entry::{Envelope, RecvSpec, ANY_SOURCE, ANY_TAG};
 use crate::sink::AccessSink;
 use crate::stats::{DepthStats, EngineStats};
+
+/// One numeric field at its own type; the message names the bad token.
+fn num<T: std::str::FromStr>(s: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
+}
 
 /// A recorded stream of matching operations ([`Op`]s) for one process.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -124,7 +132,12 @@ impl MatchTrace {
         out
     }
 
-    /// Parses the text format (comments and blank lines are skipped).
+    /// Parses the text format (comments and blank lines are skipped). The
+    /// inverse of [`Self::to_text`], and safe on outside input: every field
+    /// is parsed at its own type, so an out-of-range value is an error, not
+    /// a truncating cast, and a rank or tag below what its op allows (the
+    /// wildcard on `P`/`I`, 0 on `A`) is refused before it can build an
+    /// impossible [`Envelope`].
     pub fn from_text(text: &str) -> Result<Self, TraceParseError> {
         let mut trace = Self::new();
         for (idx, raw) in text.lines().enumerate() {
@@ -149,44 +162,38 @@ impl MatchTrace {
                     )))
                 }
             };
-            let num = |s: &str| -> Result<i64, TraceParseError> {
-                s.parse::<i64>()
-                    .map_err(|e| err(format!("bad number {s:?}: {e}")))
+            let handle = |s: &str| num::<u64>(s).map_err(err);
+            // `<rank> <tag> <ctx>`, rank and tag no lower than their floors.
+            let key = |rank_floor: i32, tag_floor: i32| {
+                let at_least = |s: &str, floor: i32| match num::<i32>(s) {
+                    Ok(v) if v < floor => Err(format!("rank/tag {v} below {floor}")),
+                    other => other,
+                };
+                Ok((
+                    at_least(fields[0], rank_floor).map_err(err)?,
+                    at_least(fields[1], tag_floor).map_err(err)?,
+                    num::<u16>(fields[2]).map_err(err)?,
+                ))
             };
             match kind {
                 "P" => {
                     want(4)?;
-                    trace.post(
-                        RecvSpec::new(
-                            num(fields[0])? as i32,
-                            num(fields[1])? as i32,
-                            num(fields[2])? as u16,
-                        ),
-                        num(fields[3])? as u64,
-                    );
+                    let (rank, tag, ctx) = key(ANY_SOURCE, ANY_TAG)?;
+                    trace.post(RecvSpec::new(rank, tag, ctx), handle(fields[3])?);
                 }
                 "A" => {
                     want(4)?;
-                    trace.arrival(
-                        Envelope::new(
-                            num(fields[0])? as i32,
-                            num(fields[1])? as i32,
-                            num(fields[2])? as u16,
-                        ),
-                        num(fields[3])? as u64,
-                    );
+                    let (rank, tag, ctx) = key(0, 0)?;
+                    trace.arrival(Envelope::new(rank, tag, ctx), handle(fields[3])?);
                 }
                 "C" => {
                     want(1)?;
-                    trace.cancel(num(fields[0])? as u64);
+                    trace.cancel(handle(fields[0])?);
                 }
                 "I" => {
                     want(3)?;
-                    trace.probe(RecvSpec::new(
-                        num(fields[0])? as i32,
-                        num(fields[1])? as i32,
-                        num(fields[2])? as u16,
-                    ));
+                    let (rank, tag, ctx) = key(ANY_SOURCE, ANY_TAG)?;
+                    trace.probe(RecvSpec::new(rank, tag, ctx));
                 }
                 other => return Err(err(format!("unknown op kind {other:?}"))),
             }
@@ -261,7 +268,6 @@ pub struct ReplayReport {
 mod tests {
     use super::*;
     use crate::dynengine::{DynEngine, EngineKind};
-    use crate::entry::{ANY_SOURCE, ANY_TAG};
 
     fn sample_trace() -> MatchTrace {
         let mut t = MatchTrace::new();
@@ -278,7 +284,12 @@ mod tests {
 
     #[test]
     fn text_roundtrip_is_lossless() {
-        let t = sample_trace();
+        let mut t = sample_trace();
+        // Every field at the edge of its own type: `DynEngine::pad_prq`
+        // issues handles counting down from `u64::MAX`.
+        t.post(RecvSpec::new(i32::MAX, i32::MAX, u16::MAX), u64::MAX);
+        t.arrival(Envelope::new(i32::MAX, 0, u16::MAX), u64::MAX - 1);
+        t.cancel(u64::MAX);
         let text = t.to_text();
         let back = MatchTrace::from_text(&text).expect("parse");
         assert_eq!(t, back);
@@ -300,6 +311,77 @@ mod tests {
             .contains("bad number"));
         let e = MatchTrace::from_text("# ok\n\nC zzz").unwrap_err();
         assert_eq!(e.line, 3);
+        // Out of range for the field's own type: refused, not truncated.
+        for bad in [
+            "P 4294967297 0 0 1",
+            "P 0 0 70000 1",
+            "P 0 0 0 -1",
+            "P 4294967297 0 70000 -1",
+            "C 18446744073709551616",
+        ] {
+            let e = MatchTrace::from_text(bad).unwrap_err();
+            assert!(e.message.contains("bad number"), "{bad}: {e}");
+        }
+        // Below the wildcard on a receive, below 0 on an envelope.
+        for bad in ["P -2 0 0 1", "I 0 -2 0", "A -1 0 0 5", "A 0 -1 0 5"] {
+            let e = MatchTrace::from_text(&format!("C 1\n{bad}")).unwrap_err();
+            assert!(e.message.contains("below"), "{bad}: {e}");
+            assert_eq!(e.line, 2);
+        }
+    }
+
+    /// 10 000 seeded mutations of a valid trace — truncate, splice,
+    /// bit-flip, field-swap, one to three at a time: the parser answers
+    /// `Ok` or `Err`, never panics, and whatever it accepts survives
+    /// `to_text` and a second parse unchanged.
+    #[test]
+    fn mutated_traces_parse_or_fail_but_never_panic() {
+        use spc_rng::{Rng, SeedableRng, StdRng};
+        let mut base = sample_trace();
+        base.post(RecvSpec::new(7, ANY_TAG, u16::MAX), u64::MAX);
+        base.arrival(Envelope::new(i32::MAX, 65_536, 9), u64::MAX - 1);
+        let base = base.to_text().into_bytes();
+        let mut rng = StdRng::seed_from_u64(0x7_12ACE);
+        let (mut accepted, mut refused) = (0u32, 0u32);
+        for _ in 0..10_000 {
+            let mut text = base.clone();
+            for _ in 0..rng.gen_range(1..4u32) {
+                if text.is_empty() {
+                    break;
+                }
+                let at = rng.gen_range(0..text.len());
+                match rng.gen_range(0..4u32) {
+                    0 => text.truncate(at),
+                    1 => {
+                        let from = rng.gen_range(0..base.len());
+                        let to = rng.gen_range(from..base.len());
+                        text.splice(at..at, base[from..=to].iter().copied());
+                    }
+                    // The low seven bits only, so the text stays ASCII.
+                    2 => text[at] ^= 1 << rng.gen_range(0..7u32),
+                    _ => {
+                        // Swap two space-separated fields, wherever they are.
+                        let s = String::from_utf8(text).expect("ascii");
+                        let mut fields: Vec<&str> = s.split(' ').collect();
+                        let (a, b) = (at % fields.len(), rng.gen_range(0..fields.len()));
+                        fields.swap(a, b);
+                        text = fields.join(" ").into_bytes();
+                    }
+                }
+            }
+            let text = String::from_utf8(text).expect("mutations keep the text ASCII");
+            match MatchTrace::from_text(&text) {
+                Ok(t) => {
+                    assert_eq!(MatchTrace::from_text(&t.to_text()).as_ref(), Ok(&t));
+                    accepted += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            accepted > 1_000 && refused > 1_000,
+            "{accepted} / {refused}"
+        );
     }
 
     #[test]

@@ -135,42 +135,6 @@ impl Histogram {
         }
     }
 
-    /// Estimated `p`-quantile of the recorded values (`0.0 < p <= 1.0`),
-    /// or 0 when empty — the tail measurement behind the traffic suite's
-    /// p50/p99/p999 columns.
-    ///
-    /// Uses the nearest-rank definition resolved to bucket granularity: the
-    /// rank-`ceil(p·total)` observation's bucket is located by a cumulative
-    /// scan, then the value is linearly interpolated across the bucket's
-    /// span assuming its observations are evenly spread. The result is
-    /// always inside the selected bucket, so the error versus a
-    /// sorted-vector oracle is strictly less than one bucket width.
-    pub fn percentile(&self, p: f64) -> u64 {
-        assert!(
-            p > 0.0 && p <= 1.0,
-            "percentile {p} outside (0, 1] (pass 0.99 for p99)"
-        );
-        if self.total == 0 {
-            return 0;
-        }
-        // Nearest rank, 1-based; p <= 1.0 guarantees rank <= total.
-        let rank = ((p * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (lo, hi, c) in self.buckets() {
-            seen += c;
-            if seen >= rank && c > 0 {
-                // k-th of the bucket's c observations (1-based); place it at
-                // the midpoint of the k-th of c equal sub-spans.
-                let k = rank - (seen - c);
-                let span = hi - lo; // inclusive span, >= width - 1
-                let offset = ((2 * k - 1) as u128 * span as u128 / (2 * c) as u128) as u64;
-                return lo + offset.min(span);
-            }
-        }
-        // Unreachable: rank <= total and the counts sum to total.
-        self.max_bucket_hi()
-    }
-
     /// Merges another histogram (same width) into this one.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.width, other.width, "bucket widths must agree");
@@ -552,57 +516,6 @@ mod tests {
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[3], (3 * width, u64::MAX, 1));
         assert_eq!(h.max_bucket_hi(), u64::MAX);
-        assert!(
-            h.percentile(1.0) >= 3 * width,
-            "p100 lands in the top bucket"
-        );
-    }
-
-    /// `percentile` against a sorted-vector oracle on seeded data: for every
-    /// probed quantile the histogram answer must sit within one bucket
-    /// width of the exact nearest-rank answer, and inside that value's
-    /// bucket. Pre-fix code had no `percentile` at all.
-    #[test]
-    fn percentile_tracks_sorted_vec_oracle() {
-        use spc_rng::{Rng, SeedableRng, StdRng};
-        let mut rng = StdRng::seed_from_u64(0x7AFF_1C5E);
-        for width in [1u64, 7, 20] {
-            let mut h = Histogram::new(width);
-            let mut vals: Vec<u64> = (0..5000)
-                .map(|_| {
-                    // Mild skew: squaring pushes mass toward small values,
-                    // like a queue-depth distribution.
-                    let u = rng.gen::<f64>();
-                    (u * u * 1000.0) as u64
-                })
-                .collect();
-            for &v in &vals {
-                h.record(v);
-            }
-            vals.sort_unstable();
-            for p in [0.5, 0.9, 0.99, 0.999, 1.0] {
-                let rank = ((p * vals.len() as f64).ceil() as usize).max(1);
-                let exact = vals[rank - 1];
-                let est = h.percentile(p);
-                assert!(
-                    est.abs_diff(exact) < width,
-                    "p{p} width {width}: est {est} vs exact {exact}"
-                );
-                assert_eq!(est / width, exact / width, "estimate stays in the bucket");
-            }
-        }
-        // Degenerate cases: empty and single-observation histograms.
-        assert_eq!(Histogram::new(10).percentile(0.5), 0);
-        let mut one = Histogram::new(10);
-        one.record(42);
-        assert_eq!(one.percentile(0.5) / 10, 4);
-        assert_eq!(one.percentile(1.0) / 10, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1]")]
-    fn percentile_rejects_out_of_range_p() {
-        Histogram::new(10).percentile(0.0);
     }
 
     #[test]

@@ -3,34 +3,19 @@
 //! Everything the repo drove before this crate was an HPC motif: fixed
 //! neighbour exchanges, uniform partners, lockstep phases. The paper's
 //! claims, though, are about *network processing* — and the north star
-//! ("millions of users") means skewed popularity, open-loop pressure, and
-//! tail latency, not barriers. This crate supplies that load shape:
+//! ("millions of users") means skewed popularity, not barriers. This crate
+//! supplies that load shape: [`zipf`] — Zipf-skewed source popularity with
+//! optional hot-key *churn* (the hot set rotates mid-run, the way front-end
+//! traffic shifts), degenerating to uniform at exponent 0. `benchmark/`'s
+//! `shallow_churn` workload is built on its [`RequestGen`].
 //!
-//! * [`zipf`] — Zipf-skewed source popularity with optional hot-key
-//!   *churn* (the hot set rotates mid-run, the way front-end traffic
-//!   shifts), degenerating to uniform at exponent 0;
-//! * [`des`] — open-loop (Poisson arrivals, optionally bursty) and
-//!   closed-loop (fixed client window) discrete-event queueing around a
-//!   caller-supplied service function, with a **bounded run queue** that
-//!   rejects arrivals at capacity — the latency/rejection model;
-//! * [`drive`] — adapters that turn a [`Request`] stream into
-//!   search-else-append operations against a bounded
-//!   [`MatchEngine`](spc_core::MatchEngine), keeping a standing receive
-//!   window so searches run at realistic depth.
-//!
-//! Determinism is inherited from `spc-rng`: a scenario is reproducible from
-//! its config alone when the service function is deterministic (the tests
-//! use synthetic service models; the `traffic_gate` bench bin plugs in
-//! wall-clock measurement of the real engines).
+//! Determinism is inherited from `spc-rng`: a request stream is
+//! reproducible from its config alone.
 
 #![warn(missing_docs)]
 
-pub mod des;
-pub mod drive;
 pub mod zipf;
 
-pub use des::{closed_loop, open_loop, Burst, ClosedLoopCfg, LoopResult, OpenLoopCfg};
-pub use drive::{execute, prime_standing, EngineTally};
 pub use zipf::{Churn, Popularity, RequestGen, TrafficCfg, ZipfSampler};
 
 /// One service request: a message flow from `source` with `tag`.
