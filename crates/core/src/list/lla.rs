@@ -14,11 +14,11 @@
 //! node is unlinked and returned to the element pool.
 //!
 //! A search scans each node's slab with the widest kernel the CPU has
-//! ([`crate::simd::detect_best`]) and prefetches no node ahead: packing
-//! entries into aligned, contiguous lines is what lets the hardware
-//! adjacent-line and streamer prefetchers do that work, which is the
-//! structure's whole argument. (Nodes wider than 32 slots stream their own
-//! next window; see the walk.)
+//! ([`crate::simd::detect_best`]) and prefetches no node ahead: aligned,
+//! contiguous lines let the hardware prefetchers stream the list (the
+//! structure's whole argument), and every walk predicts the next node from
+//! the pool id, so on an append-built chain no hop waits for its link (DESIGN
+//! decision 15). Nodes wider than 32 slots stream their own next window.
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, PostedEntry, ProbeKey, UnexpectedEntry};
@@ -102,6 +102,72 @@ impl<E: Element, const N: usize> LlaNode<E, N> {
     }
 }
 
+/// The one chase over an LLA chain. The walk predicts, the link verifies: on
+/// a `cur + 1` link inside the chunk (an append-built chain's) the next node
+/// is `slot + 1` off the cached chunk base, an address the CPU forms without
+/// waiting for the link; other links are split, re-reading the base only on
+/// a chunk change.
+struct Chain<'p, E: Element, const N: usize> {
+    pool: &'p Pool<LlaNode<E, N>>,
+    /// The node under the cursor ([`NIL`] past the tail) and the one before.
+    cur: u32,
+    prev: u32,
+    /// `pool.split_id(cur)` and `pool.chunk_raw(chunk)`.
+    chunk: usize,
+    slot: usize,
+    base: *const LlaNode<E, N>,
+    sim: u64,
+}
+
+impl<'p, E: Element, const N: usize> Chain<'p, E, N> {
+    #[inline(always)]
+    fn new(pool: &'p Pool<LlaNode<E, N>>, head: u32) -> Self {
+        let mut c = Self {
+            pool,
+            cur: NIL,
+            prev: NIL,
+            chunk: usize::MAX,
+            slot: usize::MAX, // no slot yet: the step to `head` is not predicted
+            base: core::ptr::null(),
+            sim: 0,
+        };
+        c.advance(head);
+        c
+    }
+
+    /// Moves to `next`, the link of the node under the cursor.
+    #[inline(always)]
+    fn advance(&mut self, next: u32) {
+        (self.prev, self.cur) = (self.cur, next);
+        // A live id is below `NIL - 1` (`pool::chunk_ids`): no predicted `NIL`.
+        if next == self.prev.wrapping_add(1) && self.slot < self.pool.chunk_capacity() - 1 {
+            #[cfg(feature = "debug_invariants")]
+            assert_eq!(self.pool.split_id(next), (self.chunk, self.slot + 1));
+            self.slot += 1;
+        } else if next != NIL {
+            let (c, i) = self.pool.split_id(next);
+            if c != self.chunk {
+                (self.base, self.sim) = self.pool.chunk_raw(c);
+                self.chunk = c;
+            }
+            self.slot = i;
+        }
+    }
+
+    /// The node under the cursor and its simulated address (`None` past the tail).
+    #[inline(always)]
+    fn node(&self) -> Option<(u64, &'p LlaNode<E, N>)> {
+        (self.cur != NIL).then(|| {
+            let addr = self.sim + (self.slot * core::mem::size_of::<LlaNode<E, N>>()) as u64;
+            // SAFETY: `cur != NIL`: `chunk` passed `chunk_raw`'s bounds check
+            // and `slot` is below its capacity (split from an id, or predicted
+            // below `capacity - 1`), so this is an initialised node of a chunk
+            // that never moves; `'p` borrows the pool, so nothing mutates it.
+            (addr, unsafe { &*self.base.add(self.slot) })
+        })
+    }
+}
+
 /// The linked-list-of-arrays match queue.
 ///
 /// `N` is the number of entries per node (the paper sweeps 2, 4, 8, 16, 32
@@ -149,10 +215,19 @@ impl<E: Element, const N: usize> Lla<E, N> {
         self.pool.live()
     }
 
+    /// Linked nodes with their pool ids, head to tail.
+    fn nodes(&self) -> impl Iterator<Item = (u32, &LlaNode<E, N>)> {
+        let mut c = Chain::new(&self.pool, self.head);
+        std::iter::from_fn(move || {
+            let (id, (_, n)) = (c.cur, c.node()?);
+            c.advance(n.next);
+            Some((id, n))
+        })
+    }
+
     /// Live entries in FIFO order, walked in place (holes skipped).
     fn live(&self) -> impl Iterator<Item = &E> {
-        let node = |id: u32| (id != NIL).then(|| self.pool.get(id));
-        std::iter::successors(node(self.head), move |n| node(n.next)).flat_map(|n| {
+        self.nodes().flat_map(|(_, n)| {
             n.entries[n.head as usize..n.tail as usize]
                 .iter()
                 .filter(|e| !e.is_hole())
@@ -246,19 +321,13 @@ impl<E: Element, const N: usize> Lla<E, N> {
         mut test: impl FnMut(&E) -> bool,
     ) -> Search<E> {
         let mut depth = 0u32;
-        let mut prev = NIL;
-        let mut cur = self.head;
-        while cur != NIL {
-            let node_addr = self.pool.sim_addr(cur);
+        let mut c = Chain::new(&self.pool, self.head);
+        while let Some((node_addr, n)) = c.node() {
             sink.read(node_addr, 8); // head/tail indexes
-            let (h, t) = {
-                let n = self.pool.get(cur);
-                (n.head, n.tail)
-            };
-            for i in h..t {
-                let e = self.pool.get(cur).entries[i as usize];
+            for i in n.head as usize..n.tail as usize {
+                let e = n.entries[i];
                 sink.read(
-                    node_addr + LlaNode::<E, N>::entry_offset(i as usize),
+                    node_addr + LlaNode::<E, N>::entry_offset(i),
                     core::mem::size_of::<E>() as u32,
                 );
                 if e.is_hole() {
@@ -266,14 +335,12 @@ impl<E: Element, const N: usize> Lla<E, N> {
                 }
                 depth += 1;
                 if test(&e) {
-                    self.remove_at(prev, cur, i as u32, sink);
+                    self.remove_at(c.prev, c.cur, i as u32, sink);
                     return Search::hit(e, depth);
                 }
             }
             sink.read(node_addr + LlaNode::<E, N>::next_offset(), 4);
-            let next = self.pool.get(cur).next;
-            prev = cur;
-            cur = next;
+            c.advance(n.next);
         }
         Search::miss(depth)
     }
@@ -339,20 +406,18 @@ impl<E: Element, const N: usize> Lla<E, N> {
         self.packed_walk_body(simd::ScanKind::Simd128, probe, sink)
     }
 
-    /// The packed-key walk. Differences from [`Self::walk_remove`], all
-    /// latency-only: the node reference is resolved once per node (one pool
-    /// id→pointer split per node instead of per slot), and node slabs are
-    /// scanned through the [`simd`] kernels — 2 (SSE2) or 4 (AVX2) packed
-    /// key/mask pairs per instruction, the scalar packed loop otherwise —
-    /// with the resulting candidate bitmap ANDed with the occupancy
-    /// register (`N <= 32`) or the hole bitmap (windowed large-arity scan)
-    /// and bit-scanned to the first live hit.
+    /// The packed-key walk. It differs from [`Self::walk_remove`] in
+    /// latency only: node slabs are scanned through the [`simd`] kernels —
+    /// 2 (SSE2) or 4 (AVX2) packed key/mask pairs per instruction, the
+    /// scalar packed loop otherwise — with the resulting candidate bitmap
+    /// ANDed with the occupancy register (`N <= 32`) or the hole bitmap
+    /// (windowed large-arity scan) and bit-scanned to the first live hit.
     ///
     /// No node is prefetched ahead: pool nodes are line-aligned and
     /// contiguous, and an append-built chain links them in ascending id
-    /// order — the stream the hardware adjacent-line and streamer
-    /// prefetchers follow on their own (the paper's §3.1 argument for the
-    /// structure). Only the large-arity window scan hints, inside a node.
+    /// order — the stream the hardware prefetchers follow on their own (the
+    /// paper's §3.1 argument), and the one `Chain` predicts, so no hop waits
+    /// for its link. Only the large-arity window scan hints, inside a node.
     #[inline(always)]
     fn packed_walk_body<S: AccessSink>(
         &mut self,
@@ -360,31 +425,10 @@ impl<E: Element, const N: usize> Lla<E, N> {
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        let node_sz = core::mem::size_of::<LlaNode<E, N>>() as u64;
-        // Chunk cache: consecutive pool ids live in the same chunk, so the
-        // `chunks[c] -> nodes` indirection is resolved once per chunk
-        // transition rather than adding a dependent pointer load to every
-        // hop of the chase.
-        let mut cc = usize::MAX;
-        let mut cbase: *const LlaNode<E, N> = core::ptr::null();
-        let mut csim = 0u64;
         let mut depth = 0u32;
-        let mut prev = NIL;
-        let mut cur = self.head;
-        while cur != NIL {
-            let (c, i) = self.pool.split_id(cur);
-            if c != cc {
-                (cbase, csim) = self.pool.chunk_raw(c);
-                cc = c;
-            }
-            let node_addr = csim + i as u64 * node_sz;
+        let mut c = Chain::new(&self.pool, self.head);
+        while let Some((node_addr, node)) = c.node() {
             sink.read(node_addr, 8); // head/tail/occupancy header
-
-            // SAFETY: `cur` is a live pool id, chunk storage never moves,
-            // and nothing mutates the pool while this reference is read
-            // (mutation happens only in `remove_at`, after the last use).
-            let node = unsafe { &*cbase.add(i) };
-            let next = node.next;
             let mut hit: Option<(u32, E)> = None;
             if LlaNode::<E, N>::BITMAP {
                 // Batched node scan: [`simd::scan_candidates`] evaluates
@@ -487,19 +531,18 @@ impl<E: Element, const N: usize> Lla<E, N> {
                 }
             }
             if let Some((i, e)) = hit {
-                self.remove_at(prev, cur, i, sink);
+                self.remove_at(c.prev, c.cur, i, sink);
                 return Search::hit(e, depth);
             }
             sink.read(node_addr + LlaNode::<E, N>::next_offset(), 4);
-            prev = cur;
-            cur = next;
+            c.advance(node.next);
         }
         Search::miss(depth)
     }
 
-    /// The reference scan: per-slot pool lookups, in-band hole test,
-    /// field-by-field [`Element::matches`]. The equivalence tests and the
-    /// benchmark gate compare the packed bitmap walk against it.
+    /// The reference scan: every trim-range slot loaded and charged, in-band
+    /// hole test, field-by-field [`Element::matches`]. The equivalence tests
+    /// and the benchmark gate compare the packed bitmap walk against it.
     pub fn search_remove_fieldwise<S: AccessSink>(
         &mut self,
         probe: &E::Probe,
@@ -553,13 +596,8 @@ impl<E: Element, const N: usize> Lla<E, N> {
     /// feature makes `append`/`remove_at` re-check the touched node
     /// immediately. O(nodes × N); never called on the measured path.
     pub fn validate_occupancy(&self) -> Result<(), String> {
-        let mut cur = self.head;
-        while cur != NIL {
-            let n = self.pool.get(cur);
-            Self::check_node(n, cur)?;
-            cur = n.next;
-        }
-        Ok(())
+        self.nodes()
+            .try_for_each(|(cur, n)| Self::check_node(n, cur))
     }
 
     /// Under `debug_invariants`: panics if node `cur`'s occupancy/trim
@@ -687,23 +725,10 @@ impl<E: Element, const N: usize> MatchList<E> for Lla<E, N> {
         self.pool.validate()?;
         // Length agreement: the walk, the cached `len`, and the pool's live
         // count must tell the same story.
-        let (mut live, mut nodes) = (0usize, 0usize);
-        let mut cur = self.head;
-        while cur != NIL {
-            let n = self.pool.get(cur);
-            nodes += 1;
-            live += n.entries[n.head as usize..n.tail as usize]
-                .iter()
-                .filter(|e| !e.is_hole())
-                .count();
-            if n.next == NIL && cur != self.tail {
-                return Err(format!(
-                    "last node {cur} is not the cached tail {}",
-                    self.tail
-                ));
-            }
-            cur = n.next;
+        if let Some((last, _)) = self.nodes().last().filter(|&(last, _)| last != self.tail) {
+            return Err(format!("last node {last} is not the tail {}", self.tail));
         }
+        let (live, nodes) = (self.live().count(), self.nodes().count());
         if live != self.len {
             return Err(format!(
                 "walked {live} live entries but len == {}",
@@ -740,8 +765,10 @@ pub fn posted_large() -> Lla<PostedEntry, 512> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{Envelope, RecvSpec};
-    use crate::sink::{CountingSink, NullSink};
+    use crate::entry::{Envelope, RecvSpec, ANY_SOURCE};
+    use crate::simd::ScanKind;
+    use crate::sink::{Access, CountingSink, NullSink, TraceSink};
+    use spc_rng::{Rng, SeedableRng, SliceRandom, StdRng};
 
     fn post(rank: i32, tag: i32, req: u64) -> PostedEntry {
         PostedEntry::from_spec(RecvSpec::new(rank, tag, 0), req)
@@ -1139,5 +1166,238 @@ mod tests {
         assert_eq!(r.found.unwrap().payload, 4);
         assert_eq!(r.depth, 5);
         assert_eq!(l.len(), 6);
+    }
+
+    /// One op's observable outcome: the entry it matched or cancelled, the
+    /// depth it reported, and every access it charged.
+    type Step = (Option<u64>, u32, Vec<Access>);
+
+    /// A chain shape the walk's successor prediction must survive.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// A seeded-random three quarters of the nodes drained, then as many
+        /// refilled: nodes come back off the free list in random order, so
+        /// links jump both ways.
+        Scrambled,
+        /// Every node drained in FIFO order, then refilled: nodes come back
+        /// last-freed first, so every link points one id back.
+        Backward,
+        /// `n` fresh nodes: ascending ids, crossing a chunk boundary (`cur +
+        /// 1` in the next chunk) once `n` exceeds a chunk.
+        Sequential(usize),
+    }
+
+    /// Builds `shape` in an LLA-`N`, then probes it with searches under
+    /// `kind` (the field-wise reference when `None`) and cancels, checking
+    /// every result, `find_first` and `snapshot` against a `Vec` model and
+    /// `validate()` after every op — on a chain longer than a chunk only
+    /// once the build is done, so the test stays light enough for Miri. The
+    /// build is step 0.
+    fn chain_script<const N: usize>(shape: Shape, kind: Option<ScanKind>) -> Vec<Step> {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0025);
+        let mut l: Lla<PostedEntry, N> = Lla::with_addr(AddrSpace::contiguous(1 << 30));
+        let cap = l.pool.chunk_capacity();
+        let (nodes, big) = match shape {
+            Shape::Sequential(n) => (n, n > cap),
+            _ => (16, false),
+        };
+        // Unique tags, so a probe can hit at any depth; every 11th entry is
+        // a wildcard. Entry `req` starts in node `req / N`.
+        let entry = |req: u64| {
+            let rank = if req.is_multiple_of(11) {
+                ANY_SOURCE
+            } else {
+                (req % 5) as i32
+            };
+            PostedEntry::from_spec(RecvSpec::new(rank, req as i32, 0), req)
+        };
+        let check = |l: &Lla<PostedEntry, N>, model: &[PostedEntry]| {
+            assert_eq!(l.snapshot(), model, "{shape:?}");
+            l.validate().unwrap();
+        };
+        let mut s = TraceSink::new();
+        let mut model = Vec::new();
+        let mut req = 0u64;
+        let mut fill = |l: &mut Lla<PostedEntry, N>, model: &mut Vec<_>, s: &mut TraceSink| {
+            for _ in 0..nodes * N {
+                l.append(entry(req), s);
+                model.push(entry(req));
+                req += 1;
+                if !big {
+                    check(l, model);
+                }
+            }
+        };
+        fill(&mut l, &mut model, &mut s);
+        if !matches!(shape, Shape::Sequential(_)) {
+            let mut drained: Vec<u64> = (0..nodes as u64).collect();
+            if matches!(shape, Shape::Scrambled) {
+                drained.shuffle(&mut rng);
+                drained.truncate(nodes * 3 / 4);
+            }
+            for id in drained
+                .iter()
+                .flat_map(|n| n * N as u64..(n + 1) * N as u64)
+            {
+                let at = model.iter().position(|e| e.request == id).unwrap();
+                assert_eq!(l.remove_by_id(id, &mut s), Some(model.remove(at)));
+                check(&l, &model);
+            }
+            fill(&mut l, &mut model, &mut s);
+        }
+        check(&l, &model);
+        // The shape is the one named: link strides along the chain.
+        let mut strides = Vec::new();
+        let mut cur = l.head;
+        while l.pool.get(cur).next != NIL {
+            let next = l.pool.get(cur).next;
+            strides.push(next as i64 - cur as i64);
+            cur = next;
+        }
+        let shaped = match shape {
+            Shape::Scrambled => strides.iter().any(|&d| d < 0) && strides.iter().any(|&d| d > 1),
+            Shape::Backward => strides.iter().all(|&d| d == -1),
+            Shape::Sequential(_) => strides.iter().all(|&d| d == 1),
+        };
+        assert!(shaped, "{shape:?}: strides {strides:?}");
+
+        let mut steps = vec![(None, 0, s.trace.clone())];
+        // Victims: either side of the chunk boundary on a long chain (a
+        // fresh chain holds entry `req` at FIFO position `req`), seeded
+        // picks otherwise. Every third op cancels its victim; the rest
+        // search for it, sometimes under a rank that misses.
+        let b = (cap * N) as u64;
+        let victims = if big { 4 } else { 24 };
+        for op in 0..victims + 2 {
+            let (probe, cancel) = if op < victims {
+                let v = if big {
+                    let id = [b - 1, b, b + 1, b + 3 * N as u64][op];
+                    *model.iter().find(|e| e.request == id).unwrap()
+                } else {
+                    model[rng.gen_range(0..model.len())]
+                };
+                let rank = if big {
+                    v.request % 5
+                } else {
+                    rng.gen_range(0..6)
+                };
+                (
+                    Envelope::new(rank as i32, v.tag, 0),
+                    (op % 3 == 2).then_some(v.request),
+                )
+            } else {
+                // A full miss under each walk.
+                (Envelope::new(9, 9, 9), (op == victims).then_some(u64::MAX))
+            };
+            let at = model.iter().position(|e| e.matches(&probe));
+            assert_eq!(l.find_first(&probe), at.map(|i| (model[i], i as u32 + 1)));
+            s.clear();
+            let step = if let Some(id) = cancel {
+                let at = model.iter().position(|e| e.request == id);
+                let got = l.remove_by_id(id, &mut s);
+                assert_eq!(got, at.map(|i| model.remove(i)));
+                (got.map(|e| e.request), 0)
+            } else {
+                let r = match kind {
+                    Some(k) => l.search_remove_as(k, &probe, &mut s),
+                    None => l.search_remove_fieldwise(&probe, &mut s),
+                };
+                assert_eq!(r.depth as usize, at.map_or(model.len(), |i| i + 1));
+                assert_eq!(r.found, at.map(|i| model.remove(i)));
+                (r.found.map(|e| e.request), r.depth)
+            };
+            steps.push((step.0, step.1, s.trace.clone()));
+            if !big {
+                check(&l, &model);
+            }
+        }
+        check(&l, &model);
+        steps
+    }
+
+    /// FNV-1a over every step's outcome and every charged access, in order.
+    fn fold(steps: &[Step]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for (found, depth, trace) in steps {
+            let accesses = trace
+                .iter()
+                .flat_map(|a| [a.is_write as u64, a.addr, a.len as u64]);
+            for w in [found.unwrap_or(u64::MAX), *depth as u64]
+                .into_iter()
+                .chain(accesses)
+            {
+                h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// Runs `shape` under every scan kind this CPU has and under the
+    /// field-wise reference: every kind charges exactly the portable
+    /// kernel's accesses, and the reference finds the same entries at the
+    /// same depths. Returns the folds of the portable and reference runs.
+    fn chain_shape<const N: usize>(shape: Shape) -> [u64; 2] {
+        let portable = chain_script::<N>(shape, Some(ScanKind::Portable));
+        for k in ScanKind::ALL {
+            if k > ScanKind::Portable && k <= simd::detect_best() {
+                assert!(chain_script::<N>(shape, Some(k)) == portable, "{k:?}");
+            }
+        }
+        let reference = chain_script::<N>(shape, None);
+        let outcomes = |steps: &[Step]| steps.iter().map(|s| (s.0, s.1)).collect::<Vec<_>>();
+        assert_eq!(outcomes(&reference), outcomes(&portable));
+        [fold(&portable), fold(&reference)]
+    }
+
+    // The folds below pin the charge order itself — `simd_props` compares
+    // kinds with each other, which a reordering they all share would pass.
+    // They were recorded on the walks the chain cursor replaced.
+
+    #[test]
+    fn scrambled_and_backward_chains_walk_like_the_reference() {
+        assert_eq!(
+            chain_shape::<2>(Shape::Scrambled),
+            [0x35ec_b2e9_d825_b92a; 2]
+        );
+        assert_eq!(
+            chain_shape::<8>(Shape::Scrambled),
+            [0xed36_5bfe_2324_c133, 0x0b9a_6586_9cf9_ccf3]
+        );
+        assert_eq!(
+            chain_shape::<48>(Shape::Scrambled),
+            [0x40d2_690f_f0b5_8e72; 2]
+        );
+        assert_eq!(
+            chain_shape::<2>(Shape::Backward),
+            [0x3917_fd7c_5741_e5fd; 2]
+        );
+        assert_eq!(
+            chain_shape::<8>(Shape::Backward),
+            [0x4559_877b_868c_b5aa, 0x312c_dc42_cf44_ace0]
+        );
+        assert_eq!(
+            chain_shape::<48>(Shape::Backward),
+            [0xe3cc_64a7_7e7a_3cc8; 2]
+        );
+    }
+
+    #[test]
+    fn sequential_ids_cross_a_power_of_two_chunk() {
+        // LLA-2: id 4 095 → 4 096 is `cur + 1` in the next chunk.
+        assert_eq!(crate::pool::nodes_per_chunk(64), 4_096);
+        assert_eq!(
+            chain_shape::<2>(Shape::Sequential(4_100)),
+            [0x24cf_a0a5_5ccf_4607; 2]
+        );
+    }
+
+    #[test]
+    fn sequential_ids_cross_a_non_power_of_two_chunk() {
+        let node = core::mem::size_of::<LlaNode<PostedEntry, 48>>();
+        assert_eq!(crate::pool::nodes_per_chunk(node), 215);
+        assert_eq!(
+            chain_shape::<48>(Shape::Sequential(220)),
+            [0xc1eb_4769_2b4b_d99f; 2]
+        );
     }
 }

@@ -33,6 +33,13 @@ pub const fn nodes_per_chunk(size: usize) -> usize {
     }
 }
 
+/// Ids of chunk `chunk_idx`. Panics past `NIL - 2`: a live id's `+ 1` must not be `NIL`.
+fn chunk_ids(chunk_idx: usize, chunk_nodes: usize) -> core::ops::Range<u32> {
+    let end = (chunk_idx as u64 + 1) * chunk_nodes as u64;
+    assert!(end < NIL as u64, "pool ids exhausted at chunk {chunk_idx}");
+    (end - chunk_nodes as u64) as u32..end as u32
+}
+
 struct Chunk<T> {
     nodes: Box<[T]>,
     sim_base: u64,
@@ -92,7 +99,7 @@ impl<T: Copy> Pool<T> {
         let id = match self.free.pop() {
             Some(id) => id,
             None => {
-                let chunk_idx = self.chunks.len();
+                let ids = chunk_ids(self.chunks.len(), self.chunk_nodes);
                 let bytes = (self.chunk_nodes * core::mem::size_of::<T>()) as u64;
                 let sim_base = addr.alloc(bytes, core::mem::align_of::<T>().max(64) as u64);
                 // spc-allow(hot-path-alloc): chunk growth, amortized over chunk_nodes allocs
@@ -102,11 +109,9 @@ impl<T: Copy> Pool<T> {
                     sim_base,
                 });
                 // Push in reverse so low ids are handed out first: keeps
-                // early allocations at the start of the chunk, matching the
-                // contiguity story.
-                let base = (chunk_idx * self.chunk_nodes) as u32;
-                self.free
-                    .extend((0..self.chunk_nodes as u32).rev().map(|i| base + i));
+                // early allocations at the start of the chunk, in the
+                // ascending order the LLA walk predicts (contiguity story).
+                self.free.extend(ids.rev());
                 // spc-allow(hot-path-panic): the free list was refilled two lines up
                 self.free.pop().expect("chunk just added")
             }
@@ -166,7 +171,7 @@ impl<T: Copy> Pool<T> {
             seen[idx] = true;
         }
         for id in 0..cap as u32 {
-            let (c, i) = self.split(id);
+            let (c, i) = self.split_id(id);
             if c != id as usize / self.chunk_nodes || i != id as usize % self.chunk_nodes {
                 return Err(format!(
                     "split({id}) = ({c}, {i}) disagrees with division by {}",
@@ -181,11 +186,11 @@ impl<T: Copy> Pool<T> {
     }
 
     /// Splits a node id into (chunk, slot). Cache-line-sized nodes give a
-    /// power-of-two chunk capacity (256 KiB / 64 B = 4096), so the traversal
-    /// hot paths — which call this several times per node — take the
-    /// shift/mask route instead of two integer divisions.
+    /// power-of-two chunk capacity (256 KiB / 64 B = 4096), so the hot paths
+    /// — node access here, and the LLA walk's unpredicted hops (see
+    /// [`Self::chunk_raw`]) — take the shift/mask route, not two divisions.
     #[inline(always)]
-    fn split(&self, id: u32) -> (usize, usize) {
+    pub fn split_id(&self, id: u32) -> (usize, usize) {
         let (id, n) = (id as usize, self.chunk_nodes);
         if n.is_power_of_two() {
             (id >> n.trailing_zeros(), id & (n - 1))
@@ -194,19 +199,12 @@ impl<T: Copy> Pool<T> {
         }
     }
 
-    /// Splits a node id into `(chunk, slot)` for callers that cache the
-    /// chunk indirection across consecutive ids (see [`Self::chunk_raw`]).
-    #[inline(always)]
-    pub fn split_id(&self, id: u32) -> (usize, usize) {
-        self.split(id)
-    }
-
     /// Raw node-array base pointer and simulated base address of chunk `c`.
     ///
-    /// Traversal hot paths call this once per chunk *transition* instead of
-    /// re-walking `chunks[c] -> nodes` per node: consecutive pool ids share
-    /// a chunk, so caching the pair removes a dependent pointer load from
-    /// every hop of the chase. Chunk storage never moves, so the pointer
+    /// The LLA chain cursor calls this only when a link leaves the chunk it
+    /// has cached: a predicted `cur + 1` hop never does, and a scrambled
+    /// chain's free-list ids mostly stay in one chunk, so no hop pays the
+    /// `chunks[c] -> nodes` load. Chunk storage never moves, so the pointer
     /// stays valid for the pool's lifetime.
     #[inline]
     pub fn chunk_raw(&self, c: usize) -> (*const T, u64) {
@@ -217,21 +215,21 @@ impl<T: Copy> Pool<T> {
     /// Shared access to a node.
     #[inline]
     pub fn get(&self, id: u32) -> &T {
-        let (c, i) = self.split(id);
+        let (c, i) = self.split_id(id);
         &self.chunks[c].nodes[i]
     }
 
     /// Exclusive access to a node.
     #[inline]
     pub fn get_mut(&mut self, id: u32) -> &mut T {
-        let (c, i) = self.split(id);
+        let (c, i) = self.split_id(id);
         &mut self.chunks[c].nodes[i]
     }
 
     /// Simulated address of a node.
     #[inline]
     pub fn sim_addr(&self, id: u32) -> u64 {
-        let (c, i) = self.split(id);
+        let (c, i) = self.split_id(id);
         self.chunks[c].sim_base + (i * core::mem::size_of::<T>()) as u64
     }
 
@@ -267,9 +265,8 @@ impl<T: Copy> Pool<T> {
     pub fn reset(&mut self) {
         self.free.clear();
         for chunk_idx in 0..self.chunks.len() {
-            let base = (chunk_idx * self.chunk_nodes) as u32;
             self.free
-                .extend((0..self.chunk_nodes as u32).rev().map(|i| base + i));
+                .extend(chunk_ids(chunk_idx, self.chunk_nodes).rev());
         }
         self.live = 0;
     }
@@ -333,6 +330,25 @@ mod tests {
         assert_eq!(p.capacity(), cap);
         let id = p.alloc(7, &mut addr);
         assert_eq!(*p.get(id), 7);
+    }
+
+    #[test]
+    fn chunk_ids_stop_below_nil_minus_one() {
+        let exhausted = |chunk_idx, chunk_nodes| {
+            std::panic::catch_unwind(|| chunk_ids(chunk_idx, chunk_nodes)).is_err()
+        };
+        assert_eq!(chunk_ids(0, 4_096), 0..4_096);
+        assert_eq!(chunk_ids(3, 215), 645..860);
+        // Power of two (LLA-2): the last legal chunk, then the one holding
+        // NIL itself.
+        assert_eq!(chunk_ids(1_048_574, 4_096), 0xFFFF_E000..0xFFFF_F000);
+        assert!(exhausted(1_048_575, 4_096));
+        // 255 divides 2³² − 1: the next chunk would end exactly on NIL - 1.
+        assert_eq!(chunk_ids(16_843_007, 255), 0xFFFF_FE01..0xFFFF_FF00);
+        assert!(exhausted(16_843_008, 255));
+        // LLA-48's 215: the next chunk would run past u32::MAX.
+        assert_eq!(chunk_ids(19_976_591, 215), 0xFFFF_FF19..0xFFFF_FFF0);
+        assert!(exhausted(19_976_592, 215));
     }
 
     #[test]

@@ -342,6 +342,50 @@ fn default_search_is_the_detected_kind() {
     assert_steps_equal("baseline packed vs fieldwise", &packed, &reference, true);
 }
 
+/// FNV-1a over every step's outcome and every charged access, in order.
+fn fold(steps: &[Step]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for (found, depth, trace) in steps {
+        let accesses = trace
+            .iter()
+            .flat_map(|a| [a.is_write as u64, a.addr, a.len as u64]);
+        for w in [found.unwrap_or(u64::MAX), *depth as u64]
+            .into_iter()
+            .chain(accesses)
+        {
+            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// The charge order itself, not only its agreement across kinds (which a
+/// reordering every kind shares would pass): the portable and reference
+/// runs of every LLA script, folded, as recorded on the walks the chain
+/// cursor replaced.
+#[test]
+fn lla_scripts_charge_the_recorded_accesses() {
+    let folds = |via| lla_scripts(via).map(|(name, steps)| (name, fold(&steps)));
+    assert_eq!(
+        folds(Via::Kind(ScanKind::Portable)),
+        [
+            ("lla2", 0x86e6_748d_163e_443c),
+            ("lla8", 0x6d9c_eff7_adda_719b),
+            ("lla32", 0x70e9_9406_ae22_5198),
+            ("lla48", 0xe8ba_5094_822d_9a00)
+        ]
+    );
+    assert_eq!(
+        folds(Via::Fieldwise),
+        [
+            ("lla2", 0x86e6_748d_163e_443c),
+            ("lla8", 0x10b8_b2ec_188c_0deb),
+            ("lla32", 0x5d63_58d7_6ca1_91ce),
+            ("lla48", 0xe8ba_5094_822d_9a00)
+        ]
+    );
+}
+
 /// A kind the CPU cannot run is clamped, not executed. The clamp is `min`
 /// over `ScanKind`'s derived order, so that order — weakest first — is the
 /// safety property: were it wrong, `Simd256` would survive the clamp on a
