@@ -8,16 +8,11 @@
 //! overlaps misses (~2 in flight) — modelled as a 0.5 latency factor plus a
 //! fixed ~10 ns loop overhead.
 //!
-//! A second section runs the *real* heater on this host over a real buffer;
-//! on a single-core container the heater and the benchmark share the CPU,
-//! so treat those numbers as functional validation, not as the figure.
-
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! The real heater thread is exercised by `spc-core`'s heater tests and
+//! timed by `benchmark/`'s traced ladder (`heater.pass_ns`), not here.
 
 use spc_bench::print_table;
 use spc_cachesim::{ArchProfile, HotCacheConfig, MemSim};
-use spc_core::heater::{CoreBinding, HeatBuffer, Heater, HeaterConfig};
 
 const BUF: u64 = 8 << 20;
 const ACCESSES: u64 = 100_000;
@@ -55,36 +50,6 @@ fn simulated(arch: ArchProfile, hot: bool) -> f64 {
     total / ACCESSES as f64
 }
 
-fn native() -> (f64, f64) {
-    let buf = HeatBuffer::new(BUF as usize);
-    let lines = BUF as usize / 64;
-    let run = |buf: &HeatBuffer| {
-        let mut x = 0x8765_4321u64;
-        let mut acc = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..ACCESSES {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let line = (z as usize) % lines;
-            acc = acc.wrapping_add(buf.read_word(line * 64));
-        }
-        std::hint::black_box(acc);
-        t0.elapsed().as_nanos() as f64 / ACCESSES as f64
-    };
-    let cold = run(&buf);
-    let heater = Heater::spawn(HeaterConfig {
-        period: Duration::from_micros(200),
-        binding: CoreBinding::SharedLlc,
-    });
-    let id = heater.register_buffer(Arc::clone(&buf));
-    heater.wait_passes(3);
-    let hot = run(&buf);
-    heater.deregister(id);
-    heater.shutdown();
-    (cold, hot)
-}
-
 fn main() {
     let rows: Vec<Vec<String>> = [ArchProfile::sandy_bridge(), ArchProfile::broadwell()]
         .into_iter()
@@ -102,15 +67,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: Sandy Bridge 47.5 -> 22.9 ns; Broadwell 38.5 -> 22.8 ns.");
-
-    let (cold, hot) = native();
-    print_table(
-        "native (this host, real heater thread; functional check only)",
-        &["arch", "cold", "hot"],
-        &[vec![
-            "host".to_owned(),
-            format!("{cold:.1}"),
-            format!("{hot:.1}"),
-        ]],
-    );
 }

@@ -14,11 +14,16 @@
 //! | `fig8` | Figure 8 — AMG2013 weak scaling |
 //! | `fig9` | Figure 9 — MiniFE vs match-list length |
 //! | `fig10` | Figure 10 — FDS factor speedups |
-//! | `heater_micro` | §4.3 — random-access latency, heater on/off |
+//! | `heater_micro` | §4.3 — random-access latency, heater on/off (simulated) |
 //! | `latency` | modified `osu_latency` sweeps (companion to figs 4–7) |
 //! | `proposal` | §4.6/§6 — cache partition & dedicated network cache |
 //! | `ablation_sim` | model ablations: placement, prefetchers, heater binding |
 //! | `replay` | trace-driven engine shootout (record + replay) |
+//!
+//! Each of these reads no clock and prints the same bytes for the same
+//! code, and each is a section of `results/regen.sh` (`fig1` as
+//! `fig1 --small`; its paper-scale run is archived), so CI fails when
+//! one of them moves without the regenerated `results/figures.txt`.
 //!
 //! One native artifact lives here: `matching_gate` writes the tracked
 //! `BENCH_matching.json` matrix, whose count columns (`bytes_per_op`,

@@ -25,9 +25,9 @@
 //!
 //! Core binding: the paper pins the heater to a core sharing a cache level
 //! with the MPI process. The standard library exposes no affinity control,
-//! so [`HeaterConfig::binding`] is recorded for reporting but acts as a
-//! hint only; the *performance* consequences of binding are reproduced by
-//! the simulated heater in `spc-cachesim`.
+//! so this thread runs wherever the OS puts it; the *performance*
+//! consequences of binding are reproduced by the simulated heater in
+//! `spc-cachesim`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,25 +35,12 @@ use std::time::Duration;
 
 use std::sync::Mutex;
 
-/// Where the heater thread should live relative to the compute core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreBinding {
-    /// Any core; no co-location requirement (refreshes into the shared
-    /// last-level cache only).
-    Unbound,
-    /// A core sharing the last-level cache (the paper's Sandy Bridge /
-    /// Broadwell socket-mate setup).
-    SharedLlc,
-}
-
 /// Heater configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct HeaterConfig {
     /// Sleep between passes. The paper: "an arbitrary number of
     /// nanoseconds"; the granularity knob for induced temporal locality.
     pub period: Duration,
-    /// Placement hint (see [`CoreBinding`]).
-    pub binding: CoreBinding,
 }
 
 impl Default for HeaterConfig {
@@ -62,7 +49,6 @@ impl Default for HeaterConfig {
         // under normal load, while costing well under one core.
         Self {
             period: Duration::from_micros(50),
-            binding: CoreBinding::SharedLlc,
         }
     }
 }
@@ -91,16 +77,6 @@ impl HeatBuffer {
     /// True if the buffer has zero length.
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
-    }
-
-    /// Relaxed read of the word containing byte `offset`.
-    pub fn read_word(&self, offset: usize) -> u64 {
-        self.words[offset / 8].load(Ordering::Relaxed)
-    }
-
-    /// Relaxed write of the word containing byte `offset`.
-    pub fn write_word(&self, offset: usize, v: u64) {
-        self.words[offset / 8].store(v, Ordering::Relaxed)
     }
 
     fn touch_all(&self) -> u64 {
@@ -165,7 +141,6 @@ pub struct HeaterStats {
 pub struct Heater {
     shared: Arc<Shared>,
     thread: Option<std::thread::JoinHandle<()>>,
-    config: HeaterConfig,
 }
 
 impl Heater {
@@ -189,13 +164,7 @@ impl Heater {
         Self {
             shared,
             thread: Some(thread),
-            config,
         }
-    }
-
-    /// The configuration the heater was spawned with.
-    pub fn config(&self) -> HeaterConfig {
-        self.config
     }
 
     /// Registers an owned atomic buffer; entirely safe (the heater keeps
@@ -249,7 +218,12 @@ impl Heater {
                 .slots
                 .lock()
                 .expect("heater slots lock poisoned");
-            let slot = slots.get_mut(id.0).expect("invalid RegionId");
+            // Release the lock before rejecting an unknown id: a panic that
+            // poisoned `slots` would kill the heater thread on its next pass.
+            let Some(slot) = slots.get_mut(id.0) else {
+                drop(slots);
+                panic!("invalid RegionId");
+            };
             if !slot.active {
                 return;
             }
@@ -303,9 +277,20 @@ impl Heater {
 
     /// Blocks until at least `n` more passes have completed (test helper and
     /// phase-synchronization aid).
+    ///
+    /// # Panics
+    ///
+    /// If the heater thread has exited before completing them.
     pub fn wait_passes(&self, n: u64) {
         let target = self.shared.passes.load(Ordering::Acquire) + n;
-        while self.shared.passes.load(Ordering::Acquire) < target {
+        loop {
+            // Read before the count: a thread seen finished has published
+            // its last pass.
+            let exited = self.thread.as_ref().is_none_or(|t| t.is_finished());
+            if self.shared.passes.load(Ordering::Acquire) >= target {
+                return;
+            }
+            assert!(!exited, "heater thread exited");
             std::thread::yield_now();
         }
     }
@@ -398,8 +383,50 @@ mod tests {
     fn fast_heater() -> Heater {
         Heater::spawn(HeaterConfig {
             period: Duration::from_micros(10),
-            binding: CoreBinding::Unbound,
         })
+    }
+
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// returned within five seconds, so a hang fails instead of stalling
+    /// the suite.
+    fn within_5s(f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("still waiting after 5 s");
+    }
+
+    #[test]
+    fn a_foreign_region_id_leaves_the_heater_running() {
+        within_5s(|| {
+            let h1 = fast_heater();
+            let h2 = fast_heater();
+            let foreign = h1.register_buffer(HeatBuffer::new(64));
+            let rejected =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h2.deregister(foreign)));
+            assert!(rejected.is_err(), "an id h2 never issued is rejected");
+            h2.wait_passes(1);
+            h2.register_buffer(HeatBuffer::new(64));
+            h2.wait_passes(1);
+            h1.shutdown();
+            h2.shutdown();
+        });
+    }
+
+    #[test]
+    fn waiting_on_an_exited_heater_panics() {
+        within_5s(|| {
+            let h = fast_heater();
+            h.shared.shutdown.store(true, Ordering::Release);
+            let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                h.wait_passes(u64::MAX / 2)
+            }));
+            let msg = waited.expect_err("no pass can complete");
+            assert_eq!(msg.downcast_ref::<&str>(), Some(&"heater thread exited"));
+        });
     }
 
     #[test]

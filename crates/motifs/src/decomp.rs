@@ -6,16 +6,7 @@
 //! senders, so every message arrives from MPI rank 1 and is distinguished by
 //! tag. Threads enter the communication phase concurrently, so both the
 //! posting order and the arrival order are scheduler-dependent — modelled
-//! here as seeded shuffles (and corroborated by [`analyze_threaded`], which
-//! uses real OS threads and lock contention).
-//!
-//! Two real-threads engine designs are compared:
-//! [`analyze_threaded_shared`] funnels every thread through the
-//! traditional single engine lock, while [`analyze_threaded_sharded`]
-//! drives the source-sharded [`spc_core::shard::ShardedEngine`] with
-//! per-sender source ranks — quantifying how much contention (and search
-//! depth) source decomposition removes. Both report per-shard
-//! [`spc_core::stats::ConcurrencyStats`].
+//! here as seeded shuffles, so every row is a function of its seed.
 //!
 //! `tr`, `ts` and the list length are *exact* combinatorial quantities of
 //! the decomposition and stencil; the mean search depth is the stochastic
@@ -25,12 +16,9 @@
 use spc_rng::SeedableRng;
 use spc_rng::SliceRandom;
 
-use spc_core::concurrent::SharedEngine;
-use spc_core::engine::{Engine, MatchEngine, Op, Outcome};
-use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
+use spc_core::entry::{Envelope, RecvSpec};
 use spc_core::list::{BaselineList, MatchList};
-use spc_core::shard::ShardedEngine;
-use spc_core::stats::{ConcurrencyStats, DepthStats, LockStats};
+use spc_core::stats::DepthStats;
 use spc_core::NullSink;
 
 /// Stencil shapes from Table 1.
@@ -294,157 +282,6 @@ pub fn table1_rows() -> Vec<Decomp> {
     ]
 }
 
-/// Depth plus lock observability from one real-threads decomposition run.
-#[derive(Clone, Debug)]
-pub struct ThreadedResult {
-    /// Mean search depth over all matched arrivals.
-    pub mean_search_depth: f64,
-    /// Aggregate acquisition/contention counters over every lock the
-    /// engine owns (the single engine lock, or all shard locks plus the
-    /// wildcard lane).
-    pub lock: LockStats,
-    /// Per-shard breakdown — a single synthetic shard for the shared
-    /// engine, `S` shards plus the wildcard lane for the sharded one.
-    pub concurrency: ConcurrencyStats,
-}
-
-/// How messages are attributed to MPI source ranks in the threaded runs.
-#[derive(Clone, Copy)]
-enum SourceScheme {
-    /// Every message arrives from one proxy sender (rank 1), as in the
-    /// paper's benchmark; tags alone distinguish messages. Worst case for
-    /// source-decomposed structures *and* for a source-sharded engine.
-    Proxy,
-    /// Each sending thread stamps its own source rank — the layout MPI
-    /// point-to-point traffic actually has, and the one a source-sharded
-    /// engine is designed to spread across its shards.
-    PerSender,
-}
-
-/// `tr` poster threads and `ts` sender threads race on `eng`, exactly as a
-/// multithreaded MPI implementation's match engine is driven. Senders wait
-/// until all receives are pre-posted (the benchmark preposts via a
-/// barrier), then race each other.
-fn run_real_threads<H>(decomp: Decomp, seed: u64, scheme: SourceScheme, eng: H) -> DepthStats
-where
-    H: Engine<Stamp = u64> + Copy + Send,
-{
-    let msgs = decomp.cross_messages();
-    // Group messages by receiving thread and by sending thread.
-    let mut by_receiver: std::collections::BTreeMap<[u64; 3], Vec<usize>> = Default::default();
-    let mut by_sender: std::collections::BTreeMap<([i64; 3], [u64; 3]), Vec<usize>> =
-        Default::default();
-    for (m, (r, p, s)) in msgs.iter().enumerate() {
-        by_receiver.entry(*r).or_default().push(m);
-        by_sender.entry((*p, *s)).or_default().push(m);
-    }
-    let total = msgs.len();
-
-    // Source rank of each message: the proxy rank, or the sending thread's
-    // index. Tags are globally unique either way, so matching is exact.
-    let mut rank_of = vec![1i32; total];
-    if let SourceScheme::PerSender = scheme {
-        for (si, (_, mine)) in by_sender.iter().enumerate() {
-            for &m in mine {
-                rank_of[m] = si as i32;
-            }
-        }
-    }
-    let rank_of = &rank_of;
-
-    let posted = std::sync::atomic::AtomicUsize::new(0);
-    let depths = std::sync::Mutex::new(DepthStats::new());
-
-    std::thread::scope(|scope| {
-        for (ti, (_, mine)) in by_receiver.iter().enumerate() {
-            let posted = &posted;
-            scope.spawn(move || {
-                let mut eng = eng;
-                // Jitter thread start like a real scheduler would.
-                if (seed ^ ti as u64).is_multiple_of(3) {
-                    std::thread::yield_now();
-                }
-                for &m in mine {
-                    eng.apply(Op::PostRecv {
-                        spec: RecvSpec::new(rank_of[m], m as i32, 0),
-                        request: m as u64,
-                    });
-                    posted.fetch_add(1, std::sync::atomic::Ordering::Release);
-                }
-            });
-        }
-        for (si, (_, mine)) in by_sender.iter().enumerate() {
-            let posted = &posted;
-            let depths = &depths;
-            scope.spawn(move || {
-                let mut eng = eng;
-                while posted.load(std::sync::atomic::Ordering::Acquire) < total {
-                    std::thread::yield_now();
-                }
-                if (seed ^ si as u64).is_multiple_of(2) {
-                    std::thread::yield_now();
-                }
-                for &m in mine {
-                    let arrival = Op::Arrival {
-                        env: Envelope::new(rank_of[m], m as i32, 0),
-                        payload: m as u64,
-                    };
-                    match eng.apply(arrival).1 {
-                        Outcome::MatchedPosted { depth, .. } => {
-                            depths.lock().unwrap().record(depth as u64);
-                        }
-                        other => panic!("pre-posted receive missing: {other:?}"),
-                    }
-                }
-            });
-        }
-    });
-    let d = depths.into_inner().expect("depth stats lock poisoned");
-    assert_eq!(d.count, total as u64);
-    d
-}
-
-/// Real-threads corroboration on the single-lock [`SharedEngine`] with the
-/// paper's proxy-sender traffic. Returns the mean search depth; see
-/// [`analyze_threaded_shared`] for the lock observability.
-pub fn analyze_threaded(decomp: Decomp, seed: u64) -> f64 {
-    analyze_threaded_shared(decomp, seed).mean_search_depth
-}
-
-/// Real-threads run through the single-lock [`SharedEngine`] (the
-/// traditional one-match-engine-per-process design): every poster and
-/// sender thread funnels through one mutex.
-pub fn analyze_threaded_shared(decomp: Decomp, seed: u64) -> ThreadedResult {
-    let eng: SharedEngine<BaselineList<PostedEntry>, BaselineList<UnexpectedEntry>> =
-        SharedEngine::new(MatchEngine::new(BaselineList::new(), BaselineList::new()));
-    let depths = run_real_threads(decomp, seed, SourceScheme::Proxy, &eng);
-    ThreadedResult {
-        mean_search_depth: depths.mean(),
-        lock: eng.lock_stats(),
-        concurrency: eng.concurrency_stats(),
-    }
-}
-
-/// Real-threads run through the source-sharded [`ShardedEngine`] with
-/// per-sender source ranks, so traffic actually spreads across the
-/// `shards` independently-locked sub-engines (under the proxy-rank scheme
-/// every message would hash to one shard and the comparison would be
-/// meaningless). Search depths are shard-local, so they shrink alongside
-/// the contention.
-pub fn analyze_threaded_sharded(decomp: Decomp, shards: usize, seed: u64) -> ThreadedResult {
-    let eng: ShardedEngine<BaselineList<PostedEntry>, BaselineList<UnexpectedEntry>> =
-        ShardedEngine::new(shards, BaselineList::new, BaselineList::new);
-    let depths = run_real_threads(decomp, seed, SourceScheme::PerSender, &eng);
-    let stats = eng.stats();
-    ThreadedResult {
-        mean_search_depth: depths.mean(),
-        lock: eng.lock_stats(),
-        concurrency: stats
-            .concurrency
-            .expect("sharded engine reports concurrency"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,127 +373,6 @@ mod tests {
         );
         assert_eq!(Stencil::S27.label(), "27pt");
         assert_eq!(table1_rows().len(), 10);
-    }
-
-    #[test]
-    fn threaded_mode_agrees_on_magnitude() {
-        // Small decomposition so the test stays fast: real threads should
-        // land in the same normalized-depth band as the shuffle model.
-        let d = Decomp {
-            dims: [8, 8, 1],
-            stencil: Stencil::S9,
-        };
-        let exact = analyze(d, 10, 3);
-        let threaded = analyze_threaded(d, 3);
-        let ratio = threaded / exact.length as f64;
-        assert!(
-            (0.05..0.6).contains(&ratio),
-            "threaded depth {threaded:.1} of length {}",
-            exact.length
-        );
-    }
-
-    #[test]
-    fn sharded_threaded_mode_matches_every_message() {
-        let d = Decomp {
-            dims: [8, 8, 1],
-            stencil: Stencil::S9,
-        };
-        let r = analyze_threaded_sharded(d, 8, 5);
-        // Every arrival matched a pre-posted receive (the driver asserts
-        // the count); a hit inspects at least one entry.
-        assert!(r.mean_search_depth >= 1.0);
-        assert_eq!(r.concurrency.shards.len(), 8);
-        // Per-sender ranks cover every shard: each shard saw workload ops.
-        for (i, s) in r.concurrency.shards.iter().enumerate() {
-            assert!(s.lock.acquisitions > 0, "shard {i} never acquired");
-            assert!(s.max_prq_len > 0, "shard {i} never held a receive");
-        }
-        // No wildcards in the decomposition traffic: the wild lane exists
-        // but is never crossed.
-        let wild = r.concurrency.wild.as_ref().expect("wild lane reported");
-        assert_eq!(wild.lock.acquisitions, 0);
-        assert_eq!(r.concurrency.wild_crossings, 0);
-        assert_eq!(
-            r.lock.acquisitions,
-            r.concurrency.total_lock().acquisitions,
-            "aggregate equals the per-shard sum"
-        );
-    }
-
-    #[test]
-    fn sharded_threaded_mode_agrees_on_magnitude() {
-        // Shard-local searches inspect only that shard's sub-list, so the
-        // sharded depth must sit well below the global-length band the
-        // single-engine modes occupy — but stay a real (≥1) search.
-        let d = Decomp {
-            dims: [8, 8, 1],
-            stencil: Stencil::S9,
-        };
-        let exact = analyze(d, 10, 3);
-        let r = analyze_threaded_sharded(d, 8, 3);
-        let ratio = r.mean_search_depth / exact.length as f64;
-        assert!(
-            ratio > 0.0 && ratio < 0.6,
-            "sharded depth {:.1} of length {}",
-            r.mean_search_depth,
-            exact.length
-        );
-        let max_shard_prq = r
-            .concurrency
-            .shards
-            .iter()
-            .map(|s| s.max_prq_len)
-            .max()
-            .unwrap();
-        assert!(
-            r.mean_search_depth <= max_shard_prq as f64,
-            "depth {:.1} cannot exceed the deepest shard ({max_shard_prq})",
-            r.mean_search_depth
-        );
-    }
-
-    #[test]
-    fn sharding_cuts_contention_versus_the_single_lock() {
-        // The headline §2.3 claim made concrete: the same decomposition
-        // driven through one lock vs eight shard locks. Summed over a few
-        // seeds to smooth scheduler noise.
-        let d = Decomp {
-            dims: [16, 16, 1],
-            stencil: Stencil::S9,
-        };
-        let mut shared_contended = 0;
-        let mut sharded_contended = 0;
-        for seed in [11, 12, 13] {
-            shared_contended += analyze_threaded_shared(d, seed).lock.contended;
-            sharded_contended += analyze_threaded_sharded(d, 8, seed).lock.contended;
-        }
-        // On a single hardware thread the scheduler may serialize everything
-        // and neither engine contends; the comparison only means something
-        // when the single lock was actually fought over.
-        if shared_contended < 16 {
-            return;
-        }
-        assert!(
-            sharded_contended < shared_contended,
-            "sharded {sharded_contended} must contend less than shared {shared_contended}"
-        );
-    }
-
-    #[test]
-    fn shared_threaded_mode_reports_lock_stats() {
-        let d = Decomp {
-            dims: [8, 8, 1],
-            stencil: Stencil::S9,
-        };
-        let exact = analyze(d, 1, 9);
-        let r = analyze_threaded_shared(d, 9);
-        // One post + one arrival per message, all through the counted lock.
-        assert_eq!(r.lock.acquisitions, 2 * exact.length);
-        assert_eq!(r.concurrency.shards.len(), 1);
-        assert!(r.concurrency.wild.is_none());
-        assert_eq!(r.concurrency.shards[0].max_prq_len, exact.length);
-        assert!(r.lock.contention_ratio() <= 1.0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * [`amr`], [`sweep3d`], [`halo3d`] — SST-style communication motifs
 //!   whose queue-length traces regenerate Figure 1 (a–c);
 //! * [`decomp`] — the multithreaded 2-D/3-D decomposition benchmark behind
-//!   Table 1, with exact combinatorial `tr`/`ts`/length and simulated (plus
-//!   real-threads) search depths.
+//!   Table 1, with exact combinatorial `tr`/`ts`/length and simulated
+//!   search depths.
 
 #![warn(missing_docs)]
 
@@ -16,7 +16,4 @@ pub mod decomp;
 pub mod halo3d;
 pub mod sweep3d;
 
-pub use decomp::{
-    analyze, analyze_threaded, analyze_threaded_sharded, analyze_threaded_shared, table1_rows,
-    Decomp, DecompResult, Stencil, ThreadedResult,
-};
+pub use decomp::{analyze, table1_rows, Decomp, DecompResult, Stencil};

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use semiperm::cachesim::{ArchProfile, CostModel, LocalityConfig};
 use semiperm::core::entry::{Envelope, PostedEntry, RecvSpec};
-use semiperm::core::heater::{CoreBinding, Heater, HeaterConfig};
+use semiperm::core::heater::{Heater, HeaterConfig};
 use semiperm::core::list::{Lla, MatchList};
 use semiperm::core::NullSink;
 
@@ -25,7 +25,6 @@ fn main() {
     println!("spawning heater (50 us period) ...");
     let heater = Heater::spawn(HeaterConfig {
         period: Duration::from_micros(50),
-        binding: CoreBinding::SharedLlc,
     });
 
     let mut list: Lla<PostedEntry, 2> = Lla::new();

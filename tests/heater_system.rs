@@ -7,13 +7,12 @@ use std::time::Duration;
 
 use semiperm::core::engine::MatchEngine;
 use semiperm::core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
-use semiperm::core::heater::{CoreBinding, HeatBuffer, Heater, HeaterConfig};
+use semiperm::core::heater::{HeatBuffer, Heater, HeaterConfig};
 use semiperm::core::list::Lla;
 
 fn heater() -> Heater {
     Heater::spawn(HeaterConfig {
         period: Duration::from_micros(20),
-        binding: CoreBinding::SharedLlc,
     })
 }
 
