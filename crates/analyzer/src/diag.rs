@@ -7,7 +7,7 @@
 //! deleted rule's ID is never handed out again. Names may be referenced in
 //! suppressions interchangeably with IDs.
 
-use crate::scan::Line;
+use crate::scan::{directive, Line};
 use crate::Finding;
 
 /// One registered rule.
@@ -39,15 +39,17 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "SPC03",
         name: "lock-discipline",
-        desc: "shard.rs lock order: shards first (index order or exactly \
-               one), wildcard lane last, no nested shard locks",
+        desc: "sharded-engine lock order wherever `shards`/`wild`/`lock_all*` \
+               locks are taken: shards first (index order or exactly one), \
+               wildcard lane last, no nested shard locks",
     },
     Rule {
         id: "SPC04",
         name: "atomic-ordering",
-        desc: "every atomic op in protocol scope satisfies the per-field \
-               ordering requirement table (SeqCst protocol words, AcqRel \
-               flags, rationale'd Relaxed telemetry)",
+        desc: "every atomic op in a core module satisfies that module's \
+               `// spc-order(receiver): level — rationale` line (SeqCst \
+               protocol words, AcqRel flags, rationale'd Relaxed telemetry); \
+               Relaxed on an unannotated receiver is an error",
     },
     Rule {
         id: "SPC05",
@@ -98,9 +100,10 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "SPC13",
         name: "scope-coverage",
-        desc: "analyzer scope tables match the tree: every scoped file \
-               exists, every module carries a `//! spc-scope:` marker, every \
-               atomics-using core module is under an ordering rule",
+        desc: "module facts stay valid: every core module root carries a \
+               `//! spc-scope: hot-path|cold` marker, every `spc-order` line \
+               has a level and a rationale and names a receiver its module \
+               uses, once per module",
     },
     Rule {
         id: "SPC14",
@@ -154,15 +157,7 @@ pub struct Suppression {
 pub fn parse_suppressions(lines: &[Line]) -> Vec<Suppression> {
     let mut out = Vec::new();
     for (i, l) in lines.iter().enumerate() {
-        // The marker must be the first thing in the comment (after the
-        // `//`/`/*` opener) — prose that merely *mentions* the syntax,
-        // like this crate's own docs, is not a suppression.
-        let stripped = l
-            .comment
-            .trim_start()
-            .trim_start_matches(['/', '*', '!'])
-            .trim_start();
-        let Some(rest) = stripped.strip_prefix("spc-allow(") else {
+        let Some(rest) = directive(&l.comment, "spc-allow(") else {
             continue;
         };
         let Some(close) = rest.find(')') else {

@@ -1,7 +1,7 @@
 //! Hot-path cost lints: no allocation (SPC10), no panic paths (SPC11).
 //!
-//! Scope comes from [`crate::scopes::is_hot`], which is fed by the
-//! per-module `//! spc-scope:` markers, not a hand-maintained file list.
+//! They run on every file of a module whose root carries
+//! `//! spc-scope: hot-path` ([`crate::scopes::Module::is_hot`]).
 //! Per function, the lints skip:
 //!
 //! - test and `debug_invariants`-gated code (not the measured path);
@@ -24,7 +24,6 @@
 //!   invisible at token level.
 
 use crate::items::FnItem;
-use crate::scopes::is_hot;
 use crate::token::{matching_close, Tok, TokKind};
 use crate::Finding;
 
@@ -106,14 +105,8 @@ fn chained_on_lock(toks: &[Tok], k: usize) -> bool {
         && LOCK_CALLS.contains(&toks[open - 1].text.as_str())
 }
 
-/// Runs the hot-path lints that apply to `path`.
+/// Runs the alloc and panic lints over `path`, a file of a hot-path module.
 pub fn check(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
-    if is_hot(path) {
-        alloc_and_panic(path, toks, fns, out);
-    }
-}
-
-fn alloc_and_panic(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
     for f in fns {
         if f.is_test || f.is_gated || f.ret.contains("String") {
             continue;
@@ -286,10 +279,16 @@ mod tests {
 
     #[test]
     fn cold_files_are_out_of_scope() {
-        let f = run_on(
+        let body = "impl H {\n fn run(&self) { let v = vec![0; 8]; v.get(0).unwrap(); }\n}\n";
+        let cold = crate::analyze_source(
             "crates/core/src/heater.rs",
-            "impl H {\n fn run(&self) { let v = vec![0; 8]; v.get(0).unwrap(); }\n}\n",
+            &format!("//! spc-scope: cold\n{body}"),
         );
-        assert!(f.is_empty(), "{f:?}");
+        assert!(cold.is_empty(), "{cold:?}");
+        let hot = crate::analyze_source(
+            "crates/core/src/heater.rs",
+            &format!("//! spc-scope: hot-path\n{body}"),
+        );
+        assert_eq!(hot.len(), 2, "{hot:?}");
     }
 }

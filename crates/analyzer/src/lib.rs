@@ -10,12 +10,17 @@
 //! 1. [`scan`] classifies bytes (code / comment / literal) per line;
 //! 2. [`token`] turns the code stream into tokens; [`items`] extracts
 //!    functions; [`cfg`] builds per-function control-flow paths;
-//! 3. the passes run over that: the original line/token rules
-//!    ([`rules`]), the atomic-ordering requirement table ([`ordering`]),
-//!    the seqlock/SPSC protocol state machines ([`protocol`]), the
-//!    workspace lock-order graph ([`lockgraph`]), the hot-path cost
-//!    lints ([`hotlints`]) and the scope self-checks ([`scopes`]);
-//! 4. [`diag`] applies `// spc-allow(RULE): rationale` suppressions,
+//! 3. [`scopes`] keys every file on its module (`<crate>::<module>`) and
+//!    collects what each module declares about itself: the
+//!    `//! spc-scope:` marker of its root file and its
+//!    `// spc-order(receiver)` lines. No rule looks at a file name;
+//! 4. the passes run over that: the original line/token rules
+//!    ([`rules`]), the atomic-ordering requirements ([`ordering`]), the
+//!    seqlock/SPSC protocol state machines ([`protocol`]), the workspace
+//!    lock-order graph over module-qualified nodes ([`lockgraph`]), the
+//!    hot-path cost lints ([`hotlints`]) and the module-fact checks
+//!    ([`scopes`]);
+//! 5. [`diag`] applies `// spc-allow(RULE): rationale` suppressions,
 //!    checks their hygiene, and renders text/JSON plus the
 //!    committed baseline.
 //!
@@ -89,6 +94,10 @@ impl fmt::Display for Finding {
 pub struct SourceFile {
     /// Workspace-relative (or virtual, for fixtures) path.
     pub path: String,
+    /// Module key (`<crate>::<module>`, see [`scopes::module_key`]).
+    pub module: String,
+    /// Whether this is the module's root file (`<m>.rs` or `<m>/mod.rs`).
+    pub root: bool,
     /// Scanned lines (code/comment split, literals blanked).
     pub lines: Vec<scan::Line>,
     /// Token stream of the code portions.
@@ -106,8 +115,11 @@ impl SourceFile {
         let toks = token::tokenize(&lines);
         let fns = items::extract_fns(&toks);
         let sups = diag::parse_suppressions(&lines);
+        let (module, root) = scopes::module_key(path);
         SourceFile {
             path: path.to_string(),
+            module,
+            root,
             lines,
             toks,
             fns,
@@ -136,21 +148,32 @@ fn lock_allow_lines(sups: &[diag::Suppression]) -> Vec<usize> {
     out
 }
 
-/// Runs every pass over `files`: per-file rules, then the cross-file
-/// lock-order graph, then per-file suppression application and hygiene.
+/// Runs every pass over `files`: module facts first (a file's rules may
+/// need the marker or an `spc-order` line of another file of its module),
+/// then per-file rules, then the cross-file lock-order graph, then
+/// per-file suppression application and hygiene, then the module-fact
+/// checks (SPC13, never suppressible).
 pub fn analyze_sources(files: &[SourceFile]) -> RunResult {
+    let modules = scopes::collect(files);
     let mut per_file: Vec<Vec<Finding>> = Vec::with_capacity(files.len());
     let mut all_edges: Vec<lockgraph::Edge> = Vec::new();
     let mut edge_used: Vec<Vec<usize>> = Vec::with_capacity(files.len());
 
     for f in files {
+        let m = modules
+            .iter()
+            .find(|m| m.key == f.module)
+            .expect("collect keys every file");
         let mut raw = Vec::new();
-        rules::check_all(&f.path, &f.lines, &f.toks, &f.fns, &mut raw);
-        ordering::check(&f.path, &f.toks, &f.fns, &mut raw);
+        rules::check_all(&f.path, &f.lines, &f.toks, &f.fns, m, &mut raw);
+        ordering::check(&f.path, &f.toks, &f.fns, m, &mut raw);
         protocol::check(&f.path, &f.toks, &f.fns, &mut raw);
-        hotlints::check(&f.path, &f.toks, &f.fns, &mut raw);
+        if m.is_hot() {
+            hotlints::check(&f.path, &f.toks, &f.fns, &mut raw);
+        }
         let allowed = lock_allow_lines(&f.sups);
-        let (edges, used_lines) = lockgraph::collect_edges(&f.path, &f.toks, &f.fns, &allowed);
+        let (edges, used_lines) =
+            lockgraph::collect_edges(&f.path, &f.module, &f.toks, &f.fns, &allowed);
         all_edges.extend(edges);
         edge_used.push(used_lines);
         per_file.push(raw);
@@ -183,6 +206,7 @@ pub fn analyze_sources(files: &[SourceFile]) -> RunResult {
         out.extend(kept);
         out.extend(diag::suppression_hygiene(&f.path, &f.sups, &used));
     }
+    out.extend(scopes::check(&modules, files));
 
     // Nested fns and overlapping passes can double-report; dedupe and give
     // the output a stable order.
@@ -204,8 +228,8 @@ pub fn analyze_sources(files: &[SourceFile]) -> RunResult {
     }
 }
 
-/// Analyzes one source text as if it lived at `path` (which selects the
-/// path-scoped rules). This is the entry point the fixture tests use.
+/// Analyzes one source text as if it lived at `path` (which gives it its
+/// module key). This is the entry point the fixture tests use.
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
     analyze_sources(&[SourceFile::parse(path, src)]).findings
 }
@@ -218,9 +242,8 @@ const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples", "benches"];
 /// own seeded-violation fixtures.
 const SKIP_FRAGMENTS: &[&str] = &["/target/", "analyzer/tests/fixtures"];
 
-/// Walks the workspace at `root`, analyzes every `.rs` source, and runs
-/// the tree-level scope self-checks. Paths in the returned findings are
-/// relative to `root`.
+/// Walks the workspace at `root` and analyzes every `.rs` source. Paths in
+/// the returned findings are relative to `root`.
 pub fn run(root: &Path) -> std::io::Result<RunResult> {
     let mut paths = Vec::new();
     for top in SCAN_ROOTS {
@@ -246,26 +269,17 @@ pub fn run(root: &Path) -> std::io::Result<RunResult> {
         let src = std::fs::read_to_string(f)?;
         files.push(SourceFile::parse(&rel, &src));
     }
-    let mut result = analyze_sources(&files);
-    result.findings.extend(scopes::self_check(root));
-    result.findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule_id).cmp(&(b.file.as_str(), b.line, b.rule_id))
-    });
-    Ok(result)
+    Ok(analyze_sources(&files))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
+        let path = entry?.path();
         if path.is_dir() {
-            if name == "target" || name == ".git" {
-                continue;
+            if !path.ends_with("target") && !path.ends_with(".git") {
+                collect_rs(&path, out)?;
             }
-            collect_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
+        } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
     }
@@ -294,10 +308,11 @@ mod tests {
     #[test]
     fn suppression_silences_and_unused_suppression_fires() {
         let hot = "crates/core/src/engine.rs";
-        let bad = "fn f() {\n    let t = Instant::now(); // spc-allow(SPC06): startup stamp\n}\n";
+        let bad = "//! spc-scope: hot-path\nfn f() {\n    let t = Instant::now(); // spc-allow(SPC06): startup stamp\n}\n";
         let f = analyze_source(hot, bad);
         assert!(f.is_empty(), "{f:?}");
-        let unused = "fn f() {\n    let x = 1; // spc-allow(SPC06): nothing here\n}\n";
+        let unused =
+            "//! spc-scope: hot-path\nfn f() {\n    let x = 1; // spc-allow(SPC06): nothing here\n}\n";
         let f = analyze_source(hot, unused);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule_id, "SPC14");

@@ -5,7 +5,9 @@
 //! scope closes or an explicit `drop(guard)`; unbound temporaries until
 //! the end of the statement). Each acquisition made while other guards
 //! are held contributes a directed edge *held → acquired*; nodes are
-//! file-qualified receiver names (`shard.rs::wild`), with `[_]` marking
+//! module-qualified receiver names (`core::shard::wild`, see
+//! [`crate::scopes::module_key`]), so every file of one module shares a
+//! namespace and two crates' same-named modules do not; `[_]` marks
 //! an indexed single-element acquisition and `[*]` a bulk
 //! `lock_all`-style sweep. A cycle anywhere in the combined workspace
 //! graph is a potential deadlock and fails the run (`lock-order-graph`).
@@ -22,16 +24,15 @@
 //! created an edge, so stale allows rot loudly.
 
 use crate::items::FnItem;
-use crate::scopes::file_name;
 use crate::token::{receiver_chain, Tok, TokKind};
 use crate::Finding;
 
 /// One held→acquired edge in the lock-order graph.
 #[derive(Debug, Clone)]
 pub struct Edge {
-    /// File-qualified node already held (e.g. `shard.rs::shards[*]`).
+    /// Module-qualified node already held (e.g. `core::shard::shards[*]`).
     pub from: String,
-    /// File-qualified node being acquired.
+    /// Module-qualified node being acquired.
     pub to: String,
     /// Workspace-relative file of the acquisition.
     pub file: String,
@@ -56,17 +57,17 @@ struct Guard {
     depth: i32,
 }
 
-/// Collects lock-order edges from one file. `allowed_lines` are the
+/// Collects lock-order edges from one file of `module`. `allowed_lines` are the
 /// lines covered by a `lock-order-graph` suppression; the second return
 /// value lists which of those lines actually produced an edge (for
 /// unused-suppression hygiene).
 pub fn collect_edges(
     path: &str,
+    module: &str,
     toks: &[Tok],
     fns: &[FnItem],
     allowed_lines: &[usize],
 ) -> (Vec<Edge>, Vec<usize>) {
-    let file = file_name(path).to_string();
     let mut edges = Vec::new();
     let mut used_allows = Vec::new();
     for f in fns.iter().filter(|f| !f.is_test) {
@@ -124,11 +125,11 @@ pub fn collect_edges(
                     let chain = receiver_chain(toks, k - 1);
                     let base = chain.last().cloned().unwrap_or_else(|| "self".into());
                     let node = if BULK_METHODS.contains(&t.text.as_str()) {
-                        format!("{file}::{base}[*]")
+                        format!("{module}::{base}[*]")
                     } else if k >= 2 && toks[k - 2].is_close(']') {
-                        format!("{file}::{base}[_]")
+                        format!("{module}::{base}[_]")
                     } else {
-                        format!("{file}::{base}")
+                        format!("{module}::{base}")
                     };
                     let allowed = allowed_lines.contains(&t.line);
                     let mut made_edge = false;
@@ -285,14 +286,10 @@ pub fn to_dot(edges: &[Edge]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::extract_fns;
-    use crate::scan::scan;
-    use crate::token::tokenize;
 
     fn edges_of(path: &str, src: &str, allowed: &[usize]) -> (Vec<Edge>, Vec<usize>) {
-        let toks = tokenize(&scan(src));
-        let fns = extract_fns(&toks);
-        collect_edges(path, &toks, &fns, allowed)
+        let f = crate::SourceFile::parse(path, src);
+        collect_edges(path, &f.module, &f.toks, &f.fns, allowed)
     }
 
     #[test]
@@ -303,8 +300,8 @@ mod tests {
             &[],
         );
         assert_eq!(e.len(), 1);
-        assert_eq!(e[0].from, "shard.rs::wild");
-        assert_eq!(e[0].to, "shard.rs::umq");
+        assert_eq!(e[0].from, "core::shard::wild");
+        assert_eq!(e[0].to, "core::shard::umq");
     }
 
     #[test]
@@ -403,7 +400,7 @@ mod tests {
             &[],
         );
         assert_eq!(e.len(), 1);
-        assert_eq!(e[0].from, "shard.rs::shards[*]");
+        assert_eq!(e[0].from, "core::shard::shards[*]");
         assert!(check_cycles(&e).is_empty());
     }
 }

@@ -1,8 +1,9 @@
 //! Atomic-protocol state machines: the seqlock writer protocol and the
 //! SPSC ring publish/consume order, checked over every enumerated CFG
-//! path of every function in protocol scope.
+//! path of every function that uses the protocol's own tokens, in any
+//! file of any module.
 //!
-//! ## Seqlock writer protocol (`shard.rs`, `seqsnap.rs`)
+//! ## Seqlock writer protocol
 //!
 //! A writer that touches published snapshot rows must execute, in
 //! order: **version-odd** (`.begin()`/`.begin_write()`) → **seq stamp**
@@ -21,7 +22,18 @@
 //! single step via [`crate::cfg`]'s bulk-loop rule: the analyzer cannot
 //! distinguish object identity, and the sweep opens each lane once.
 //!
-//! ## SPSC ring protocol (`ingest.rs`)
+//! What the pass does **not** see: it is intraprocedural. In the sharded
+//! engine it walks whole protocols only where one function holds them,
+//! `post_recv_wild_slow` and `reset`. `direct` and `drain_rings` open and
+//! close the window, but their stamps (`Stamps::take`/`fresh`) and row
+//! writes (`snap.append`/`kill`) sit in callees that open no window, so
+//! the pass sees only a balanced begin/end there. Moving `drain_rings`'s
+//! `snap.end()` to right after its `snap.begin()` puts every stamp and
+//! row write of the batch outside the window, breaking *window ⊇
+//! block*, and the pass reports nothing. That invariant rests on the
+//! `batch_drain` conformance suite, not on this pass.
+//!
+//! ## SPSC ring protocol
 //!
 //! Producer: all slot words (`w0`/`w1`/`w2`) stored **before** the
 //! `tail` advance; `tail` advanced by plain `store` (an RMW on an index
@@ -33,7 +45,6 @@
 
 use crate::cfg::{parse_block, paths, Exit};
 use crate::items::FnItem;
-use crate::scopes::file_name;
 use crate::token::{matching_close, receiver_chain, Tok, TokKind};
 use crate::Finding;
 
@@ -139,14 +150,11 @@ fn extract_events(toks: &[Tok], lo: usize, hi: usize) -> Vec<Ev> {
     out
 }
 
-/// Runs the protocol passes that apply to `path`.
+/// Runs both protocol passes over every function of `path`. Each fires
+/// only on its own tokens: the seqlock pass on functions that open or
+/// close a write window, the SPSC pass on ring index stores and RMWs and
+/// on spawned `try_push` producers.
 pub fn check(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
-    let file = file_name(path);
-    let seqlock_scope = matches!(file, "shard.rs" | "seqsnap.rs");
-    let spsc_scope = file == "ingest.rs";
-    if !seqlock_scope && !spsc_scope {
-        return;
-    }
     for f in fns.iter().filter(|f| !f.is_test) {
         let Some((open, close)) = f.body else {
             continue;
@@ -154,31 +162,19 @@ pub fn check(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
         if PRIMITIVES.contains(&f.name.as_str()) {
             continue;
         }
-        let stmts = parse_block(toks, open + 1, close);
-        let extract = |r: std::ops::Range<usize>| extract_events(toks, r.start, r.end);
-        let has = |pred: &dyn Fn(&Ev) -> bool| {
-            let mut found = false;
-            for k in open..close {
-                for e in extract_events(toks, k, k + 1) {
-                    if pred(&e) {
-                        found = true;
-                    }
+        let body = extract_events(toks, open, close);
+        let has = |pred: fn(&Ev) -> bool| body.iter().any(pred);
+        let window = has(|e| matches!(e, Ev::Open(_) | Ev::Close(_)));
+        let tail = has(|e| matches!(e, Ev::TailAdv(_)));
+        let head = has(|e| matches!(e, Ev::HeadAdv(_)));
+        if window || tail || head {
+            let stmts = parse_block(toks, open + 1, close);
+            let extract = |r: std::ops::Range<usize>| extract_events(toks, r.start, r.end);
+            for p in &paths(&stmts, &extract) {
+                if window {
+                    out.extend(check_seqlock_path(path, &f.name, &p.events, p.exit));
                 }
-            }
-            found
-        };
-        if seqlock_scope && has(&|e| matches!(e, Ev::Open(_) | Ev::Close(_))) {
-            let ps = paths(&stmts, &extract);
-            for p in &ps {
-                if let Some(finding) = check_seqlock_path(path, &f.name, &p.events, p.exit) {
-                    out.push(finding);
-                }
-            }
-        }
-        if spsc_scope {
-            if has(&|e| matches!(e, Ev::TailAdv(_))) {
-                let ps = paths(&stmts, &extract);
-                for p in &ps {
+                if tail {
                     check_publish_order(
                         path,
                         &f.name,
@@ -190,10 +186,7 @@ pub fn check(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
                          may read the slot before this word lands (torn publish)",
                     );
                 }
-            }
-            if has(&|e| matches!(e, Ev::HeadAdv(_))) {
-                let ps = paths(&stmts, &extract);
-                for p in &ps {
+                if head {
                     check_publish_order(
                         path,
                         &f.name,
@@ -206,9 +199,9 @@ pub fn check(path: &str, toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
                     );
                 }
             }
-            rmw_on_index(path, toks, open, close, out);
-            dual_producer(path, &f.name, toks, open, close, out);
         }
+        rmw_on_index(path, toks, open, close, out);
+        dual_producer(path, &f.name, toks, open, close, out);
     }
 }
 

@@ -7,35 +7,32 @@
 //! [`crate::items`] functions, so multi-line expressions, odd
 //! formatting, and string/comment content can no longer confuse a
 //! substring match. `atomic-ordering` (SPC04) lives in
-//! [`crate::ordering`] as a requirement table; the protocol and
+//! [`crate::ordering`]; the protocol and
 //! hot-path families are [`crate::protocol`], [`crate::lockgraph`] and
 //! [`crate::hotlints`].
 
 use crate::items::FnItem;
 use crate::scan::{has_word, Line};
-use crate::scopes::{file_name, is_hot};
+use crate::scopes::Module;
 use crate::token::{Tok, TokKind};
 use crate::Finding;
 
-fn is_shard(path: &str) -> bool {
-    file_name(path) == "shard.rs"
-}
-
-fn is_list_impl(path: &str) -> bool {
-    path.replace('\\', "/").contains("crates/core/src/list/")
-}
-
-/// Runs every line/token rule that applies to `path`.
-pub fn check_all(path: &str, lines: &[Line], toks: &[Tok], fns: &[FnItem], out: &mut Vec<Finding>) {
+/// Runs every line/token rule that applies to `path`, a file of `m`.
+pub fn check_all(
+    path: &str,
+    lines: &[Line],
+    toks: &[Tok],
+    fns: &[FnItem],
+    m: &Module,
+    out: &mut Vec<Finding>,
+) {
     safety_comments(path, lines, out);
     intrinsic_gating(path, toks, out);
-    if is_shard(path) {
-        lock_discipline(path, toks, fns, out);
-    }
-    if is_list_impl(path) {
+    lock_discipline(path, toks, fns, out);
+    if m.key == "core::list" {
         sink_routing(path, toks, fns, out);
     }
-    if is_hot(path) {
+    if m.is_hot() {
         determinism(path, toks, out);
     }
 }
@@ -237,7 +234,8 @@ fn lock_kind(toks: &[Tok], k: usize) -> Option<LockKind> {
     }
 }
 
-/// Flags lock-order violations in `shard.rs`: the engine's documented
+/// Flags sharded-engine lock-order violations wherever its locks are
+/// taken (`shards[i]`, `wild`, `lock_all*`): the engine's documented
 /// discipline is *shards first (in index order, or exactly one), wildcard
 /// lane last*. Nested shard acquisitions and wild→shard acquisitions are
 /// the deadlock/lock-inversion shapes this rule catches. Guard lifetimes
@@ -425,16 +423,12 @@ pub fn determinism(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::extract_fns;
-    use crate::scan::scan;
-    use crate::token::tokenize;
 
     fn run_all(path: &str, src: &str) -> Vec<Finding> {
-        let lines = scan(src);
-        let toks = tokenize(&lines);
-        let fns = extract_fns(&toks);
+        let f = crate::SourceFile::parse(path, src);
+        let m = &crate::scopes::collect(std::slice::from_ref(&f))[0];
         let mut out = Vec::new();
-        check_all(path, &lines, &toks, &fns, &mut out);
+        check_all(path, &f.lines, &f.toks, &f.fns, m, &mut out);
         out
     }
 
@@ -464,7 +458,7 @@ mod tests {
     #[test]
     fn determinism_does_not_fire_on_substrings() {
         // `rand` only as a path head; `operand::` must not fire.
-        let src = "fn f() { let x = operand::eval(); grand_total(); }\n";
+        let src = "//! spc-scope: hot-path\nfn f() { let x = operand::eval(); grand_total(); }\n";
         let f = run_all("crates/core/src/engine.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }

@@ -223,6 +223,18 @@ pub fn has_word(code: &str, word: &str) -> bool {
     false
 }
 
+/// The text after `name` when a line's comment opens with it
+/// (`// spc-allow(`, `//! spc-scope:`, `// spc-order(`). The directive
+/// must be the first thing after the `//`/`/*` opener: prose that merely
+/// mentions the syntax, like this crate's own docs, is not a directive.
+pub fn directive<'a>(comment: &'a str, name: &str) -> Option<&'a str> {
+    comment
+        .trim_start()
+        .trim_start_matches(['/', '*', '!'])
+        .trim_start()
+        .strip_prefix(name)
+}
+
 fn closes_raw(bytes: &[char], i: usize, hashes: usize) -> bool {
     (1..=hashes).all(|k| bytes.get(i + k) == Some(&'#'))
 }

@@ -1,237 +1,173 @@
-//! Hot-path scope: where the expensive lints apply, and the self-checks
-//! that keep the scope tables honest.
+//! Module facts: the key every rule scopes by, and what each module
+//! declares about itself in its own source.
 //!
-//! Every module under `crates/core/src` self-declares its scope with a
-//! doc-comment marker near the top of the file:
+//! A module is `crates/<crate>/src/<m>.rs` or everything under
+//! `crates/<crate>/src/<m>/`; its key is `<crate>::<m>` ([`module_key`]).
+//! Two facts live in a module's source and nowhere else:
 //!
 //! ```text
-//! //! spc-scope: hot-path     (measured path: alloc/panic/clock lints apply)
-//! //! spc-scope: cold         (setup, background threads, reporting)
+//! //! spc-scope: hot-path     (root file: measured path, alloc/panic/clock lints apply)
+//! //! spc-scope: cold         (root file: setup, background threads, reporting)
+//! // spc-order(<receiver>): SeqCst|AcqRel|Relaxed — <rationale>   (any file of the module)
 //! ```
 //!
-//! [`self_check`] walks the real tree and cross-validates three things:
-//! the markers exist and agree with the static fallback tables below
-//! (which [`crate::analyze_source`] needs for fixture sources analyzed
-//! under virtual paths, where there is no tree to read), every file the
-//! tables or the ordering specs name exists on disk, and every core
-//! module that touches `Ordering::` is covered by the atomic-ordering
-//! scope — the exact bug class that let `heater.rs` atomics go
-//! unreviewed for five PRs.
+//! [`collect`] reads them for every module before the per-file passes
+//! run, so a rule in `shard/wild.rs` sees the marker and the `spc-order`
+//! lines of `shard/mod.rs`. [`check`] (SPC13) convicts the facts that can
+//! rot: a core module root without a valid marker, and an `spc-order`
+//! line with no rationale, a receiver its module never uses, or a
+//! receiver annotated twice.
 
 use std::path::Path;
 
-use crate::Finding;
+use crate::ordering::{parse_orders, Order};
+use crate::scan::{directive, Line};
+use crate::{Finding, SourceFile};
 
-/// Files under `crates/core/src/` on the measured hot path. Must match
-/// the `//! spc-scope: hot-path` markers ([`self_check`] enforces it).
-pub const HOT_FILES: &[&str] = &[
-    "addr.rs",
-    "concurrent.rs",
-    "engine.rs",
-    "entry.rs",
-    "ingest.rs",
-    "pool.rs",
-    "prefetch.rs",
-    "seqsnap.rs",
-    "shard.rs",
-    "simd.rs",
-    "sink.rs",
-];
-
-/// Files under `crates/core/src/` that are explicitly cold (setup,
-/// background threads, replay, reporting). Must match the
-/// `//! spc-scope: cold` markers.
-pub const COLD_FILES: &[&str] = &["dynengine.rs", "heater.rs", "replay.rs", "stats.rs"];
-
-/// Last path component.
-pub fn file_name(path: &str) -> &str {
-    path.rsplit('/').next().unwrap_or(path)
+/// The module `path` belongs to, and whether `path` is that module's
+/// root file (`<m>.rs` or `<m>/mod.rs` directly under a crate's `src/`;
+/// the crate root `lib.rs`/`main.rs` is not a module root). A file outside
+/// a crate's `src/` (an integration test, an example, the root package) is
+/// a crate of its own, keyed by its path without the extension, so no
+/// crate-scoped rule reaches it.
+pub fn module_key(path: &str) -> (String, bool) {
+    let norm = Path::new(path)
+        .with_extension("")
+        .to_string_lossy()
+        .replace('\\', "/");
+    let mut parts: Vec<&str> = norm.split('/').collect();
+    if parts.len() > 1 && parts.last() == Some(&"mod") {
+        parts.pop();
+    }
+    let parts = parts.strip_prefix(&["crates"]).unwrap_or(&parts);
+    match parts {
+        [krate, "src", m] => (format!("{krate}::{m}"), !matches!(*m, "lib" | "main")),
+        [krate, "src", m, ..] => (format!("{krate}::{m}"), false),
+        _ => (parts.join("/"), false),
+    }
 }
 
-/// Whether `path` (workspace-relative or virtual) is hot-path scope.
-/// `list/` is hot as a directory (its `mod.rs` carries the marker for
-/// the subtree).
-pub fn is_hot(path: &str) -> bool {
-    let norm = path.replace('\\', "/");
-    if !norm.contains("crates/core/src/") {
-        return false;
+/// What one module declares about itself.
+#[derive(Debug)]
+pub struct Module {
+    /// `<crate>::<m>`.
+    pub key: String,
+    /// Path of the module's root file, when it was among the analyzed
+    /// files.
+    pub root: Option<String>,
+    /// The root file's `spc-scope` marker: `hot-path`, `cold` or `invalid`.
+    pub scope: Option<&'static str>,
+    /// Every `spc-order` line in the module's files.
+    pub orders: Vec<Order>,
+}
+
+impl Module {
+    /// Whether the alloc/panic/clock lints apply.
+    pub fn is_hot(&self) -> bool {
+        self.scope == Some("hot-path")
     }
-    norm.contains("/list/") || HOT_FILES.contains(&file_name(&norm))
+
+    /// Whether the module belongs to crate `krate`.
+    pub fn in_crate(&self, krate: &str) -> bool {
+        self.key.split("::").next() == Some(krate)
+    }
+
+    /// The module's `spc-order` line for `receiver`.
+    pub fn order(&self, receiver: &str) -> Option<&Order> {
+        self.orders.iter().find(|o| o.receiver == receiver)
+    }
 }
 
 /// Parses an `spc-scope` marker from a file's leading lines.
-pub fn parse_marker(src: &str) -> Option<&'static str> {
-    for line in src.lines().take(30) {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("//! spc-scope:") {
-            return match rest.trim() {
-                "hot-path" => Some("hot-path"),
-                "cold" => Some("cold"),
-                _ => Some("invalid"),
-            };
-        }
-    }
-    None
+fn parse_marker(lines: &[Line]) -> Option<&'static str> {
+    let rest = lines
+        .iter()
+        .take(30)
+        .find_map(|l| directive(&l.comment, "spc-scope:"))?;
+    Some(match rest.trim() {
+        "hot-path" => "hot-path",
+        "cold" => "cold",
+        _ => "invalid",
+    })
 }
 
-/// Module names declared in a `lib.rs` source (`pub mod x;` / `mod x;`).
-pub fn mod_decls(lib_src: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for l in crate::scan::scan(lib_src) {
-        let code = l.code.trim();
-        let rest = code
-            .strip_prefix("pub mod ")
-            .or_else(|| code.strip_prefix("mod "));
-        if let Some(rest) = rest {
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() && rest[name.len()..].trim_start().starts_with(';') {
-                out.push(name);
+/// Gathers the facts of every module `files` touch.
+pub fn collect(files: &[SourceFile]) -> Vec<Module> {
+    let mut mods: Vec<Module> = Vec::new();
+    for f in files {
+        let i = match mods.iter().position(|m| m.key == f.module) {
+            Some(i) => i,
+            None => {
+                mods.push(Module {
+                    key: f.module.clone(),
+                    root: None,
+                    scope: None,
+                    orders: Vec::new(),
+                });
+                mods.len() - 1
             }
+        };
+        if f.root {
+            mods[i].root = Some(f.path.clone());
+            mods[i].scope = parse_marker(&f.lines);
         }
+        mods[i].orders.extend(parse_orders(&f.path, &f.lines));
     }
-    out
+    mods
 }
 
-/// Workspace-level scope self-checks (see the module docs). `root` is
-/// the workspace root.
-pub fn self_check(root: &Path) -> Vec<Finding> {
+/// SPC13 over the collected facts (see the module docs).
+pub fn check(modules: &[Module], files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
-    let core_src = root.join("crates/core/src");
-    let lib = core_src.join("lib.rs");
-    let lib_path = "crates/core/src/lib.rs";
-    let Ok(lib_src) = std::fs::read_to_string(&lib) else {
-        out.push(Finding::new(
-            lib_path,
-            1,
-            "scope-coverage",
-            "crates/core/src/lib.rs not readable; scope checks cannot run",
-        ));
-        return out;
-    };
-
-    // 1. Static tables must name real files.
-    for f in HOT_FILES.iter().chain(COLD_FILES) {
-        if !core_src.join(f).is_file() {
-            out.push(Finding::new(
-                lib_path,
-                1,
-                "scope-coverage",
-                format!("scope table names `{f}` which does not exist under crates/core/src"),
-            ));
-        }
-    }
-    for f in crate::ordering::scoped_files() {
-        let p = core_src.join(f);
-        if !p.is_file() {
-            out.push(Finding::new(
-                lib_path,
-                1,
-                "scope-coverage",
-                format!(
-                    "atomic-ordering spec names `{f}` which does not exist under crates/core/src"
-                ),
-            ));
-            continue;
-        }
-        // Stale-entry check: every spec receiver must still appear in the
-        // real file (fixture sources under virtual paths are exempt — a
-        // snippet never mentions the whole table).
-        if let Ok(src) = std::fs::read_to_string(&p) {
-            let toks = crate::token::tokenize(&crate::scan::scan(&src));
-            crate::ordering::stale_specs(&format!("crates/core/src/{f}"), &toks, &mut out);
-        }
-    }
-
-    // 2. Every declared module carries a marker agreeing with the tables.
-    for m in mod_decls(&lib_src) {
-        let (file, rel): (std::path::PathBuf, String) = {
-            let plain = core_src.join(format!("{m}.rs"));
-            if plain.is_file() {
-                (plain, format!("crates/core/src/{m}.rs"))
-            } else {
-                (
-                    core_src.join(&m).join("mod.rs"),
-                    format!("crates/core/src/{m}/mod.rs"),
-                )
-            }
-        };
-        let Ok(src) = std::fs::read_to_string(&file) else {
-            out.push(Finding::new(
-                lib_path,
-                1,
-                "scope-coverage",
-                format!("declared module `{m}` has no {m}.rs or {m}/mod.rs under crates/core/src"),
-            ));
-            continue;
-        };
-        let fname = format!("{m}.rs");
-        let dir_mod = file_name(&rel) == "mod.rs";
-        match parse_marker(&src) {
-            None => out.push(Finding::new(
-                &rel,
-                1,
-                "scope-coverage",
-                "missing `//! spc-scope: hot-path|cold` marker in the module's leading doc \
-                 comment",
-            )),
-            Some("invalid") => out.push(Finding::new(
-                &rel,
-                1,
-                "scope-coverage",
-                "invalid spc-scope marker; use `hot-path` or `cold`",
-            )),
-            Some("hot-path") => {
-                let in_table = HOT_FILES.contains(&fname.as_str()) || dir_mod && is_hot(&rel);
-                if !in_table {
-                    out.push(Finding::new(
-                        &rel,
-                        1,
-                        "scope-coverage",
-                        format!(
-                            "marked hot-path but absent from the analyzer's HOT_FILES table \
-                             (add `{fname}` so virtual-path analysis agrees)"
-                        ),
-                    ));
-                }
-            }
-            Some(_) => {
-                // cold: must not appear hot in the tables.
-                if HOT_FILES.contains(&fname.as_str()) || (!dir_mod && is_hot(&rel)) {
-                    out.push(Finding::new(
-                        &rel,
-                        1,
-                        "scope-coverage",
-                        format!("marked cold but `{fname}` is in the analyzer's HOT_FILES table"),
-                    ));
-                } else if !dir_mod && !COLD_FILES.contains(&fname.as_str()) {
-                    out.push(Finding::new(
-                        &rel,
-                        1,
-                        "scope-coverage",
-                        format!("marked cold but `{fname}` is absent from the COLD_FILES table"),
-                    ));
-                }
+    for m in modules {
+        if let (true, Some(root)) = (m.in_crate("core"), &m.root) {
+            match m.scope {
+                None => out.push(Finding::new(
+                    root,
+                    1,
+                    "scope-coverage",
+                    "missing `//! spc-scope: hot-path|cold` marker in the module's leading doc \
+                     comment",
+                )),
+                Some("invalid") => out.push(Finding::new(
+                    root,
+                    1,
+                    "scope-coverage",
+                    "invalid spc-scope marker; use `hot-path` or `cold`",
+                )),
+                Some(_) => {}
             }
         }
-
-        // 3. Atomics coverage: a module using `Ordering::` must be in the
-        // atomic-ordering scope.
-        if src.contains("Ordering::")
-            && !crate::ordering::scoped_files().contains(&fname.as_str())
-            && !dir_mod
-        {
-            out.push(Finding::new(
-                &rel,
-                1,
-                "scope-coverage",
-                format!(
-                    "module uses `Ordering::` but `{fname}` is not covered by the \
-                     atomic-ordering requirement table; add specs for its atomics"
-                ),
-            ));
+        for (i, o) in m.orders.iter().enumerate() {
+            let mut flag =
+                |msg: String| out.push(Finding::new(&o.file, o.line, "scope-coverage", msg));
+            if o.req.is_none() {
+                flag(format!(
+                    "spc-order({}) needs a level: SeqCst, AcqRel or Relaxed",
+                    o.receiver
+                ));
+            } else if o.rationale.is_empty() {
+                flag(format!(
+                    "spc-order({}) has no rationale after the level",
+                    o.receiver
+                ));
+            }
+            let used = files
+                .iter()
+                .filter(|f| f.module == m.key)
+                .any(|f| f.toks.iter().any(|t| t.is_ident(&o.receiver)));
+            if !used {
+                flag(format!(
+                    "spc-order({}) names a receiver module `{}` never uses; delete the stale line",
+                    o.receiver, m.key
+                ));
+            }
+            if let Some(first) = m.orders[..i].iter().find(|p| p.receiver == o.receiver) {
+                flag(format!(
+                    "spc-order({}) repeats the line at {}:{}; one line per receiver per module",
+                    o.receiver, first.file, first.line
+                ));
+            }
         }
     }
     out
@@ -240,36 +176,85 @@ pub fn self_check(root: &Path) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::scan;
+
+    fn facts(files: &[(&str, &str)]) -> (Vec<Module>, Vec<Finding>) {
+        let files: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
+        let mods = collect(&files);
+        let found = check(&mods, &files);
+        (mods, found)
+    }
 
     #[test]
-    fn hot_and_cold_tables_are_disjoint() {
-        for f in HOT_FILES {
-            assert!(!COLD_FILES.contains(f), "{f} in both tables");
-        }
+    fn module_key_is_crate_and_top_module() {
+        let key = |p: &str| module_key(p);
+        assert_eq!(
+            key("crates/core/src/shard.rs"),
+            ("core::shard".into(), true)
+        );
+        assert_eq!(
+            key("crates/core/src/shard/mod.rs"),
+            ("core::shard".into(), true)
+        );
+        assert_eq!(
+            key("crates/core/src/shard/wild.rs"),
+            ("core::shard".into(), false)
+        );
+        assert_eq!(key("crates/core/src/lib.rs"), ("core::lib".into(), false));
+        assert_eq!(
+            key("crates/conformance/src/concurrent.rs").0,
+            "conformance::concurrent"
+        );
+        assert_eq!(
+            key("crates/core/tests/ingest_props.rs").0,
+            "core/tests/ingest_props"
+        );
     }
 
     #[test]
     fn list_dir_is_hot_heater_is_not() {
-        assert!(is_hot("crates/core/src/list/lla.rs"));
-        assert!(is_hot("crates/core/src/shard.rs"));
-        assert!(!is_hot("crates/core/src/heater.rs"));
-        assert!(!is_hot("crates/workload/src/lib.rs"));
+        // The whole directory module takes its root file's marker.
+        let (mods, found) = facts(&[
+            (
+                "crates/core/src/list/mod.rs",
+                "//! Lists.\n//! spc-scope: hot-path\n",
+            ),
+            ("crates/core/src/list/lla.rs", "//! LLA.\n"),
+            ("crates/core/src/heater.rs", "//! spc-scope: cold\n"),
+        ]);
+        assert!(found.is_empty(), "{found:?}");
+        assert_eq!(mods.len(), 2);
+        assert!(mods[0].is_hot());
+        assert!(!mods[1].is_hot());
     }
 
     #[test]
     fn marker_parsing() {
-        assert_eq!(parse_marker("//! spc-scope: hot-path\n"), Some("hot-path"));
-        assert_eq!(
-            parse_marker("//! Doc.\n//! spc-scope: cold\n"),
-            Some("cold")
-        );
-        assert_eq!(parse_marker("//! spc-scope: warm\n"), Some("invalid"));
-        assert_eq!(parse_marker("fn main() {}\n"), None);
+        let p = |s: &str| parse_marker(&scan(s));
+        assert_eq!(p("//! spc-scope: hot-path\n"), Some("hot-path"));
+        assert_eq!(p("//! Doc.\n//! spc-scope: cold\n"), Some("cold"));
+        assert_eq!(p("//! spc-scope: warm\n"), Some("invalid"));
+        assert_eq!(p("fn main() {}\n"), None);
     }
 
     #[test]
-    fn mod_decl_extraction() {
-        let decls = mod_decls("pub mod a;\nmod b;\n// mod c;\npub mod d { }\n");
-        assert_eq!(decls, vec!["a", "b"]);
+    fn core_module_roots_need_a_valid_marker() {
+        let (_, found) = facts(&[
+            ("crates/core/src/engine.rs", "fn f() {}\n"),
+            ("crates/core/src/pool.rs", "//! spc-scope: warm\n"),
+            ("crates/core/src/lib.rs", "pub mod engine;\n"),
+            ("crates/workload/src/zipf.rs", "fn f() {}\n"),
+        ]);
+        let msgs: Vec<(&str, bool)> = found
+            .iter()
+            .map(|f| (f.file.as_str(), f.message.contains("invalid")))
+            .collect();
+        assert_eq!(
+            msgs,
+            vec![
+                ("crates/core/src/engine.rs", false),
+                ("crates/core/src/pool.rs", true)
+            ]
+        );
     }
 }

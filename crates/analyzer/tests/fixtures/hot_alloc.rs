@@ -1,7 +1,7 @@
 //! Seeded violation: heap allocation in a hot-path function — a `vec!`
 //! scratch buffer plus a growing `.push` with no pre-sizing.
 //! Analyzed under the virtual path `crates/core/src/shard.rs`.
-
+//! spc-scope: hot-path
 impl BadShard {
     fn probe(&mut self, n: usize) {
         let mut scratch = vec![0u64; n];

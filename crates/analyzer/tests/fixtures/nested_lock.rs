@@ -1,6 +1,6 @@
 //! Seeded violation: wildcard-lane lock held while taking a shard lock.
 //! Analyzed under the virtual path `crates/core/src/shard.rs`.
-
+//! spc-scope: hot-path
 impl BadEngine {
     pub fn post_recv_wild_bad(&self, e: PostedEntry) {
         let mut wild = self.wild.lock();

@@ -1,7 +1,7 @@
 //! Negative fixture: the documented writer protocol — version-odd,
 //! stamp, mutate, version-even — including a bulk lane sweep.
 //! Analyzed under the virtual path `crates/core/src/seqsnap.rs`.
-
+//! spc-scope: hot-path
 impl GoodWriter {
     pub fn publish(&mut self, k: u64, v: u64) {
         self.snap.begin_write();

@@ -1,7 +1,7 @@
 //! Seeded violation: an early-return path leaves the write window open
 //! (version word stuck odd; lock-free readers retry forever).
 //! Analyzed under the virtual path `crates/core/src/seqsnap.rs`.
-
+//! spc-scope: hot-path
 impl BadWriter {
     pub fn publish(&mut self, k: u64, v: u64) -> bool {
         self.snap.begin_write();

@@ -1,7 +1,7 @@
 //! Seeded violation: two spawned closures push into the same ring via
 //! cloned handles — the SPSC contract admits exactly one producer.
 //! Analyzed under the virtual path `crates/core/src/ingest.rs`.
-
+//! spc-scope: hot-path
 fn drive(ring: &Arc<IngestRing>) {
     let r1 = ring.clone();
     let r2 = ring.clone();

@@ -1,7 +1,7 @@
 //! Negative fixture: the documented SPSC publish/consume order — all
 //! slot words land before the index advance on both sides.
 //! Analyzed under the virtual path `crates/core/src/ingest.rs`.
-
+//! spc-scope: hot-path
 impl GoodRing {
     pub fn try_push(&self, a: u64, b: u64) -> bool {
         let t = self.tail.load(Ordering::SeqCst);

@@ -1,7 +1,7 @@
 //! Seeded violation: a slot word stored after the tail advance — the
 //! consumer can observe the slot before the word lands (torn publish).
 //! Analyzed under the virtual path `crates/core/src/ingest.rs`.
-
+//! spc-scope: hot-path
 impl BadRing {
     pub fn try_push(&self, a: u64, b: u64) -> bool {
         let t = self.tail.load(Ordering::SeqCst);

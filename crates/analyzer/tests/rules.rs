@@ -2,12 +2,14 @@
 //! `file:line` diagnostic, and the real workspace tree must be clean.
 //!
 //! The fixtures live in `tests/fixtures/` (excluded from [`spc_analyzer::run`]'s
-//! walk) and are analyzed under *virtual paths* so the path-scoped rules
-//! (`shard.rs`, `list/*.rs`, hot-path modules) engage.
+//! walk) and are analyzed under *virtual paths*, which give them their
+//! module key (`core::shard`, `core::list`, …). Scope and ordering
+//! requirements come from the fixture text itself: its `//! spc-scope:`
+//! marker and `// spc-order(...)` lines, as in the real modules.
 
 use std::path::Path;
 
-use spc_analyzer::{analyze_source, Finding};
+use spc_analyzer::{analyze_source, analyze_sources, Finding, SourceFile};
 
 fn fixture(name: &str) -> String {
     let p = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -173,15 +175,17 @@ fn hot_path_clock_is_caught() {
 
 #[test]
 fn clock_outside_hot_path_is_fine() {
-    // Same source under heater.rs (background thread, not measured) passes.
-    let findings = analyze_source("crates/core/src/heater.rs", &fixture("hotpath_clock.rs"));
-    assert!(rule_findings(&findings, "hot-path-determinism").is_empty());
+    // The same source marked cold (a background thread, not measured)
+    // passes: scope is what the module declares, not where it lives.
+    let cold = fixture("hotpath_clock.rs").replace("spc-scope: hot-path", "spc-scope: cold");
+    let findings = analyze_source("crates/core/src/engine.rs", &cold);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn rule_tokens_in_comments_and_strings_do_not_fire() {
     let path = "crates/core/src/shard.rs";
-    let src = "// unsafe Ordering::Relaxed _mm_prefetch Instant::now\n\
+    let src = "//! spc-scope: hot-path\n// unsafe Ordering::Relaxed _mm_prefetch Instant::now\n\
                fn name() -> &'static str {\n    \"unsafe Instant::now\"\n}\n";
     let findings = analyze_source(path, src);
     assert!(findings.is_empty(), "{findings:?}");
@@ -212,15 +216,52 @@ fn workspace_tree_is_clean() {
 }
 
 #[test]
-fn ordering_spec_rationales_are_nonempty() {
-    for e in spc_analyzer::ordering::SPECS {
-        assert!(
-            !e.rationale.trim().is_empty(),
-            "{}:{} needs a rationale",
-            e.file,
-            e.receiver
-        );
-    }
+fn rules_follow_the_module_not_the_file() {
+    // One directory module: the root declares scope and orderings, a
+    // submodule carries the violations. Each is convicted as if it sat in
+    // the root, and a lock pair taken in opposite orders across the two
+    // files is one cycle, because both files share the module's nodes.
+    let root = "crates/core/src/shard/mod.rs";
+    let wild = "crates/core/src/shard/wild.rs";
+    let files = [
+        SourceFile::parse(
+            root,
+            "//! Sharded engine.\n//! spc-scope: hot-path\n\
+             // spc-order(wild_len): SeqCst — moves in one step with wild_slots\n\
+             // spc-order(wild_slots): SeqCst — store-buffering pair with umq_counts\n\
+             impl E {\n    fn a(&self) {\n        let g = self.alpha.lock();\n        \
+             let h = self.beta.lock();\n        let _ = (&g, &h);\n    }\n}\n",
+        ),
+        SourceFile::parse(
+            wild,
+            "impl E {\n    fn occupy(&self, slot: usize) {\n        \
+             self.wild_len.fetch_add(1, Ordering::Relaxed);\n        \
+             self.wild_slots[slot].fetch_add(1, Ordering::Relaxed);\n        \
+             let w = self.wild.lock();\n        let s = self.shards[0].lock();\n        \
+             let t = Instant::now();\n        let v = vec![0u8; 4];\n        \
+             let _ = (&w, &s, t, v);\n    }\n    fn b(&self) {\n        \
+             let h = self.beta.lock();\n        let g = self.alpha.lock();\n        \
+             let _ = (&g, &h);\n    }\n}\n",
+        ),
+    ];
+    let findings = analyze_sources(&files).findings;
+    let got: Vec<(&str, usize, &str)> = findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.rule_id))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (root, 8, "SPC09"),
+            (wild, 3, "SPC04"),
+            (wild, 4, "SPC04"),
+            (wild, 6, "SPC03"),
+            (wild, 7, "SPC06"),
+            (wild, 8, "SPC10"),
+        ],
+        "{findings:#?}"
+    );
+    assert!(findings[0].message.contains("core::shard::alpha"));
 }
 
 // ---------------------------------------------------------------------------
@@ -374,7 +415,7 @@ fn unused_suppression_fails_the_run() {
 #[test]
 fn suppression_with_rationale_silences_a_finding() {
     let path = "crates/core/src/shard.rs";
-    let src = "impl E {\n    fn probe(&self) {\n        \
+    let src = "//! spc-scope: hot-path\nimpl E {\n    fn probe(&self) {\n        \
                // spc-allow(hot-path-alloc): scratch for a cold diagnostics branch\n        \
                let v = vec![0u8; 4];\n        let _ = v;\n    }\n}\n";
     let findings = analyze_source(path, src);

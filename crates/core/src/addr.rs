@@ -45,6 +45,7 @@ pub enum AddrMode {
 /// [`AddrSpace::with_region`].
 pub fn fresh_region_base() -> u64 {
     use core::sync::atomic::{AtomicU64, Ordering};
+    // spc-order(NEXT): Relaxed — id allocator: only fetch_add's atomicity matters
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed) << 30
 }

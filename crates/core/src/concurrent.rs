@@ -40,12 +40,17 @@ where
     U: MatchList<UnexpectedEntry>,
 {
     inner: Mutex<MatchEngine<P, U>>,
+    // spc-order(acquisitions): Relaxed — LockStats tally; reporting only
     acquisitions: AtomicU64,
+    // spc-order(contended): Relaxed — LockStats tally; reporting only
     contended: AtomicU64,
     /// Linearization stamps: bumped while the engine lock is held, so the
     /// seq order of any two operations equals their serialization order.
+    // spc-order(seq): Relaxed — the engine mutex already orders the stamps
     seq: AtomicU64,
+    // spc-order(max_prq): Relaxed — high-water mark sampled under the engine mutex
     max_prq: AtomicU64,
+    // spc-order(max_umq): Relaxed — high-water mark; see max_prq
     max_umq: AtomicU64,
 }
 

@@ -57,6 +57,7 @@ impl Default for HeaterConfig {
 /// heater reads are well-defined. Used by the standalone heater
 /// microbenchmark (§4.3) and anywhere a safe registration is preferred.
 pub struct HeatBuffer {
+    // spc-order(words): Relaxed — heat traffic only; the values are never interpreted
     words: Box<[AtomicU64]>,
 }
 
@@ -116,13 +117,19 @@ struct Shared {
     /// Held by the heater for the duration of each pass; `deregister`
     /// acquires it to wait out an in-flight pass.
     pass_lock: Mutex<()>,
+    // spc-order(period_ns): Relaxed — pacing knob; a pass with a stale period is harmless
     period_ns: AtomicU64,
+    // spc-order(paused): AcqRel — resume publishes the region state the loop reads
     paused: AtomicBool,
+    // spc-order(shutdown): AcqRel — pairs the final state publication with the join
     shutdown: AtomicBool,
     /// Cache lines touched, cumulative.
+    // spc-order(touches): Relaxed — HeaterStats tally; consistent views pair it with passes
     touches: AtomicU64,
     /// Completed passes.
+    // spc-order(passes): AcqRel — wait_passes handshake: a pass releases its touches
     passes: AtomicU64,
+    // spc-order(active_regions): Relaxed — HeaterStats gauge; the slots Mutex orders the table
     active_regions: AtomicUsize,
 }
 

@@ -124,8 +124,11 @@ fn decode(w0: u64, w1: u64, w2: u64) -> IngestOp {
 /// One ring slot: three plain atomic words (no unsafe, no torn reads at
 /// the word level; the head/tail protocol orders whole-slot visibility).
 struct Slot {
+    // spc-order(w0): SeqCst — slot word stored before the tail advance publishes it
     w0: AtomicU64,
+    // spc-order(w1): SeqCst — slot word; see w0
     w1: AtomicU64,
+    // spc-order(w2): SeqCst — slot word; see w0
     w2: AtomicU64,
 }
 
@@ -142,14 +145,18 @@ pub struct IngestRing {
     slots: Box<[Slot]>,
     mask: usize,
     /// Consumer cursor (monotone).
+    // spc-order(head): SeqCst — advanced after the slot reads; frees the slot for reuse
     head: AtomicUsize,
     /// Producer cursor (monotone).
+    // spc-order(tail): SeqCst — advanced after the slot stores; publishes the slot
     tail: AtomicUsize,
     /// Lifetime pushes. Written only by the producer, so a single-writer
     /// add ([`sw_add`]) and no lock-prefixed RMW.
+    // spc-order(enqueued): Relaxed — push tally; FIFO visibility rides on head/tail
     enqueued: AtomicU64,
     /// Lifetime pops. Written only by the one consumer, the drainer
     /// holding the shard lock, so a single-writer add too.
+    // spc-order(drained): Relaxed — pop tally; see enqueued
     drained: AtomicU64,
 }
 
@@ -225,19 +232,6 @@ impl IngestRing {
         self.head.store(h.wrapping_add(1), Ordering::SeqCst);
         sw_add(&self.drained, 1);
         Some(op)
-    }
-
-    /// Consumer side: pops up to `max` ops into `out`, returning how
-    /// many were taken.
-    pub fn drain_into(&self, out: &mut Vec<IngestOp>, max: usize) -> usize {
-        out.reserve(max.min(self.len()));
-        let mut n = 0;
-        while n < max {
-            let Some(op) = self.pop() else { break };
-            out.push(op);
-            n += 1;
-        }
-        n
     }
 
     /// Total ops ever buffered (exactly-once accounting).

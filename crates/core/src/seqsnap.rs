@@ -70,6 +70,7 @@ const ROWS_PER_CHUNK: usize = 256;
 /// docs) places version transitions in the same total order as the
 /// engine's seq stamps and count updates.
 pub struct SeqVersion {
+    // spc-order(v): SeqCst — the version word; see the struct doc
     v: AtomicU64,
 }
 
@@ -117,9 +118,13 @@ impl Default for SeqVersion {
 /// plain atomic words so a torn read is impossible at the word level and
 /// version validation catches torn *row sets*.
 struct SnapRow {
+    // spc-order(seq): SeqCst — published row cell, read under the version-word protocol
     seq: AtomicU64,
+    // spc-order(key): SeqCst — published row cell; see seq
     key: AtomicU64,
+    // spc-order(val): SeqCst — published row cell; see seq
     val: AtomicU64,
+    // spc-order(live): SeqCst — published row liveness cell; see seq
     live: AtomicU64,
 }
 
@@ -156,11 +161,14 @@ pub struct SnapRows {
     chunks: Box<[OnceLock<Box<[SnapRow]>>]>,
     /// Published row count, tombstones included. Written only inside a
     /// write window; monotone within one window.
+    // spc-order(rows_len): SeqCst — the row count lock-free probes iterate by
     rows_len: AtomicUsize,
     /// Live (non-tombstoned) rows.
+    // spc-order(live_rows): SeqCst — read by the wildcard pre-scan's emptiness check
     live_rows: AtomicUsize,
     /// Sticky: the table filled with live rows and the mirror is no
     /// longer complete — readers must use the locked path.
+    // spc-order(overflow): SeqCst — seen no later than the rows it invalidates
     overflow: AtomicBool,
     /// When false, appends skip the snapshot commit entirely (version
     /// bump and `rows_len` publication) — the injected conformance
@@ -378,6 +386,7 @@ impl SnapRows {
 /// update the way they would between racing writers — and unlike
 /// `fetch_add` they do not take the cache line exclusive with a bus lock.
 /// Readers are telemetry and tolerate any interleaving of whole words.
+// spc-order(cell): Relaxed — single-writer operand of sw_add/sw_max; see sw_add's doc
 #[inline]
 pub(crate) fn sw_add(cell: &AtomicU64, by: u64) {
     cell.store(
@@ -400,9 +409,13 @@ fn sw_max(cell: &AtomicU64, v: u64) {
 /// telemetry — exact once writers quiesce (thread join orders every prior
 /// store), monotone and self-consistent enough for polling in between.
 pub struct MirrorDepth {
+    // spc-order(count): Relaxed — MirrorDepth telemetry; see the struct doc
     count: AtomicU64,
+    // spc-order(sum): Relaxed — MirrorDepth telemetry; see the struct doc
     sum: AtomicU64,
+    // spc-order(max): Relaxed — MirrorDepth telemetry; see the struct doc
     max: AtomicU64,
+    // spc-order(min): Relaxed — MirrorDepth telemetry; see the struct doc
     min: AtomicU64,
 }
 
@@ -466,11 +479,17 @@ pub struct MirrorStats {
     pub prq_search: MirrorDepth,
     /// UMQ search-depth observations (receive-side scans).
     pub umq_search: MirrorDepth,
+    // spc-order(prq_hits): Relaxed — MirrorStats tally, single writer under the lane lock
     prq_hits: AtomicU64,
+    // spc-order(umq_hits): Relaxed — MirrorStats tally; see prq_hits
     umq_hits: AtomicU64,
+    // spc-order(prq_appends): Relaxed — MirrorStats tally; see prq_hits
     prq_appends: AtomicU64,
+    // spc-order(umq_appends): Relaxed — MirrorStats tally; see prq_hits
     umq_appends: AtomicU64,
+    // spc-order(max_prq): Relaxed — MirrorStats high-water mark; see prq_hits
     max_prq: AtomicU64,
+    // spc-order(max_umq): Relaxed — MirrorStats high-water mark; see prq_hits
     max_umq: AtomicU64,
     /// Live queue lengths, stored (not added) under the lane lock after
     /// each op: exact at quiescence, transiently stale mid-race. Release
@@ -478,7 +497,9 @@ pub struct MirrorStats {
     /// that sees a length also sees the counters committed before it, and
     /// no matching decision ever reads them, so nothing needs the SeqCst
     /// total order (whose store is a full fence on every write).
+    // spc-order(prq_len): AcqRel — Release store, Acquire load; see the field doc
     prq_len: AtomicUsize,
+    // spc-order(umq_len): AcqRel — mirrored queue depth; see prq_len
     umq_len: AtomicUsize,
 }
 

@@ -398,7 +398,9 @@ fn merged_probe<L: ProbeLane>(
 /// mutex's own.
 struct Counted<T> {
     inner: Mutex<T>,
+    // spc-order(acquisitions): Relaxed — single-writer tally (see the struct doc); LockStats only
     acquisitions: AtomicU64,
+    // spc-order(contended): Relaxed — single-writer contention tally, like acquisitions
     contended: AtomicU64,
 }
 
@@ -546,10 +548,12 @@ where
     /// (SeqCst) to prove "no shard can hold a match" without taking S
     /// locks; a nonzero count only ever sends it to the slow path, so
     /// transient over-counts are safe.
+    // spc-order(umq_counts): SeqCst — store-buffering pair with wild_slots; see wild_slots
     umq_counts: Vec<Pad<AtomicUsize>>,
     wild: Counted<WildState<P>>,
     /// Global epoch/sequence counter; stamped while holding the op's locks
     /// (one block of stamps per ring batch, see `Stamps`).
+    // spc-order(seq): SeqCst — ordered against umq_counts/wild_slots in the one total order
     seq: Pad<AtomicU64>,
     /// The wildcard lane's occupancy, keyed by what an arrival knows — its
     /// tag: `wild_slots[wild_slot(tag, context)]` counts the live wildcard
@@ -563,16 +567,19 @@ where
     /// guarantees an arrival misses a parked wildcard *that could match
     /// it* only if the poster saw the arrival's count bump and took the
     /// slow path (which serializes on the shard locks).
+    // spc-order(wild_slots): SeqCst — store-buffering pair with umq_counts; see the field doc
     wild_slots: Pad<[AtomicUsize; WILD_SLOTS + 1]>,
     /// Live wildcard receives: the lane length `queue_lens` reports and
     /// `validate` checks against the lane, the mirror and the slot sum.
     /// No matching decision reads it — that is `wild_slots`' job.
+    // spc-order(wild_len): SeqCst — moves in one step with wild_slots; readers compare the two
     wild_len: Pad<AtomicUsize>,
     /// Receives that ever left the wildcard lane, bumped before their slot
     /// drops: an arrival whose crossing check may have seen a drop made
     /// after its stamp block was reserved finds out here (see `Stamps`).
     wild_vacated: Pad<AtomicU64>,
     /// Arrivals that crossed into the wildcard lane.
+    // spc-order(wild_crossings): Relaxed — ConcurrencyStats tally; no matching decision reads it
     wild_crossings: AtomicU64,
     /// When false, arrivals skip the wildcard seq comparison whenever
     /// their own shard has a match — the injected conformance adversary.
@@ -582,12 +589,16 @@ where
     /// conformance adversary. See [`Self::with_snap_commit_disabled`].
     snap_commit: bool,
     /// Lock-free probe attempts that had to retry (writer interference).
+    // spc-order(snap_retries): Relaxed — SnapReadStats tally; the retry reads the version word
     snap_retries: AtomicU64,
     /// Lock-free probes that exhausted their retries and locked.
+    // spc-order(snap_fallbacks): Relaxed — SnapReadStats telemetry only
     snap_fallbacks: AtomicU64,
     /// Wildcard posts parked by the lock-free candidate pre-scan.
+    // spc-order(prescan_parks): Relaxed — SnapReadStats telemetry only
     prescan_parks: AtomicU64,
     /// Wildcard posts the pre-scan sent to the locked slow path.
+    // spc-order(prescan_fallbacks): Relaxed — SnapReadStats telemetry only
     prescan_fallbacks: AtomicU64,
 }
 

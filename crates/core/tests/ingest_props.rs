@@ -107,44 +107,6 @@ fn full_ring_rejection_preserves_buffered_contents() {
     }
 }
 
-/// `drain_into` applies every buffered op exactly once, in FIFO order,
-/// and leaves the ring reusable.
-#[test]
-fn drain_into_is_exactly_once_and_bounded_by_occupancy() {
-    let mut rng = StdRng::seed_from_u64(0xD8A1_0001);
-    let ring = IngestRing::with_capacity(32);
-    for round in 0..3_000 {
-        let n = rng.gen_range(0..ring.capacity() + 1);
-        let expect: Vec<IngestOp> = (0..n).map(|_| gen_op(&mut rng)).collect();
-        for op in &expect {
-            assert!(ring.try_push(op));
-        }
-        let mut got = Vec::new();
-        let drained = ring.drain_into(&mut got, ring.capacity());
-        assert_eq!(drained, n, "round {round}: drained count != occupancy");
-        assert_eq!(got, expect, "round {round}: drain must be FIFO");
-        assert!(ring.is_empty());
-        // The `max` bound caps a drain mid-ring and a later drain picks
-        // up the remainder, still FIFO.
-        for op in &expect {
-            assert!(ring.try_push(op));
-        }
-        let mut first = Vec::new();
-        let take = n / 2;
-        assert_eq!(ring.drain_into(&mut first, take), take.min(n));
-        assert_eq!(ring.len(), n - take.min(n));
-        let mut rest = Vec::new();
-        ring.drain_into(&mut rest, ring.capacity());
-        first.extend(rest);
-        assert_eq!(
-            first, expect,
-            "round {round}: bounded drains must stay FIFO"
-        );
-        assert!(ring.is_empty());
-    }
-    assert_eq!(ring.enqueued(), ring.drained());
-}
-
 /// SPSC under real concurrency: a producer thread pushes a seeded
 /// sequence while the consumer pops from another thread; the consumer
 /// observes exactly the produced sequence, in order, with the
