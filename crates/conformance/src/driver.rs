@@ -9,10 +9,9 @@
 use crate::ops::{EngineOp, PostedOp, UmqOp};
 use crate::oracle::OracleList;
 use spc_core::dynengine::{DynEngine, EngineKind};
-use spc_core::engine::{Engine, MatchEngine, Op, Outcome, QueueBounds};
+use spc_core::engine::{Engine, MatchEngine, Op, Outcome};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
 use spc_core::list::MatchList;
-use spc_core::stats::EngineStats;
 use spc_core::NullSink;
 
 /// How strictly search depth is compared against the oracle.
@@ -237,7 +236,7 @@ pub fn diff_umq<L: MatchList<UnexpectedEntry>>(
 }
 
 /// Checks a subject's outcome against the reference's: same variant
-/// (matched, appended, rejected, probed, cancelled), same matched handle,
+/// (matched, appended, probed, cancelled), same matched handle,
 /// and a search depth acceptable under `mode`. `searched` is the length
 /// of the queue a post or an arrival searched, before the op; `None` for
 /// a probe or a cancel, whose outcomes must agree exactly.
@@ -273,31 +272,21 @@ fn outcome_ok(
 }
 
 /// The differential driver: replays an engine-level op stream through a
-/// reference engine (both queues backed by [`OracleList`], admission caps
-/// `bounds`) and `subject`, which must already be configured with the
-/// same caps, entirely through [`Engine::apply`]. After every step it
-/// compares outcomes — including *which* operations are rejected — queue
-/// lengths, rejection counters and full FIFO snapshots.
+/// reference engine (both queues backed by [`OracleList`]) and `subject`,
+/// entirely through [`Engine::apply`]. After every step it compares
+/// outcomes, queue lengths and full FIFO snapshots.
 ///
 /// Iprobe depth is always compared exactly: it is defined on a FIFO
-/// snapshot, so it is structure-independent by construction. Admission is
-/// a policy on queue length, not structure, so rejections and their
-/// counters are compared exactly in every [`DepthMode`]. Returns the total
-/// number of rejections the stream provoked (accumulated across `Clear`
-/// resets; 0 under [`QueueBounds::UNBOUNDED`]) so callers can assert the
-/// caps actually bit.
+/// snapshot, so it is structure-independent by construction.
 pub fn diff_engine<E: Engine + ?Sized>(
     subject: &mut E,
-    bounds: QueueBounds,
     mode: DepthMode,
     ops: &[EngineOp],
-) -> Result<u64, Divergence> {
+) -> Result<(), Divergence> {
     let mut reference: MatchEngine<OracleList<PostedEntry>, OracleList<UnexpectedEntry>> =
-        MatchEngine::with_bounds(OracleList::new(), OracleList::new(), bounds);
-    let rejections = |s: &EngineStats| (s.prq_rejections, s.umq_rejections);
+        MatchEngine::new(OracleList::new(), OracleList::new());
     let mut next_req = 0u64;
     let mut next_payload = 0u64;
-    let mut total_rejections = 0u64;
     for (step, eop) in ops.iter().enumerate() {
         let fail = |detail: String| diverge(step, eop, detail);
         let (prq_before, umq_before) = reference.queue_lens();
@@ -329,8 +318,6 @@ pub fn diff_engine<E: Engine + ?Sized>(
             let got = subject.apply(op).1;
             outcome_ok(mode, got, want, searched).map_err(fail)?;
         } else {
-            let (p, u) = rejections(reference.stats());
-            total_rejections += p + u;
             reference.reset();
             subject.reset();
         }
@@ -338,12 +325,6 @@ pub fn diff_engine<E: Engine + ?Sized>(
         if got_lens != want_lens {
             return Err(fail(format!(
                 "lens (prq, umq) {got_lens:?}, oracle {want_lens:?}"
-            )));
-        }
-        let (got_rej, want_rej) = (rejections(&subject.stats()), rejections(reference.stats()));
-        if got_rej != want_rej {
-            return Err(fail(format!(
-                "rejection counters {got_rej:?}, oracle {want_rej:?}"
             )));
         }
         let ((got_prq, got_umq), (want_prq, want_umq)) =
@@ -361,18 +342,16 @@ pub fn diff_engine<E: Engine + ?Sized>(
         #[cfg(feature = "debug_invariants")]
         check_invariants(subject.validate(), step, eop)?;
     }
-    let (p, u) = rejections(reference.stats());
-    Ok(total_rejections + p + u)
+    Ok(())
 }
 
-/// Runs [`diff_engine`] against a freshly-built (unbounded) [`DynEngine`]
-/// of `kind`.
+/// Runs [`diff_engine`] against a freshly-built [`DynEngine`] of `kind`.
 pub fn diff_dyn_engine(
     kind: EngineKind,
     mode: DepthMode,
     ops: &[EngineOp],
 ) -> Result<(), Divergence> {
-    diff_engine(&mut DynEngine::new(kind), QueueBounds::UNBOUNDED, mode, ops).map(drop)
+    diff_engine(&mut DynEngine::new(kind), mode, ops)
 }
 
 #[cfg(test)]
@@ -380,6 +359,7 @@ mod tests {
     use super::*;
     use crate::ops;
     use spc_core::list::BaselineList;
+    use spc_core::stats::EngineStats;
 
     type OracleEngine = MatchEngine<OracleList<PostedEntry>, OracleList<UnexpectedEntry>>;
 
@@ -387,25 +367,7 @@ mod tests {
     fn oracle_agrees_with_itself() {
         let stream = ops::engine_ops(1, 2_000);
         let mut subject: OracleEngine = MatchEngine::new(OracleList::new(), OracleList::new());
-        let rejected = diff_engine(
-            &mut subject,
-            QueueBounds::UNBOUNDED,
-            DepthMode::Exact,
-            &stream,
-        )
-        .unwrap();
-        assert_eq!(rejected, 0, "an unbounded engine never rejects");
-    }
-
-    #[test]
-    fn bounded_oracle_agrees_with_itself_and_rejects() {
-        let bounds = QueueBounds::both(8);
-        let mut subject: OracleEngine =
-            MatchEngine::with_bounds(OracleList::new(), OracleList::new(), bounds);
-        let stream = ops::engine_ops(2, 4_000);
-        let rejected = diff_engine(&mut subject, bounds, DepthMode::Exact, &stream)
-            .expect("oracle must agree with itself under identical caps");
-        assert!(rejected > 0, "caps of 8 over 4k ops must actually reject");
+        diff_engine(&mut subject, DepthMode::Exact, &stream).unwrap();
     }
 
     #[test]
@@ -443,13 +405,7 @@ mod tests {
             tag: Some(1),
             ctx: 0,
         }];
-        let err = diff_engine(
-            &mut Broken,
-            QueueBounds::UNBOUNDED,
-            DepthMode::Bounded,
-            &stream,
-        )
-        .unwrap_err();
+        let err = diff_engine(&mut Broken, DepthMode::Bounded, &stream).unwrap_err();
         assert_eq!(err.step, 0);
         assert!(err.detail.contains("lens"), "{err}");
     }

@@ -15,10 +15,7 @@
 //!   phases that build deep queues and configurable wildcard rates.
 //! * [`driver`] — replays a stream through the oracle and a subject
 //!   simultaneously, comparing outcomes, lengths, depths and snapshots
-//!   after every step, and reporting the first divergence. The
-//!   engine-level driver ([`driver::diff_engine`]) takes the admission
-//!   caps as an argument and compares which operations are rejected and
-//!   the rejection counters along with everything else.
+//!   after every step, and reporting the first divergence.
 //! * [`shrink`] — a delta-debugging minimizer that reduces a failing
 //!   stream to a locally-minimal one and renders it as a paste-able unit
 //!   test body.

@@ -15,6 +15,9 @@
 //! * a panic mid-batch poisons the shard: later ops on it panic, a probe
 //!   of its stranded odd-version lane ends in the locked fallback's panic
 //!   rather than a spin, and the lock-free observers still answer.
+//!
+//! The last outcome has a one-lock counterpart: a panic inside a
+//! `SharedEngine` op poisons its only lock, and every later call panics.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -22,7 +25,8 @@ use std::time::{Duration, Instant};
 
 use spc_conformance::concurrent::{sort_log, verify_log, LogRecord};
 use spc_conformance::Gate;
-use spc_core::engine::{Op, Outcome};
+use spc_core::concurrent::SharedEngine;
+use spc_core::engine::{MatchEngine, Op, Outcome};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE};
 use spc_core::ingest::{BatchedEngine, DrainRecord};
 use spc_core::list::{Lla, MatchList};
@@ -269,4 +273,48 @@ fn a_panic_mid_batch_poisons_its_shard_and_the_observers_still_answer() {
     let err = catch_unwind(AssertUnwindSafe(|| p1.flush()))
         .expect_err("a drain of the poisoned shard panics");
     assert!(message(err).contains("shard lock poisoned"));
+}
+
+/// A panic inside a `SharedEngine` op unwinds with the engine's one lock
+/// held. The outcome is defined and nothing hangs: the next op and the
+/// observers `queue_lens` and `stats` each panic naming the poisoned lock.
+#[test]
+fn a_panic_in_a_shared_engine_op_poisons_its_lock_and_every_later_call_panics() {
+    let gate = Gate::panic_at(1);
+    let eng = SharedEngine::new(MatchEngine::new(
+        Lla::<PostedEntry, 2>::new(),
+        gate.lists(Umq::new)(),
+    ));
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let calls: [&dyn Fn(); 4] = [
+            &|| {
+                let _ = eng.apply(post(1, 9, 10));
+            },
+            &|| {
+                let _ = eng.apply(arrive(1, 7, 70));
+            },
+            &|| {
+                let _ = eng.queue_lens();
+            },
+            &|| {
+                let _ = eng.stats();
+            },
+        ];
+        for call in calls {
+            let err = catch_unwind(AssertUnwindSafe(call)).err().map(message);
+            tx.send(err).unwrap();
+        }
+    });
+    let mut panics = Vec::new();
+    for _ in 0..4 {
+        let err = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a call on the poisoned engine hung");
+        panics.push(err.expect("every call panics"));
+    }
+    assert!(panics[0].contains("gated search 1 panicked"), "{panics:?}");
+    for later in &panics[1..] {
+        assert!(later.contains("shard lock poisoned"), "{panics:?}");
+    }
 }

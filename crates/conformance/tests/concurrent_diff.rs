@@ -17,7 +17,7 @@ use spc_conformance::{
     verify_log, DepthMode,
 };
 use spc_core::concurrent::SharedEngine;
-use spc_core::engine::{Engine, MatchEngine, QueueBounds};
+use spc_core::engine::{Engine, MatchEngine};
 use spc_core::entry::{PostedEntry, UnexpectedEntry};
 use spc_core::list::{BaselineList, HashBins, Lla, MatchList, RankTrie, SourceBins};
 use spc_core::shard::ShardedEngine;
@@ -306,26 +306,15 @@ fn interleaving_scheduler_convicts_the_wildcard_adversary() {
 #[test]
 fn wildcard_adversary_is_shrunk_to_a_pasteable_repro() {
     let ops = engine_ops_wild_bursts(SEED.wrapping_add(51), 10_000);
-    let err = diff_engine(
-        &mut &adversary(),
-        QueueBounds::UNBOUNDED,
-        DepthMode::Bounded,
-        &ops,
-    )
-    .expect_err("wildcard bursts must expose the disabled epoch check");
+    let err = diff_engine(&mut &adversary(), DepthMode::Bounded, &ops)
+        .expect_err("wildcard bursts must expose the disabled epoch check");
     assert!(
         err.detail.contains("matched"),
         "divergence should be a wrong-match disagreement: {err}"
     );
 
     let fails = |s: &[spc_conformance::EngineOp]| {
-        diff_engine(
-            &mut &adversary(),
-            QueueBounds::UNBOUNDED,
-            DepthMode::Bounded,
-            s,
-        )
-        .is_err()
+        diff_engine(&mut &adversary(), DepthMode::Bounded, s).is_err()
     };
     let min = shrink_ops(&ops, fails);
     assert!(fails(&min), "minimized stream must still fail");

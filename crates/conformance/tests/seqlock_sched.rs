@@ -23,7 +23,6 @@
 use spc_conformance::concurrent::{verify_log, ConcOp};
 use spc_conformance::ops::engine_ops;
 use spc_conformance::{diff_engine, interleavings, render_ops, run_stepped, shrink_ops, DepthMode};
-use spc_core::engine::QueueBounds;
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use spc_core::ingest::BatchedEngine;
 use spc_core::list::Lla;
@@ -238,26 +237,15 @@ fn interleaving_scheduler_convicts_the_snap_commit_adversary() {
 #[test]
 fn snap_commit_adversary_is_shrunk_to_a_pasteable_repro() {
     let ops = engine_ops(0x5EC5_0CC5, 10_000);
-    let err = diff_engine(
-        &mut &adversary(),
-        QueueBounds::UNBOUNDED,
-        DepthMode::Bounded,
-        &ops,
-    )
-    .expect_err("a mixed stream with probes must expose the skipped snapshot commit");
+    let err = diff_engine(&mut &adversary(), DepthMode::Bounded, &ops)
+        .expect_err("a mixed stream with probes must expose the skipped snapshot commit");
     assert!(
         err.detail.contains("iprobe"),
         "divergence should be a probe disagreement: {err}"
     );
 
     let fails = |s: &[spc_conformance::EngineOp]| {
-        diff_engine(
-            &mut &adversary(),
-            QueueBounds::UNBOUNDED,
-            DepthMode::Bounded,
-            s,
-        )
-        .is_err()
+        diff_engine(&mut &adversary(), DepthMode::Bounded, s).is_err()
     };
     let min = shrink_ops(&ops, fails);
     assert!(fails(&min), "minimized stream must still fail");
@@ -298,7 +286,6 @@ fn correct_engine_passes_the_snap_commit_scenario() {
     }
     diff_engine(
         &mut &correct(),
-        QueueBounds::UNBOUNDED,
         DepthMode::Bounded,
         &engine_ops(0x5EC5_0CC5, 10_000),
     )

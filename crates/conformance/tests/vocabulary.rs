@@ -74,7 +74,6 @@ fn narrow(out: Outcome) -> Seen {
         Outcome::Cancelled(hit) => Seen::Cancelled(hit),
         Outcome::Probed(found) => Seen::Probed(found),
         Outcome::Deferred => Seen::Deferred,
-        rejected => panic!("unbounded engines never reject: {rejected:?}"),
     }
 }
 

@@ -42,7 +42,7 @@ pub enum AddrMode {
 ///
 /// Region assignment follows process-wide construction order; experiments
 /// that need exact reproducibility construct their own `AddrSpace` with
-/// [`AddrSpace::with_region`].
+/// [`AddrSpace::new`] at a fixed base.
 pub fn fresh_region_base() -> u64 {
     use core::sync::atomic::{AtomicU64, Ordering};
     // spc-order(NEXT): Relaxed — id allocator: only fetch_add's atomicity matters
@@ -52,9 +52,9 @@ pub fn fresh_region_base() -> u64 {
 
 /// Deterministic simulated-address allocator.
 ///
-/// Distinct `AddrSpace`s should be given distinct `base` addresses (or
-/// created through [`AddrSpace::with_region`]) so their allocations never
-/// alias in the cache simulator.
+/// Distinct `AddrSpace`s should be given distinct `base` addresses (see
+/// [`fresh_region_base`]) so their allocations never alias in the cache
+/// simulator.
 #[derive(Clone, Debug)]
 pub struct AddrSpace {
     next: u64,
@@ -96,12 +96,6 @@ impl AddrSpace {
         Self::new(base, AddrMode::Scattered { span: 64 << 20 }, seed)
     }
 
-    /// Convenience: carve the `index`-th disjoint 1 GiB region out of the
-    /// simulated address space, so independent structures never overlap.
-    pub fn with_region(index: u64, mode: AddrMode, seed: u64) -> Self {
-        Self::new((index + 1) << 30, mode, seed)
-    }
-
     /// Allocates `size` bytes aligned to `align` (must be a power of two) and
     /// returns the simulated address.
     pub fn alloc(&mut self, size: u64, align: u64) -> u64 {
@@ -130,12 +124,6 @@ impl AddrSpace {
         let addr = (self.next + gap + align - 1) & !(align - 1);
         self.next = addr + size;
         addr
-    }
-
-    /// Next address that would be handed out with zero gap/alignment; useful
-    /// for reporting region extents.
-    pub fn watermark(&self) -> u64 {
-        self.next
     }
 
     // SplitMix64: tiny, seedable, and good enough for gap jitter. Using a
@@ -190,17 +178,6 @@ mod tests {
             let gap = w[1] - (w[0] + 96);
             assert!(gap <= 128 + 7, "gap {gap} exceeds max + alignment slack");
         }
-    }
-
-    #[test]
-    fn regions_do_not_overlap() {
-        let mut r0 = AddrSpace::with_region(0, AddrMode::Contiguous, 0);
-        let mut r1 = AddrSpace::with_region(1, AddrMode::Contiguous, 0);
-        for _ in 0..1000 {
-            r0.alloc(1 << 16, 8);
-        }
-        assert!(r0.watermark() < (2u64 << 30));
-        assert!(r1.alloc(64, 8) >= (2u64 << 30));
     }
 
     #[test]

@@ -21,16 +21,73 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::engine::{
     stamped_engine, stamped_verbs, ArrivalOutcome, Engine, MatchEngine, Op, Outcome, RecvOutcome,
 };
 use crate::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use crate::list::MatchList;
+use crate::seqsnap::sw_add;
 use crate::stats::{ConcurrencyStats, EngineStats, ShardStats};
 
 pub use crate::stats::LockStats;
+
+/// A lock plus its contention counters (counted on the workload path,
+/// bypassed by observer snapshots): the one lock of a [`SharedEngine`] and
+/// every lock of a [`crate::shard::ShardedEngine`]. An acquisition is
+/// contended when its `try_lock` missed. The counters are written only by
+/// the thread that has just acquired `inner`, so they are single-writer
+/// words ([`sw_add`]) and a `lock()` costs no read-modify-write beyond the
+/// mutex's own.
+pub(crate) struct Counted<T> {
+    inner: Mutex<T>,
+    // spc-order(acquisitions): Relaxed — single-writer tally (see the struct doc); LockStats only
+    acquisitions: AtomicU64,
+    // spc-order(contended): Relaxed — single-writer contention tally, like acquisitions
+    contended: AtomicU64,
+}
+
+impl<T> Counted<T> {
+    pub(crate) fn new(inner: T) -> Self {
+        Self {
+            inner: Mutex::new(inner),
+            acquisitions: AtomicU64::new(0),
+            contended: AtomicU64::new(0),
+        }
+    }
+
+    /// The workload path: counts the acquisition.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
+        // `ok()` drops a poisoned attempt, and the guard inside it, before
+        // the blocking `lock()` reports the poisoning. Matching on the
+        // `Err` itself would hold that guard across the call: a poisoned
+        // lock would deadlock its next op instead of failing it.
+        let g = match self.inner.try_lock().ok() {
+            Some(g) => g,
+            None => {
+                let g = self.inner.lock().expect("shard lock poisoned");
+                sw_add(&self.contended, 1);
+                g
+            }
+        };
+        sw_add(&self.acquisitions, 1);
+        g
+    }
+
+    /// The observer path: acquiring the lock to *read* must not perturb
+    /// the counters.
+    pub(crate) fn lock_uncounted(&self) -> MutexGuard<'_, T> {
+        self.inner.lock().expect("shard lock poisoned")
+    }
+
+    pub(crate) fn lock_stats(&self) -> LockStats {
+        LockStats {
+            acquisitions: self.acquisitions.load(Ordering::Relaxed),
+            contended: self.contended.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// A matching engine shared by many communication threads through a single
 /// lock (the traditional "one match engine per process" design).
@@ -39,11 +96,7 @@ where
     P: MatchList<PostedEntry>,
     U: MatchList<UnexpectedEntry>,
 {
-    inner: Mutex<MatchEngine<P, U>>,
-    // spc-order(acquisitions): Relaxed — LockStats tally; reporting only
-    acquisitions: AtomicU64,
-    // spc-order(contended): Relaxed — LockStats tally; reporting only
-    contended: AtomicU64,
+    inner: Counted<MatchEngine<P, U>>,
     /// Linearization stamps: bumped while the engine lock is held, so the
     /// seq order of any two operations equals their serialization order.
     // spc-order(seq): Relaxed — the engine mutex already orders the stamps
@@ -62,40 +115,18 @@ where
     /// Wraps an engine for shared use.
     pub fn new(engine: MatchEngine<P, U>) -> Self {
         Self {
-            inner: Mutex::new(engine),
-            acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
+            inner: Counted::new(engine),
             seq: AtomicU64::new(0),
             max_prq: AtomicU64::new(0),
             max_umq: AtomicU64::new(0),
         }
     }
 
-    /// Counted lock path: every workload operation goes through here so the
-    /// contention counters reflect *workload* pressure only.
-    fn lock(&self) -> std::sync::MutexGuard<'_, MatchEngine<P, U>> {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if let Ok(g) = self.inner.try_lock() {
-            return g;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().expect("shared engine lock poisoned")
-    }
-
-    /// Uncounted lock path for observer snapshots (`queue_lens`, `stats`,
-    /// `lock_stats`): acquiring the lock to *read* the counters must not
-    /// perturb them.
-    fn lock_uncounted(&self) -> std::sync::MutexGuard<'_, MatchEngine<P, U>> {
-        self.inner.lock().expect("shared engine lock poisoned")
-    }
-
-    /// The one locked body every workload operation runs: takes the engine
-    /// lock, stamps the op's linearization seq while holding it, and
-    /// applies `op` to the wrapped engine — whose admission caps (its
-    /// [`QueueBounds`](crate::engine::QueueBounds), set before wrapping)
-    /// apply.
+    /// The one locked body every workload operation runs: takes the
+    /// counted engine lock, stamps the op's linearization seq while
+    /// holding it, and applies `op` to the wrapped engine.
     pub fn apply(&self, op: Op) -> (u64, Outcome) {
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let out = g.apply(op).1;
         // Only an append can raise a highwater mark.
@@ -118,7 +149,7 @@ where
     /// Current queue lengths `(prq, umq)`. Taken through the uncounted lock
     /// path, so observer snapshots never pollute the contention counters.
     pub fn queue_lens(&self) -> (usize, usize) {
-        let g = self.lock_uncounted();
+        let g = self.inner.lock_uncounted();
         (g.prq_len(), g.umq_len())
     }
 
@@ -126,7 +157,7 @@ where
     /// [`EngineStats::concurrency`] populated from the lock counters.
     /// Uncounted: reading the stats does not perturb them.
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.lock_uncounted().stats().clone();
+        let mut s = self.inner.lock_uncounted().stats().clone();
         s.concurrency = Some(self.concurrency_stats());
         s
     }
@@ -135,15 +166,12 @@ where
     /// snapshot calls (`queue_lens`, `stats`, `lock_stats`) use an
     /// uncounted lock path.
     pub fn lock_stats(&self) -> LockStats {
-        LockStats {
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-        }
+        self.inner.lock_stats()
     }
 
     /// Concurrency observability: the single lock reported as one shard,
     /// no wildcard lane.
-    pub fn concurrency_stats(&self) -> ConcurrencyStats {
+    fn concurrency_stats(&self) -> ConcurrencyStats {
         ConcurrencyStats {
             // spc-allow(hot-path-alloc): observability snapshot, not the message path
             shards: vec![ShardStats {
@@ -159,17 +187,9 @@ where
     /// Empties both queues and clears statistics (linearized like any
     /// other workload operation).
     pub fn reset(&self) {
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         self.seq.fetch_add(1, Ordering::Relaxed);
         g.reset();
-    }
-
-    /// Consumes the wrapper, returning the inner engine.
-    pub fn into_inner(self) -> MatchEngine<P, U> {
-        self.inner
-            .into_inner()
-            // spc-allow(hot-path-panic): teardown-only; poisoning here means a worker died
-            .expect("shared engine lock poisoned")
     }
 
     /// Checks the wrapped engine's structural invariants (see
@@ -178,12 +198,12 @@ where
     /// drivers call it at quiescent points under
     /// `--features debug_invariants`.
     pub fn validate(&self) -> Result<(), String> {
-        self.lock_uncounted().validate()
+        self.inner.lock_uncounted().validate()
     }
 
     /// `(PRQ request ids, UMQ payload ids)` in FIFO order (uncounted).
     pub fn queue_ids(&self) -> (Vec<u64>, Vec<u64>) {
-        self.lock_uncounted().queue_ids()
+        self.inner.lock_uncounted().queue_ids()
     }
 }
 
@@ -192,7 +212,6 @@ stamped_engine!(SharedEngine);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueueBounds;
     use crate::list::{BaselineList, Lla};
 
     type TestEngine = SharedEngine<Lla<PostedEntry, 2>, Lla<UnexpectedEntry, 3>>;
@@ -379,51 +398,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 4 * 200 * 2, "stamps are globally unique");
-    }
-
-    #[test]
-    fn bounded_ops_enforce_caps_across_threads() {
-        let bounds = QueueBounds {
-            max_prq: usize::MAX,
-            max_umq: 16,
-        };
-        let eng: TestEngine =
-            SharedEngine::new(MatchEngine::with_bounds(Lla::new(), Lla::new(), bounds));
-        // 4 threads race 100 unmatched arrivals each; the UMQ may never
-        // exceed its cap and every op either queues or rejects.
-        let queued = AtomicU64::new(0);
-        let rejected = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..4i32 {
-                let (eng, queued, rejected) = (&eng, &queued, &rejected);
-                s.spawn(move || {
-                    for i in 0..100 {
-                        let op = Op::Arrival {
-                            env: Envelope::new(t, i, 0),
-                            payload: i as u64,
-                        };
-                        match eng.apply(op).1 {
-                            Outcome::Queued { .. } => queued.fetch_add(1, Ordering::Relaxed),
-                            Outcome::RejectedUmqFull { .. } => {
-                                rejected.fetch_add(1, Ordering::Relaxed)
-                            }
-                            other => panic!("no posts, so no match: {other:?}"),
-                        };
-                    }
-                });
-            }
-        });
-        assert_eq!(queued.load(Ordering::Relaxed), 16, "cap admits exactly 16");
-        assert_eq!(rejected.load(Ordering::Relaxed), 400 - 16);
-        assert_eq!(eng.queue_lens(), (0, 16));
-        assert_eq!(eng.stats().umq_rejections, 400 - 16);
-        // Matching posts drain the cap back down; posts under the cap work.
-        let any = RecvSpec::new(crate::entry::ANY_SOURCE, crate::entry::ANY_TAG, 0);
-        assert!(matches!(
-            eng.post_recv(any, 1),
-            RecvOutcome::MatchedUnexpected { .. }
-        ));
-        assert_eq!(eng.queue_lens().1, 15);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! ## One op vocabulary
 //!
 //! Every engine in this crate takes the same four [`Op`]s through
-//! [`Engine::apply`] and answers with the same [`Outcome`]. Admission
-//! control is the engine's [`QueueBounds`] *value* (rejection is an
-//! outcome), the linearization stamp is [`Engine::Stamp`], instrumentation
-//! is the sink argument of `apply_sink` on the two engines with an
-//! instrumented walk, and the plain verbs (`post_recv`, `arrival`,
-//! `iprobe`, `cancel_recv`) are views of `apply` that narrow the outcome.
+//! [`Engine::apply`] and answers with the same [`Outcome`]. Both queues
+//! are unbounded: a search miss always appends. The linearization stamp is
+//! [`Engine::Stamp`], instrumentation is the sink argument of `apply_sink`
+//! on the two engines with an instrumented walk, and the plain verbs
+//! (`post_recv`, `arrival`, `iprobe`, `cancel_recv`) are views of `apply`
+//! that narrow the outcome.
 
 use crate::entry::{
     Envelope, PayloadHandle, PostedEntry, RecvSpec, RequestHandle, UnexpectedEntry,
@@ -73,12 +73,6 @@ pub enum Outcome {
         /// Entries inspected in the (missed) UMQ search.
         depth: u32,
     },
-    /// [`Op::PostRecv`]: the UMQ search missed and the PRQ is at its
-    /// admission cap — the receive was **not** posted.
-    RejectedPrqFull {
-        /// Entries inspected in the (missed) UMQ search.
-        depth: u32,
-    },
     /// [`Op::Arrival`]: a posted receive matched; the message is delivered.
     MatchedPosted {
         /// The satisfied receive request.
@@ -89,13 +83,6 @@ pub enum Outcome {
     /// [`Op::Arrival`]: no posted receive matched; the message is now on
     /// the UMQ.
     Queued {
-        /// Entries inspected in the (missed) PRQ search.
-        depth: u32,
-    },
-    /// [`Op::Arrival`]: the PRQ search missed and the UMQ is at its
-    /// admission cap — the message was dropped at admission (a real
-    /// transport would NACK it).
-    RejectedUmqFull {
         /// Entries inspected in the (missed) PRQ search.
         depth: u32,
     },
@@ -117,10 +104,8 @@ impl Outcome {
         match *self {
             Outcome::MatchedUnexpected { depth, .. }
             | Outcome::Posted { depth }
-            | Outcome::RejectedPrqFull { depth }
             | Outcome::MatchedPosted { depth, .. }
             | Outcome::Queued { depth }
-            | Outcome::RejectedUmqFull { depth }
             | Outcome::Probed(Some((_, depth))) => depth,
             Outcome::Cancelled(_) | Outcome::Probed(None) | Outcome::Deferred => 0,
         }
@@ -136,20 +121,19 @@ impl Outcome {
         }
     }
 
-    /// What a plain verb does when its return type cannot express `self`
-    /// (out of line: the verbs' hot paths carry only the call).
+    /// What a view does when asked to narrow another op's outcome (out of
+    /// line: the verbs' hot paths carry only the call).
     #[cold]
     #[inline(never)]
     fn no_view(self, verb: &str) -> ! {
-        // spc-allow(hot-path-panic): driving a bounded engine through a two-variant verb is a caller bug; appending past the cap or dropping the op silently would hide it
-        panic!("{verb} cannot report {self:?}: drive a bounded engine with `apply`")
+        // spc-allow(hot-path-panic): narrowing another op's outcome is a caller bug; inventing a post or an arrival result for it would hide it
+        panic!("{verb} cannot report {self:?}: it is another op's outcome")
     }
 
     /// The two-variant view the plain `post_recv` verb returns.
     ///
     /// # Panics
-    /// On any outcome that view cannot express — in particular an
-    /// admission rejection, which only [`Engine::apply`] reports.
+    /// On an outcome of any op but [`Op::PostRecv`].
     #[inline(always)]
     pub fn recv(self) -> RecvOutcome {
         match self {
@@ -164,7 +148,7 @@ impl Outcome {
     /// The two-variant view the plain `arrival` verb returns.
     ///
     /// # Panics
-    /// Like [`Self::recv`].
+    /// On an outcome of any op but [`Op::Arrival`].
     #[inline(always)]
     pub fn arrival(self) -> ArrivalOutcome {
         match self {
@@ -313,54 +297,6 @@ pub enum ArrivalOutcome {
     Queued,
 }
 
-/// Admission caps for the two queues — the engine-visible backpressure
-/// policy behind the service-shaped traffic suite.
-///
-/// A cap bounds only the *append* side of search-else-append: an operation
-/// whose search hits is always admitted (it shrinks the queue), while one
-/// that would grow a queue past its cap is rejected instead of appended.
-/// Real transports surface this as receiver-not-ready / RNR backpressure;
-/// here the rejection is returned to the caller
-/// ([`Outcome::RejectedPrqFull`] / [`Outcome::RejectedUmqFull`]) and counted in
-/// [`EngineStats::prq_rejections`] / [`EngineStats::umq_rejections`].
-///
-/// The caps are engine state, checked in the one append arm of each
-/// search-else-append body; the default, [`QueueBounds::UNBOUNDED`], never
-/// rejects. A rejection is reported by [`Engine::apply`] only: the
-/// two-variant plain verbs cannot express one and panic instead of
-/// silently appending past the cap or dropping the operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueBounds {
-    /// Largest admitted PRQ length; a receive post that would grow the PRQ
-    /// past this is rejected.
-    pub max_prq: usize,
-    /// Largest admitted UMQ length; an arrival that would grow the UMQ past
-    /// this is rejected (the message is dropped at admission).
-    pub max_umq: usize,
-}
-
-impl QueueBounds {
-    /// No admission limits: nothing is ever rejected.
-    pub const UNBOUNDED: Self = Self {
-        max_prq: usize::MAX,
-        max_umq: usize::MAX,
-    };
-
-    /// The same cap on both queues.
-    pub fn both(cap: usize) -> Self {
-        Self {
-            max_prq: cap,
-            max_umq: cap,
-        }
-    }
-}
-
-impl Default for QueueBounds {
-    fn default() -> Self {
-        Self::UNBOUNDED
-    }
-}
-
 /// A per-process matching engine parameterized over the PRQ and UMQ
 /// structures.
 pub struct MatchEngine<P, U>
@@ -370,7 +306,6 @@ where
 {
     prq: P,
     umq: U,
-    bounds: QueueBounds,
     stats: EngineStats,
 }
 
@@ -379,34 +314,17 @@ where
     P: MatchList<PostedEntry>,
     U: MatchList<UnexpectedEntry>,
 {
-    /// Creates an engine from its two queues (unbounded admission).
+    /// Creates an engine from its two queues.
     pub fn new(prq: P, umq: U) -> Self {
-        Self::with_bounds(prq, umq, QueueBounds::UNBOUNDED)
-    }
-
-    /// Creates an engine with admission caps.
-    pub fn with_bounds(prq: P, umq: U, bounds: QueueBounds) -> Self {
         Self {
             prq,
             umq,
-            bounds,
             stats: EngineStats::new(),
         }
     }
 
-    /// Current admission caps.
-    pub fn bounds(&self) -> QueueBounds {
-        self.bounds
-    }
-
-    /// Replaces the admission caps (takes effect on the next op;
-    /// entries already queued above a lowered cap stay queued).
-    pub fn set_bounds(&mut self, bounds: QueueBounds) {
-        self.bounds = bounds;
-    }
-
-    /// The one receive-post body: search the UMQ, else append to the PRQ
-    /// if the admission cap allows. Always inlined (with the views below)
+    /// The one receive-post body: search the UMQ, else append to the PRQ.
+    /// Always inlined (with the views below)
     /// so a plain verb folds the wider [`Outcome`] away: left to the
     /// inliner's judgement the round trip cost `shallow_churn` 1.2 of its
     /// 27 ns/op.
@@ -427,20 +345,16 @@ where
                     depth,
                 }
             }
-            None if self.prq.len() < self.bounds.max_prq => {
+            None => {
                 self.stats.prq_appends += 1;
                 self.prq.append(PostedEntry::from_spec(spec, request), sink);
                 Outcome::Posted { depth }
             }
-            None => {
-                self.stats.prq_rejections += 1;
-                Outcome::RejectedPrqFull { depth }
-            }
         }
     }
 
-    /// The one arrival body: search the PRQ, else append to the UMQ if
-    /// the admission cap allows (inlined like [`Self::post`]).
+    /// The one arrival body: search the PRQ, else append to the UMQ
+    /// (inlined like [`Self::post`]).
     #[inline(always)]
     fn arrive<S: AccessSink>(
         &mut self,
@@ -458,15 +372,11 @@ where
                     depth,
                 }
             }
-            None if self.umq.len() < self.bounds.max_umq => {
+            None => {
                 self.stats.umq_appends += 1;
                 self.umq
                     .append(UnexpectedEntry::from_envelope(env, payload), sink);
                 Outcome::Queued { depth }
-            }
-            None => {
-                self.stats.umq_rejections += 1;
-                Outcome::RejectedUmqFull { depth }
             }
         }
     }
@@ -547,11 +457,6 @@ where
         &mut self.prq
     }
 
-    /// Mutable borrow of the UMQ.
-    pub fn umq_mut(&mut self) -> &mut U {
-        &mut self.umq
-    }
-
     /// Empties both queues and clears statistics.
     pub fn reset(&mut self) {
         self.prq.clear();
@@ -609,31 +514,6 @@ where
 
     fn validate(&self) -> Result<(), String> {
         MatchEngine::validate(self)
-    }
-}
-
-/// Convenience constructors for the configurations the paper measures.
-pub mod configs {
-    use super::MatchEngine;
-    use crate::entry::{PostedEntry, UnexpectedEntry};
-    use crate::list::{BaselineList, Lla};
-
-    /// Engine type with baseline (one entry per heap node) queues.
-    pub type BaselineEngine = MatchEngine<BaselineList<PostedEntry>, BaselineList<UnexpectedEntry>>;
-    /// Engine type with linked-list-of-arrays queues of PRQ arity `N`.
-    /// The UMQ arity is chosen to fill the same number of cache lines.
-    pub type LlaEngine<const N: usize, const M: usize> =
-        MatchEngine<Lla<PostedEntry, N>, Lla<UnexpectedEntry, M>>;
-
-    /// The unmodified baseline.
-    pub fn baseline() -> BaselineEngine {
-        MatchEngine::new(BaselineList::new(), BaselineList::new())
-    }
-
-    /// The paper's first LLA configuration: one cache line per node
-    /// (2 posted / 3 unexpected entries).
-    pub fn lla_cacheline() -> LlaEngine<2, 3> {
-        MatchEngine::new(Lla::new(), Lla::new())
     }
 }
 
@@ -749,82 +629,18 @@ mod tests {
         }
     }
 
-    fn post(rank: i32, tag: i32, request: u64) -> Op {
-        Op::PostRecv {
-            spec: RecvSpec::new(rank, tag, 0),
-            request,
-        }
-    }
-
-    fn arrive(rank: i32, tag: i32, payload: u64) -> Op {
-        Op::Arrival {
-            env: Envelope::new(rank, tag, 0),
-            payload,
-        }
+    /// A plain view asked to narrow another op's outcome panics instead
+    /// of inventing a post or an arrival result for it.
+    #[test]
+    #[should_panic(expected = "post_recv cannot report Cancelled(true)")]
+    fn recv_view_panics_on_another_ops_outcome() {
+        Outcome::Cancelled(true).recv();
     }
 
     #[test]
-    fn bounded_ops_reject_appends_but_never_matches() {
-        let mut e = engine();
-        assert_eq!(e.bounds(), QueueBounds::UNBOUNDED);
-        e.set_bounds(QueueBounds {
-            max_prq: 2,
-            max_umq: 1,
-        });
-        // PRQ admits up to the cap, then rejects.
-        assert_eq!(e.apply(post(1, 1, 1)).1, Outcome::Posted { depth: 0 });
-        assert_eq!(e.apply(post(2, 2, 2)).1, Outcome::Posted { depth: 0 });
-        assert_eq!(
-            e.apply(post(3, 3, 3)).1,
-            Outcome::RejectedPrqFull { depth: 0 }
-        );
-        assert_eq!(e.prq_len(), 2);
-        assert_eq!(e.stats().prq_rejections, 1);
-        // A matching arrival is admitted even though the UMQ cap is tiny —
-        // it hits the PRQ and shrinks it.
-        assert!(matches!(
-            e.apply(arrive(1, 1, 10)).1,
-            Outcome::MatchedPosted { request: 1, .. }
-        ));
-        // With the PRQ down to one entry, the post is admitted again.
-        assert_eq!(e.apply(post(3, 3, 3)).1, Outcome::Posted { depth: 0 });
-        // UMQ: one unmatched arrival fills the cap; the next is dropped.
-        assert_eq!(e.apply(arrive(8, 8, 20)).1, Outcome::Queued { depth: 2 });
-        assert_eq!(
-            e.apply(arrive(9, 9, 21)).1,
-            Outcome::RejectedUmqFull { depth: 2 }
-        );
-        assert_eq!(e.umq_len(), 1);
-        assert_eq!(e.stats().umq_rejections, 1);
-        // A receive matching the queued unexpected is admitted (UMQ hit),
-        // even at a full PRQ.
-        e.set_bounds(QueueBounds {
-            max_prq: 0,
-            max_umq: 1,
-        });
-        assert!(matches!(
-            e.apply(post(8, 8, 4)).1,
-            Outcome::MatchedUnexpected { payload: 20, .. }
-        ));
-    }
-
-    /// The two-variant verbs cannot say "rejected": on a bounded engine
-    /// that rejects they panic rather than append past the cap or drop
-    /// the receive silently.
-    #[test]
-    #[should_panic(expected = "drive a bounded engine with `apply`")]
-    fn plain_verb_panics_when_admission_rejects() {
-        let mut e = engine();
-        e.set_bounds(QueueBounds::both(0));
-        e.post_recv(RecvSpec::new(1, 1, 0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "drive a bounded engine with `apply`")]
-    fn plain_arrival_panics_when_admission_rejects() {
-        let mut e = engine();
-        e.set_bounds(QueueBounds::both(0));
-        e.arrival(Envelope::new(1, 1, 0), 1);
+    #[should_panic(expected = "arrival cannot report Posted")]
+    fn arrival_view_panics_on_another_ops_outcome() {
+        Outcome::Posted { depth: 0 }.arrival();
     }
 
     #[test]

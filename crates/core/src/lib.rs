@@ -81,7 +81,7 @@ pub mod simd;
 pub mod sink;
 pub mod stats;
 
-pub use engine::{ArrivalOutcome, Engine, MatchEngine, Op, Outcome, QueueBounds, RecvOutcome};
+pub use engine::{ArrivalOutcome, Engine, MatchEngine, Op, Outcome, RecvOutcome};
 pub use entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
 pub use shard::ShardedEngine;
 pub use sink::{AccessSink, CountingSink, NullSink};

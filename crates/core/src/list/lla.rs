@@ -756,12 +756,6 @@ pub fn unexpected_cacheline() -> Lla<UnexpectedEntry, 3> {
     Lla::new()
 }
 
-/// The "linked list of large arrays" configuration used for the FDS study at
-/// 8192 processes (§4.5).
-pub fn posted_large() -> Lla<PostedEntry, 512> {
-    Lla::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

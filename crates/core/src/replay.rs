@@ -222,8 +222,8 @@ impl MatchTrace {
                 }
                 Outcome::Queued { .. } => report.queued += 1,
                 Outcome::Cancelled(hit) => report.cancelled += hit as u64,
-                // Probes change nothing; rejections and deferrals cannot
-                // happen on an unbounded, unbatched engine.
+                // Probes change nothing; deferrals cannot happen on an
+                // unbatched engine.
                 _ => {}
             }
         }

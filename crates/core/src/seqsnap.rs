@@ -557,8 +557,7 @@ impl MirrorStats {
         )
     }
 
-    /// The mirrored per-lane [`EngineStats`] (no concurrency block, no
-    /// rejections — the sharded engine is unbounded).
+    /// The mirrored per-lane [`EngineStats`] (no concurrency block).
     pub fn snapshot(&self) -> EngineStats {
         let mut s = EngineStats::new();
         s.prq_search = self.prq_search.snapshot();

@@ -166,8 +166,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::MutexGuard;
 
+use crate::concurrent::Counted;
 use crate::engine::{
     stamped_engine, stamped_verbs, ArrivalOutcome, Engine, MatchEngine, Op, Outcome, RecvOutcome,
 };
@@ -177,7 +178,7 @@ use crate::entry::{
 };
 use crate::ingest::{IngestOp, IngestRing};
 use crate::list::MatchList;
-use crate::seqsnap::{sw_add, MirrorStats, SnapRows};
+use crate::seqsnap::{MirrorStats, SnapRows};
 use crate::stats::{ConcurrencyStats, EngineStats, LockStats, ShardStats, SnapReadStats};
 
 /// Published rows per shard snapshot mirror before the sticky overflow
@@ -389,57 +390,6 @@ fn merged_probe<L: ProbeLane>(
         }
     }
     Some(Some((payload, depth)))
-}
-
-/// A lock plus its contention counters (counted on the workload path,
-/// bypassed by observer snapshots). The counters are written only by the
-/// thread that has just acquired `inner`, so they are single-writer words
-/// ([`sw_add`]) and a `lock()` costs no read-modify-write beyond the
-/// mutex's own.
-struct Counted<T> {
-    inner: Mutex<T>,
-    // spc-order(acquisitions): Relaxed — single-writer tally (see the struct doc); LockStats only
-    acquisitions: AtomicU64,
-    // spc-order(contended): Relaxed — single-writer contention tally, like acquisitions
-    contended: AtomicU64,
-}
-
-impl<T> Counted<T> {
-    fn new(inner: T) -> Self {
-        Self {
-            inner: Mutex::new(inner),
-            acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, T> {
-        // `ok()` drops a poisoned attempt, and the guard inside it, before
-        // the blocking `lock()` reports the poisoning. Matching on the
-        // `Err` itself would hold that guard across the call: a poisoned
-        // shard would deadlock its next op instead of failing it.
-        let g = match self.inner.try_lock().ok() {
-            Some(g) => g,
-            None => {
-                let g = self.inner.lock().expect("shard lock poisoned");
-                sw_add(&self.contended, 1);
-                g
-            }
-        };
-        sw_add(&self.acquisitions, 1);
-        g
-    }
-
-    fn lock_uncounted(&self) -> MutexGuard<'_, T> {
-        self.inner.lock().expect("shard lock poisoned")
-    }
-
-    fn lock_stats(&self) -> LockStats {
-        LockStats {
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The seq stamps one shard critical section hands out. One `fetch_add`
@@ -873,8 +823,7 @@ where
     }
 
     /// Applies `op`, returning its linearization stamp (taken while the
-    /// op holds every lock it uses) and outcome. The shards are unbounded:
-    /// no outcome is ever a rejection.
+    /// op holds every lock it uses) and outcome.
     pub fn apply(&self, op: Op) -> (u64, Outcome) {
         match op {
             // An `MPI_ANY_SOURCE` spec takes the slow path described in

@@ -280,11 +280,10 @@ pub struct EngineStats {
     pub umq_hits: u64,
     /// Number of receive posts appended to the PRQ.
     pub prq_appends: u64,
-    /// Receive posts rejected because the PRQ was at its admission cap
-    /// (only an engine with finite [`crate::engine::QueueBounds`] ever
-    /// increments this).
+    /// Always 0: no engine rejects an op, since both queues are unbounded.
+    /// Kept only while the benchmark adapter still reads it.
     pub prq_rejections: u64,
-    /// Arrivals rejected because the UMQ was at its admission cap.
+    /// Always 0, like [`Self::prq_rejections`].
     pub umq_rejections: u64,
     /// Concurrency observability, populated by thread-safe engine wrappers
     /// ([`crate::concurrent::SharedEngine`], [`crate::shard::ShardedEngine`])
