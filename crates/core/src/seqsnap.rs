@@ -16,7 +16,9 @@
 //!   queue: seq-ordered rows of `(seq, packed key, payload)` stored in
 //!   chunk-stable atomic words (chunks are allocated once and never move,
 //!   so readers can walk them while a writer appends). Matches are killed
-//!   by tombstoning; compaction and a sticky overflow flag bound the walk.
+//!   by tombstoning, and the kill that leaves more tombstones than
+//!   `live + 1` compacts, so after every write a walk touches at most
+//!   `2 * live + 1` rows; a sticky overflow flag covers a full table.
 //! * [`MirrorDepth`] / [`MirrorStats`] — atomic mirrors of the per-lane
 //!   [`EngineStats`] counters, updated by writers under the lane lock and
 //!   read by `stats()`/`queue_lens()` with no lock at all. The lane lock
@@ -62,7 +64,7 @@ use crate::stats::{DepthStats, EngineStats, LockStats, ShardStats};
 
 /// Rows per allocated chunk. Chunks are boxed once and never reallocated,
 /// so a reader's row pointers stay valid while a writer appends.
-const ROWS_PER_CHUNK: usize = 256;
+pub(crate) const ROWS_PER_CHUNK: usize = 256;
 
 /// A seqlock version word: even = stable, odd = writer in its window.
 ///
@@ -143,13 +145,15 @@ impl SnapRow {
 /// queue, readable without the shard lock.
 ///
 /// Writers (holding the shard lock) append rows in stamp order and
-/// tombstone matched rows in place. [`SnapRows::append`] compacts only
-/// once the published rows reach `2 * live + ROWS_PER_CHUNK`, so a walk
-/// visits up to `2 * live + 256` rows, tombstones included, with `live`
-/// taken at the latest append (kills after it only add tombstones): up
-/// to 320 rows for 32 live messages. The slack is a whole chunk so that
-/// short queues compact once per ~256 appends instead of on every other
-/// one. Storage is a fixed table of
+/// tombstone matched rows in place. [`SnapRows::kill`] compacts in the
+/// same write window as soon as the tombstones number more than
+/// `live + 1`, so after every write the published rows, tombstones
+/// included, number at most `2 * live + 1`: a walk over 32 live messages
+/// touches at most 65 rows. An append only adds a live row, which keeps
+/// the bound, and compacts only a full table before declaring overflow.
+/// The cost is amortised O(1) per kill: a compaction moves at most `live`
+/// rows, and at least `live + 2` kills precede the next one. Storage is
+/// a fixed table of
 /// lazily-allocated chunks — chunk addresses never change after
 /// allocation, so concurrent readers can dereference them safely (the
 /// `OnceLock` per chunk makes publication itself lock-free on the read
@@ -213,6 +217,12 @@ impl SnapRows {
         self.live_rows.load(Ordering::SeqCst)
     }
 
+    /// Published row count, tombstones included: the rows a full walk
+    /// touches. At most `2 * live_len() + 1` after every write.
+    pub(crate) fn published_len(&self) -> usize {
+        self.rows_len.load(Ordering::SeqCst)
+    }
+
     /// Writer-side row access; allocates the chunk on first touch.
     fn row_mut(&self, i: usize) -> &SnapRow {
         let chunk = self.chunks[i / ROWS_PER_CHUNK]
@@ -253,8 +263,9 @@ impl SnapRows {
         }
         let mut n = self.rows_len.load(Ordering::SeqCst);
         let live = self.live_rows.load(Ordering::SeqCst);
-        // Compact when tombstones dominate the walk or the table is full.
-        if n == self.max_rows || n >= 2 * live + ROWS_PER_CHUNK {
+        // `kill` keeps tombstones to at most `live + 1`; a full table may
+        // still hold some, and they go before the overflow is declared.
+        if n == self.max_rows {
             self.compact();
             n = self.rows_len.load(Ordering::SeqCst);
         }
@@ -271,9 +282,12 @@ impl SnapRows {
         self.live_rows.store(live + 1, Ordering::SeqCst);
     }
 
-    /// Tombstones the row stamped `seq` inside the current write window.
-    /// Tolerates a missing row (the commit-skipping adversary never
-    /// published it; after overflow the mirror is already degraded).
+    /// Tombstones the row stamped `seq` inside the current write window,
+    /// and compacts in the same window once the tombstones outnumber the
+    /// live rows by more than one, so the published rows never exceed
+    /// `2 * live + 1`. Tolerates a missing row (the commit-skipping
+    /// adversary never published it; after overflow the mirror is already
+    /// degraded).
     pub fn kill(&self, seq: u64) {
         let n = self.rows_len.load(Ordering::SeqCst);
         // Rows are seq-sorted (tombstones keep their stamp), so binary
@@ -290,7 +304,10 @@ impl SnapRows {
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => {
                     if row.live.swap(0, Ordering::SeqCst) == 1 {
-                        self.live_rows.fetch_sub(1, Ordering::SeqCst);
+                        let live = self.live_rows.fetch_sub(1, Ordering::SeqCst) - 1;
+                        if n > 2 * live + 1 {
+                            self.compact();
+                        }
                     }
                     return;
                 }
@@ -338,13 +355,13 @@ impl SnapRows {
 
     /// Lock-free walk: calls `visit(seq, key, val)` on every live row in
     /// seq order until it returns `false` (early exit) or the rows run
-    /// out — at most `2 * live + ROWS_PER_CHUNK` rows touched, tombstones
-    /// included (the compaction bound on the type, `live` as of the
-    /// latest append). Returns `true` iff the whole walk
-    /// ran under one stable version; on `false` — a writer interfered, a
-    /// chunk was torn, or the mirror overflowed — whatever `visit` saw is
-    /// meaningless, so it must tolerate torn rows, and the caller retries
-    /// or falls back to the locked path.
+    /// out — at most `2 * live + 1` rows touched, tombstones included
+    /// (the compaction bound on the type, which holds after every write).
+    /// Returns `true` iff the whole walk ran under one stable version; on
+    /// `false` — a writer interfered, a chunk was torn, or the mirror
+    /// overflowed — whatever `visit` saw is meaningless, so it must
+    /// tolerate torn rows, and the caller retries or falls back to the
+    /// locked path.
     pub fn scan(&self, mut visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
         let Some(entered) = self.ver.read_enter() else {
             return false;
@@ -666,22 +683,111 @@ mod tests {
         for i in 0..600u64 {
             rows.append(i, i * 10, i * 100);
         }
-        // Kill every even stamp; keep appending to trigger compaction.
-        for i in (0..600u64).step_by(2) {
+        assert_eq!(rows.published_len(), 600);
+        // Kill two stamps in three. The 301st kill leaves 301 tombstones
+        // beside 299 live rows and compacts to those 299; the remaining
+        // 99 kills only tombstone.
+        for i in (0..600u64).filter(|i| i % 3 != 2) {
             rows.kill(i);
         }
+        assert_eq!(rows.live_len(), 200);
+        assert_eq!(rows.published_len(), 299, "the kills compacted once");
         for i in 600..900u64 {
             rows.append(i, i * 10, i * 100);
         }
         rows.end();
         let got = read_all(&rows);
         let want: Vec<(u64, u64, u64)> = (0..600u64)
-            .filter(|i| i % 2 == 1)
+            .filter(|i| i % 3 == 2)
             .chain(600..900)
             .map(|i| (i, i * 10, i * 100))
             .collect();
         assert_eq!(got, want);
         assert!(!rows.overflowed());
+    }
+
+    /// Which live row a kill takes.
+    #[derive(Clone, Copy, Debug)]
+    enum KillOrder {
+        Oldest,
+        Newest,
+        Random,
+    }
+
+    /// A seeded run of single-op write windows against a `VecDeque`
+    /// model: after every append and kill the mirror reads exactly the
+    /// model and publishes at most `2 * live + 1` rows. Live rows rise to
+    /// `peak`, churn there for `peak` ops and drain to zero, twice, so
+    /// every run compacts many times.
+    fn model_run(order: KillOrder, peak: usize, seed: u64) {
+        use spc_rng::{Rng, SeedableRng, StdRng};
+        use std::collections::VecDeque;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = SnapRows::new(true, 4 * ROWS_PER_CHUNK);
+        let mut model: VecDeque<(u64, u64, u64)> = VecDeque::new();
+        let mut next_seq = 0u64;
+        let (mut compactions, mut prev_len) = (0usize, 0usize);
+        // Phase 0 grows, 1 churns, 2 drains; phase 6 ends the run.
+        let (mut phase, mut churned) = (0, 0);
+        for step in 0.. {
+            match phase % 3 {
+                0 if model.len() == peak => phase += 1,
+                1 if churned == peak => (phase, churned) = (phase + 1, 0),
+                1 => churned += 1,
+                2 if model.is_empty() => phase += 1,
+                _ => {}
+            }
+            if phase == 6 {
+                break;
+            }
+            let p_append = [0.8, 0.5, 0.2][phase % 3];
+            let append = model.is_empty() || (model.len() < peak && rng.gen_bool(p_append));
+            rows.begin();
+            if append {
+                let row = (next_seq, rng.gen(), rng.gen());
+                next_seq += 1 + rng.gen_range(0..3u64); // stamps rise, with gaps
+                rows.append(row.0, row.1, row.2);
+                model.push_back(row);
+            } else {
+                let i = match order {
+                    KillOrder::Oldest => 0,
+                    KillOrder::Newest => model.len() - 1,
+                    KillOrder::Random => rng.gen_range(0..model.len()),
+                };
+                let (seq, _, _) = model.remove(i).expect("in range");
+                rows.kill(seq);
+            }
+            rows.end();
+            let (published, live) = (rows.published_len(), rows.live_len());
+            assert!(
+                published <= 2 * live + 1,
+                "{order:?} step {step}: {published} rows published for {live} live"
+            );
+            compactions += usize::from(published < prev_len);
+            prev_len = published;
+            assert_eq!(live, model.len(), "{order:?} step {step}");
+            assert!(
+                read_all(&rows).iter().eq(model.iter()),
+                "{order:?} step {step}: the mirror diverged from the model"
+            );
+        }
+        assert!(compactions > 2, "{order:?}: {compactions} compactions");
+        assert!(!rows.overflowed());
+        rows.begin();
+        rows.clear();
+        rows.end();
+        assert_eq!((rows.published_len(), rows.live_len()), (0, 0));
+        assert!(read_all(&rows).is_empty());
+    }
+
+    #[test]
+    fn kills_keep_the_walk_within_twice_live_plus_one() {
+        model_run(KillOrder::Oldest, 40, 0x5EED_0001);
+        model_run(KillOrder::Newest, 40, 0x5EED_0002);
+        model_run(KillOrder::Random, 40, 0x5EED_0003);
+        // Over a chunk's worth of live rows: the walk crosses a chunk.
+        model_run(KillOrder::Random, ROWS_PER_CHUNK + 44, 0x5EED_0004);
+        model_run(KillOrder::Oldest, ROWS_PER_CHUNK + 44, 0x5EED_0005);
     }
 
     #[test]
@@ -756,6 +862,33 @@ mod tests {
             true
         });
         assert!(!ok, "overflow during the walk must invalidate it");
+    }
+
+    #[test]
+    fn scan_refuses_a_compaction_mid_walk() {
+        let rows = SnapRows::new(true, 1024);
+        rows.begin();
+        for seq in 1..=6u64 {
+            rows.append(seq, seq * 10, seq * 100);
+        }
+        for seq in 1..=3u64 {
+            rows.kill(seq); // three tombstones beside three live: no compaction
+        }
+        rows.end();
+        assert_eq!((rows.published_len(), rows.live_len()), (6, 3));
+        // Between rows, a whole write window kills the row just visited,
+        // and that kill compacts the rows the walk is still reading.
+        let ok = rows.scan(|seq, _, _| {
+            if seq == 4 {
+                rows.begin();
+                rows.kill(4);
+                rows.end();
+                assert_eq!(rows.published_len(), 2, "the kill compacted");
+            }
+            true
+        });
+        assert!(!ok, "a compaction inside the walk must invalidate it");
+        assert_eq!(read_all(&rows), vec![(5, 50, 500), (6, 60, 600)]);
     }
 
     #[test]

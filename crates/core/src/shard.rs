@@ -110,7 +110,10 @@
 //!   FIFO depth — no copy-out, no allocation, no sort. A concrete-source
 //!   miss therefore touches one shard's rows and is not refused by a
 //!   write window open on another shard's lane; only a stamp taken
-//!   inside its own (now short) `s0` bracket retries it. Bounded seqlock
+//!   inside its own (now short) `s0` bracket retries it. A lane walk
+//!   touches at most `2 * live + 1` rows, tombstones included: a kill
+//!   that leaves more tombstones than `live + 1` compacts in its own
+//!   write window (the bound `validate` checks). Bounded seqlock
 //!   retries, then the locked fallback, which runs the same merge over
 //!   the seq indexes ([`SnapReadStats`] counts both).
 //! * [`ShardedEngine::queue_lens`] / [`ShardedEngine::stats`] /
@@ -744,8 +747,10 @@ where
 
     /// Quiescent cross-checks of shard `si`'s lock-free mirrors against
     /// the locked truth: mirrored lengths, mirrored stat counters
-    /// (field-by-field — [`EngineStats`] has no `PartialEq`), and the
-    /// published snapshot rows against the seq index entry-for-entry.
+    /// (field-by-field — [`EngineStats`] has no `PartialEq`), the walk
+    /// bound (published rows, tombstones included, at most
+    /// `2 * live + 1`), and the published snapshot rows against the seq
+    /// index entry-for-entry.
     fn validate_mirrors(&self, si: usize, g: &ShardState<P, U>) -> Result<(), String> {
         let (mp, mu) = self.mirrors[si].lens();
         if (mp, mu) != (g.eng.prq_len(), g.eng.umq_len()) {
@@ -779,6 +784,14 @@ where
         if m4 != i4 {
             return Err(format!(
                 "shard {si}: mirrored counters {m4:?} != engine counters {i4:?}"
+            ));
+        }
+        // The walk bound `SnapRows::kill` keeps after every write.
+        let (published, live) = (self.snaps[si].published_len(), self.snaps[si].live_len());
+        if published > 2 * live + 1 {
+            return Err(format!(
+                "shard {si}: snapshot publishes {published} rows for {live} live, \
+                 over the walk bound 2 * live + 1"
             ));
         }
         // The adversary never publishes; after overflow the mirror is
@@ -1794,15 +1807,19 @@ mod tests {
 
     /// A seeded stream of arrivals and consuming receives (concrete and
     /// wildcard) that keeps tens of messages queued on each of 4 lanes
-    /// while every lane publishes several chunks' worth of rows —
-    /// tombstones, chunk boundaries and compactions included. At checkpoints every kind of
-    /// spec must probe to the same `(payload, depth)` on the lock-free
-    /// path, the locked path and one unsharded engine fed the same ops.
+    /// while every lane publishes several times as many rows —
+    /// tombstones and compactions included — and one lane also holds a
+    /// backlog of over a chunk's worth of live rows, so its walks cross a
+    /// chunk boundary. At checkpoints every kind of spec must probe to the
+    /// same `(payload, depth)` on the lock-free path, the locked path and
+    /// one unsharded engine fed the same ops.
     #[test]
     fn lock_free_and_locked_iprobe_agree() {
         use spc_rng::{Rng, SeedableRng, StdRng};
         const SOURCES: i32 = 10;
         const TAGS: i32 = 4;
+        // Source 0's backlog on context 1, which the stream never receives.
+        const BACKLOG: i32 = 300;
         let mut rng = StdRng::seed_from_u64(0x5EED_1B0B);
         let eng = engine(4);
         let mut single = MatchEngine::new(
@@ -1810,6 +1827,13 @@ mod tests {
             Lla::<UnexpectedEntry, 3>::new(),
         );
         let mut appended = [0usize; 4];
+        for tag in 0..BACKLOG {
+            let env = Envelope::new(0, tag, 1);
+            assert_eq!(single.arrival(env, tag as u64), ArrivalOutcome::Queued);
+            assert_eq!(eng.arrival(env, tag as u64), ArrivalOutcome::Queued);
+        }
+        let backlog_lane = eng.shard_of(0);
+        appended[backlog_lane] += BACKLOG as usize;
         for step in 0..8_000u64 {
             let rank = rng.gen_range(0..SOURCES);
             let tag = rng.gen_range(0..TAGS);
@@ -1846,6 +1870,8 @@ mod tests {
                 RecvSpec::new(ANY_SOURCE, ANY_TAG, 0),
                 RecvSpec::new(rank, TAGS, 0), // miss on a populated lane
                 RecvSpec::new(SOURCES + 3, tag, 0), // miss: no such source
+                RecvSpec::new(0, BACKLOG - 1, 1), // hit past the chunk boundary
+                RecvSpec::new(0, BACKLOG, 1), // miss over the whole backlog
             ] {
                 let want = single.iprobe(spec);
                 assert_eq!(eng.iprobe(spec), want, "step {step}: lock-free {spec:?}");
@@ -1856,11 +1882,22 @@ mod tests {
                 );
             }
         }
-        // `append` compacts a lane at 2 * live + 256 published rows: with
-        // under 100 live that is at most 456, so 700 appends crossed a
-        // chunk boundary and compacted at least once on every lane.
-        assert!(eng.shard_stats().iter().all(|s| s.max_umq_len < 100));
-        assert!(appended.iter().all(|&n| n > 700), "{appended:?}");
+        // `kill` keeps a lane's published rows at most 2 * live + 1, so a
+        // lane that appended more rows than that compacted at least once.
+        for (lane, s) in eng.shard_stats().iter().enumerate() {
+            let peak = s.max_umq_len as usize;
+            let backlog = if lane == backlog_lane {
+                BACKLOG as usize
+            } else {
+                0
+            };
+            assert!(peak < backlog + 100, "lane {lane}: {peak} live");
+            assert!(appended[lane] > 2 * peak + 1, "lane {lane}: {appended:?}");
+        }
+        // The backlog alone fills more than a chunk and sits at the front
+        // of its lane, so a walk there that reaches the stream's rows
+        // crosses a chunk boundary.
+        assert!(eng.snaps[backlog_lane].live_len() > crate::seqsnap::ROWS_PER_CHUNK);
         let reads = eng.snap_read_stats();
         assert_eq!(
             (reads.probe_retries, reads.probe_fallbacks),
