@@ -109,8 +109,9 @@ fn check_umq<L: MatchList<UnexpectedEntry>>(mk: impl Fn() -> L, seed: u64) {
     }
 }
 
-/// The LLA bitmap scan at cacheline and deep arities, the full-width
-/// 32-slot bitmap, and the windowed large-arity fallback, all under `kind`.
+/// The LLA bitmap scan at cacheline and deep arities and the full-width
+/// 32-slot bitmap, all under `kind`, and the wide nodes (no bitmap), which
+/// take the field-wise reference walk under every kind.
 fn every_lla_shape_conforms(kind: ScanKind, seed: u64) {
     check_posted(|| Pinned::<PostedEntry, 2>::new(kind), seed + 2);
     check_umq(|| Pinned::<UnexpectedEntry, 3>::new(kind), seed + 3);

@@ -73,7 +73,6 @@ pub mod heater;
 pub mod ingest;
 pub mod list;
 pub mod pool;
-pub mod prefetch;
 pub mod replay;
 pub mod seqsnap;
 pub mod shard;

@@ -15,16 +15,38 @@
 //! placement behaviour deterministically).
 //!
 //! The list has one search walk, scalar on every CPU, that hints the node
-//! [`crate::prefetch::DISTANCE`] hops ahead by extrapolating the allocator
-//! stride: scattered nodes give the hardware prefetchers nothing to follow,
-//! and this is the one structure where the benchmark gate shows a software
-//! hint paying (EXPERIMENTS.md "Prefetch schemes").
+//! [`DISTANCE`] hops ahead by extrapolating the allocator stride: scattered
+//! nodes give the hardware prefetchers nothing to follow, and this is the
+//! one structure where the benchmark gate shows a software hint paying
+//! (EXPERIMENTS.md "Prefetch schemes"). It is the only software prefetch in
+//! the crate: the LLA's contiguous nodes and the partitioned lists'
+//! contiguous channels are streamed by the hardware.
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, ProbeKey};
 use crate::list::{first_match, Footprint, MatchList, Search};
-use crate::prefetch;
 use crate::sink::AccessSink;
+
+/// How many nodes past `next` the stride-speculative hint reaches.
+const DISTANCE: isize = 2;
+
+/// Hints the CPU to pull the cache line holding `addr` into all cache
+/// levels: `prefetcht0` on x86-64, nothing elsewhere. A pure hint with no
+/// semantic effect, so the hinting walk charges exactly what the reference
+/// walk does.
+#[inline(always)]
+fn prefetch(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch instructions do not access memory architecturally;
+    // any address, mapped or not, is allowed and cannot fault.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(addr as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = addr;
+    }
+}
 
 /// Bytes of request state between the match fields and the list link,
 /// standing in for the rest of an MPI request object (status, datatype,
@@ -148,7 +170,7 @@ impl<E: Element> BaselineList<E> {
 
     /// Packed-key walk behind [`MatchList::search_remove`]: compares each
     /// node's precomputed `u64` key against `probe` (one XOR+AND+compare)
-    /// and hints the node [`prefetch::DISTANCE`] hops ahead so its lines are
+    /// and hints the node [`DISTANCE`] hops ahead so its lines are
     /// in flight while the current one is tested. Sink charges are identical
     /// to [`Self::walk_remove`] — the simulated trace is byte-for-byte the
     /// same; only native latency changes.
@@ -161,7 +183,6 @@ impl<E: Element> BaselineList<E> {
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        const DIST: isize = prefetch::DISTANCE as isize;
         let mut depth = 0u32;
         let mut prev: *mut Node<E> = core::ptr::null_mut();
         let mut cur = self.head;
@@ -172,19 +193,23 @@ impl<E: Element> BaselineList<E> {
             if !node.next.is_null() {
                 // Stride-speculative prefetch: append-order heap nodes land
                 // at a near-constant allocator stride, so extrapolating the
-                // observed `next - cur` stride `DIST` hops past `next`
+                // observed `next - cur` stride `DISTANCE` hops past `next`
                 // reaches upcoming nodes without the serial demand-load
                 // chain a scout pointer would pay. The guess is only a
                 // prefetch hint — a wrong stride (churned free list) warms
                 // an unrelated line and costs nothing; the address is never
                 // dereferenced.
                 let stride = (node.next as isize).wrapping_sub(cur as isize);
-                let guess = (node.next as usize).wrapping_add((stride * DIST) as usize);
-                prefetch::read(guess as *const Node<E>);
+                let guess = (node.next as usize).wrapping_add((stride * DISTANCE) as usize);
+                prefetch(guess);
                 // The link sits past the request-state gap; when the
                 // allocation straddles a line boundary the link line would
-                // otherwise demand-miss every hop.
-                prefetch::read_second_line(guess, core::mem::offset_of!(Node<E>, next));
+                // otherwise demand-miss every hop. A second hint to the
+                // same line would only waste a fill-buffer slot.
+                let link = guess.wrapping_add(core::mem::offset_of!(Node<E>, next));
+                if link / crate::CACHE_LINE != guess / crate::CACHE_LINE {
+                    prefetch(link);
+                }
             }
             sink.read(node.sim_addr, core::mem::size_of::<E>() as u32);
             depth += 1;
@@ -363,6 +388,17 @@ mod tests {
 
     fn post(rank: i32, tag: i32, req: u64) -> PostedEntry {
         PostedEntry::from_spec(RecvSpec::new(rank, tag, 0), req)
+    }
+
+    #[test]
+    fn prefetch_accepts_any_pointer() {
+        let v = 7u64;
+        prefetch(&v as *const u64 as usize);
+        prefetch(0);
+        prefetch(0xdead_beef);
+        prefetch(usize::MAX);
+        let buf = [0u8; 1024];
+        prefetch(buf.as_ptr().wrapping_add(buf.len()) as usize);
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! contiguous lines let the hardware prefetchers stream the list (the
 //! structure's whole argument), and every walk predicts the next node from
 //! the pool id, so on an append-built chain no hop waits for its link (DESIGN
-//! decision 15). Nodes wider than 32 slots stream their own next window.
+//! decision 15). Nodes wider than 32 slots have no occupancy register and
+//! take the field-wise reference walk, which charges the same accesses.
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, PostedEntry, ProbeKey, UnexpectedEntry};
 use crate::list::{first_match, Footprint, MatchList, Search};
 use crate::pool::{Pool, NIL};
-use crate::prefetch;
 use crate::simd;
 use crate::sink::AccessSink;
 
@@ -356,6 +356,10 @@ impl<E: Element, const N: usize> Lla<E, N> {
     /// splats hoist out of the loop and no per-node call (or AVX/SSE
     /// transition) is paid; dispatching per node instead costs more than
     /// the vector kernels save on small nodes.
+    ///
+    /// Nodes wider than 32 slots have no occupancy register to mask a
+    /// candidate bitmap with, so they take the reference walk under every
+    /// kind.
     #[doc(hidden)]
     pub fn search_remove_as<S: AccessSink>(
         &mut self,
@@ -363,6 +367,9 @@ impl<E: Element, const N: usize> Lla<E, N> {
         probe: &E::Probe,
         sink: &mut S,
     ) -> Search<E> {
+        if !LlaNode::<E, N>::BITMAP {
+            return self.search_remove_fieldwise(probe, sink);
+        }
         let probe = probe.packed();
         match simd::clamp_supported(kind) {
             #[cfg(target_arch = "x86_64")]
@@ -406,18 +413,17 @@ impl<E: Element, const N: usize> Lla<E, N> {
         self.packed_walk_body(simd::ScanKind::Simd128, probe, sink)
     }
 
-    /// The packed-key walk. It differs from [`Self::walk_remove`] in
-    /// latency only: node slabs are scanned through the [`simd`] kernels —
-    /// 2 (SSE2) or 4 (AVX2) packed key/mask pairs per instruction, the
-    /// scalar packed loop otherwise — with the resulting candidate bitmap
-    /// ANDed with the occupancy register (`N <= 32`) or the hole bitmap
-    /// (windowed large-arity scan) and bit-scanned to the first live hit.
+    /// The packed-key walk over bitmap nodes (`N <= 32`). It differs from
+    /// [`Self::walk_remove`] in latency only: node slabs are scanned through
+    /// the [`simd`] kernels — 2 (SSE2) or 4 (AVX2) packed key/mask pairs per
+    /// instruction, the scalar packed loop otherwise — with the resulting
+    /// candidate bitmap ANDed with the occupancy register and bit-scanned to
+    /// the first live hit.
     ///
-    /// No node is prefetched ahead: pool nodes are line-aligned and
-    /// contiguous, and an append-built chain links them in ascending id
-    /// order — the stream the hardware prefetchers follow on their own (the
-    /// paper's §3.1 argument), and the one `Chain` predicts, so no hop waits
-    /// for its link. Only the large-arity window scan hints, inside a node.
+    /// No line is prefetched: pool nodes are line-aligned and contiguous,
+    /// and an append-built chain links them in ascending id order — the
+    /// stream the hardware prefetchers follow on their own (the paper's §3.1
+    /// argument), and the one `Chain` predicts, so no hop waits for its link.
     #[inline(always)]
     fn packed_walk_body<S: AccessSink>(
         &mut self,
@@ -429,109 +435,49 @@ impl<E: Element, const N: usize> Lla<E, N> {
         let mut c = Chain::new(&self.pool, self.head);
         while let Some((node_addr, node)) = c.node() {
             sink.read(node_addr, 8); // head/tail/occupancy header
-            let mut hit: Option<(u32, E)> = None;
-            if LlaNode::<E, N>::BITMAP {
-                // Batched node scan: [`simd::scan_candidates`] evaluates
-                // the one-`u64` packed test on every slot — 2 or 4 lanes
-                // per instruction under the SIMD kinds, the same
-                // branchless `m << i` accumulate loop under the portable
-                // kind — then the candidate bitmap is masked with the
-                // occupancy register: stale hole bodies and slots outside
-                // the trim range can never match, and no per-slot branch
-                // exists for the predictor to miss. The candidate set
-                // decides hit/miss with one branch per node; depth comes
-                // from a popcount over the live bits actually inspected.
-                // Sink charges are issued for exactly the live slots the
-                // sequential scan would have read, so simulated traces are
-                // identical across scan kinds (and the charge loops fold
-                // to nothing under `NullSink`).
-                let occ = node.occ;
-                let h = node.head as usize;
-                let t = (node.tail as usize).min(N);
-                let cand = simd::scan_candidates(kind, &node.entries, probe) & occ;
-                if cand == 0 {
-                    for i in h..t {
-                        if occ >> i & 1 == 1 {
-                            sink.read(
-                                node_addr + LlaNode::<E, N>::entry_offset(i),
-                                core::mem::size_of::<E>() as u32,
-                            );
-                        }
-                    }
-                    depth += occ.count_ones();
-                } else {
-                    let i = cand.trailing_zeros() as usize;
-                    for j in h..=i {
-                        if occ >> j & 1 == 1 {
-                            sink.read(
-                                node_addr + LlaNode::<E, N>::entry_offset(j),
-                                core::mem::size_of::<E>() as u32,
-                            );
-                        }
-                    }
-                    // Live bits at or below the hit (`31 - i` keeps the
-                    // all-ones mask well-defined when the hit is slot 31).
-                    depth += (occ & (u32::MAX >> (31 - i))).count_ones();
-                    hit = Some((i as u32, node.entries[i]));
-                }
-            } else {
-                // Large-arity fallback: no occupancy register, so scan
-                // `head..tail` in 32-slot windows through the slab kernels
-                // and mask hole slots out of the candidates ([`simd::scan_slab`]
-                // derives both bitmaps from the same loads; a hole can
-                // otherwise packed-match a degenerate probe carrying the
-                // reserved context). Sink charges and depth accounting are
-                // identical to the retired per-slot loop: every slot up to
-                // and including the hit is charged in order, and depth
-                // counts live slots only.
-                let h = node.head as usize;
-                let t = node.tail as usize;
-                let mut ws = h;
-                while ws < t {
-                    let wlen = (t - ws).min(32);
-                    let wmask = (u32::MAX as u64 >> (32 - wlen)) as u32;
-                    if ws + wlen < t {
-                        // The slab spans many lines; streaming the next
-                        // window's lines while this one is tested keeps the
-                        // batched compare fed (the hardware streamer lags
-                        // a 2–4-entry-per-instruction consumer), and the
-                        // window address needs no dependent load.
-                        let next_len = (t - ws - wlen).min(32);
-                        prefetch::read_span(
-                            node.entries[ws + wlen..].as_ptr(),
-                            next_len * core::mem::size_of::<E>(),
+
+            // Batched node scan: [`simd::scan_candidates`] evaluates the
+            // one-`u64` packed test on every slot — 2 or 4 lanes per
+            // instruction under the SIMD kinds, the same branchless
+            // `m << i` accumulate loop under the portable kind — then the
+            // candidate bitmap is masked with the occupancy register: stale
+            // hole bodies and slots outside the trim range can never match,
+            // and no per-slot branch exists for the predictor to miss. The
+            // candidate set decides hit/miss with one branch per node; depth
+            // comes from a popcount over the live bits actually inspected.
+            // Sink charges are issued for exactly the live slots the
+            // sequential scan would have read, so simulated traces are
+            // identical across scan kinds (and the charge loops fold to
+            // nothing under `NullSink`).
+            let occ = node.occ;
+            let h = node.head as usize;
+            let t = (node.tail as usize).min(N);
+            let cand = simd::scan_candidates(kind, &node.entries, probe) & occ;
+            if cand == 0 {
+                for i in h..t {
+                    if occ >> i & 1 == 1 {
+                        sink.read(
+                            node_addr + LlaNode::<E, N>::entry_offset(i),
+                            core::mem::size_of::<E>() as u32,
                         );
                     }
-                    let scan = simd::scan_slab(kind, &node.entries[ws..ws + wlen], probe);
-                    let live = !scan.holes & wmask;
-                    let cand = scan.cand & live;
-                    if cand == 0 {
-                        for j in ws..ws + wlen {
-                            sink.read(
-                                node_addr + LlaNode::<E, N>::entry_offset(j),
-                                core::mem::size_of::<E>() as u32,
-                            );
-                        }
-                        depth += live.count_ones();
-                        ws += wlen;
-                    } else {
-                        let ci = cand.trailing_zeros() as usize;
-                        for j in ws..=ws + ci {
-                            sink.read(
-                                node_addr + LlaNode::<E, N>::entry_offset(j),
-                                core::mem::size_of::<E>() as u32,
-                            );
-                        }
-                        // Live bits at or below the hit (`31 - ci` keeps
-                        // the all-ones mask well-defined at slot 31).
-                        depth += (live & (u32::MAX >> (31 - ci))).count_ones();
-                        hit = Some(((ws + ci) as u32, node.entries[ws + ci]));
-                        break;
+                }
+                depth += occ.count_ones();
+            } else {
+                let i = cand.trailing_zeros() as usize;
+                for j in h..=i {
+                    if occ >> j & 1 == 1 {
+                        sink.read(
+                            node_addr + LlaNode::<E, N>::entry_offset(j),
+                            core::mem::size_of::<E>() as u32,
+                        );
                     }
                 }
-            }
-            if let Some((i, e)) = hit {
-                self.remove_at(c.prev, c.cur, i, sink);
+                // Live bits at or below the hit (`31 - i` keeps the all-ones
+                // mask well-defined when the hit is slot 31).
+                depth += (occ & (u32::MAX >> (31 - i))).count_ones();
+                let e = node.entries[i];
+                self.remove_at(c.prev, c.cur, i as u32, sink);
                 return Search::hit(e, depth);
             }
             sink.read(node_addr + LlaNode::<E, N>::next_offset(), 4);
@@ -623,17 +569,11 @@ impl<E: Element, const N: usize> MatchList<E> for Lla<E, N> {
             let tail_addr = self.pool.sim_addr(self.tail);
             let node = self.pool.get_mut(self.tail);
             if (node.tail as usize) < N {
-                // The free slot is a bit-scan on bitmap nodes: one past the
-                // highest set occupancy bit. Appending never reuses interior
-                // holes — that would break FIFO slot order — so this always
-                // lands exactly on the trimmed `tail` index.
-                let i = if LlaNode::<E, N>::BITMAP && node.occ != 0 {
-                    let slot = (32 - node.occ.leading_zeros()) as usize;
-                    debug_assert_eq!(slot, node.tail as usize);
-                    slot
-                } else {
-                    node.tail as usize
-                };
+                // Appending never reuses interior holes — that would break
+                // FIFO slot order — so the free slot is the trimmed `tail`
+                // index, which on bitmap nodes is one past the highest set
+                // occupancy bit (`check_node` enforces it).
+                let i = node.tail as usize;
                 node.entries[i] = e;
                 node.occ_set(i);
                 node.tail = (i + 1) as u16;
@@ -1087,7 +1027,8 @@ mod tests {
 
     #[test]
     fn large_arity_fallback_keeps_inband_semantics() {
-        // N = 512 has no bitmap; the fallback hole-scan path must keep the
+        // N = 512 has no bitmap: search takes the field-wise reference
+        // walk and removal trims by the in-band hole marks, keeping the
         // same trim invariants (validate_occupancy checks occ stays 0).
         let mut l: Lla<PostedEntry, 512> = Lla::new();
         let mut s = NullSink;

@@ -38,7 +38,6 @@ pub use partitioned::Partitioned;
 pub use ranktrie::RankTrie;
 
 use crate::entry::{packed_matches, Element, ProbeKey};
-use crate::prefetch;
 use crate::sink::AccessSink;
 
 /// Result of a destructive queue search.
@@ -227,11 +226,6 @@ impl<E: Element> SeqFifo<E> {
                     // other channel owns the earlier match.
                     return (None, depth);
                 }
-            }
-            // The VecDeque is at most two contiguous runs; prefetching a
-            // few elements ahead hides the stride-crossing line fetches.
-            if let Some(next) = self.items.get(pos + prefetch::DISTANCE) {
-                prefetch::read(next as *const (u64, E));
             }
             sink.read(self.sim_base + pos as u64 * self.stride, self.stride as u32);
             depth += 1;

@@ -9,6 +9,11 @@
 //! back a candidate bitmap the caller ANDs with the node's occupancy bitmap
 //! and bit-scans to the first live hit.
 //!
+//! A slab is one bitmap node, at most 32 entries. The occupancy register
+//! is the only hole test a kernel's caller needs, so no kernel reports
+//! holes. Nodes wider than 32 slots have no register and take the LLA's
+//! field-wise reference walk instead of a kernel.
+//!
 //! Three scan kinds exist:
 //!
 //! * [`ScanKind::Portable`] — the scalar packed loop, compiled everywhere:
@@ -50,12 +55,6 @@
 //! by transmute property tests next to the packed-key prefix-byte pin.
 
 use crate::entry::{packed_matches, Element, PackedProbe};
-
-/// Key bits that identify an in-band hole: the context-id field (bits
-/// 48..64) equal to the reserved hole context. `Element::is_hole` is
-/// defined as exactly that context comparison, so the bit test below is an
-/// identity, not an approximation.
-pub(crate) const HOLE_KEY_BITS: u64 = 0xFFFF_u64 << 48;
 
 /// A slab-scan kernel, ordered weakest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -102,20 +101,10 @@ pub fn detect_best() -> ScanKind {
 
 /// Clamps a requested kind to what the CPU supports. This is the safety
 /// check that keeps the AVX2 kernel off CPUs without it: every kind handed
-/// to [`scan_slab`] / [`scan_candidates`] must have passed through here.
+/// to [`scan_candidates`] must have passed through here.
 #[inline]
 pub fn clamp_supported(k: ScanKind) -> ScanKind {
     k.min(detect_best())
-}
-
-/// Result of scanning one slab: per-slot bitmaps (bit `i` ⟺ `entries[i]`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlabScan {
-    /// Slots whose packed key/mask matches the probe (holes included —
-    /// callers mask with occupancy or [`SlabScan::holes`]).
-    pub cand: u32,
-    /// Slots holding in-band hole markers.
-    pub holes: u32,
 }
 
 /// Whether the vector kernels can walk `E`'s in-memory layout directly:
@@ -127,63 +116,38 @@ const fn vectorizable<E: Element>() -> bool {
         && core::mem::align_of::<E>() >= 8
 }
 
-/// Scans up to 32 slab entries, returning candidate and hole bitmaps.
-/// Used by the large-arity LLA path, which has no occupancy register and
-/// masks candidates with `!holes` instead.
-#[inline(always)]
-pub fn scan_slab<E: Element>(kind: ScanKind, entries: &[E], probe: &PackedProbe) -> SlabScan {
-    debug_assert!(entries.len() <= 32);
-    scan_dispatch::<E, true>(kind, entries, probe)
-}
-
-/// Scans up to 32 slab entries, returning only the candidate bitmap.
-/// Used by the bitmap LLA path (`N <= 32`), which masks with the node's
-/// occupancy register and never needs the hole bitmap.
+/// Scans up to 32 slab entries, returning the candidate bitmap: bit `i` set
+/// ⟺ `entries[i]`'s packed key/mask matches the probe. Holes are included;
+/// the LLA walk masks them out with the node's occupancy register.
 #[inline(always)]
 pub fn scan_candidates<E: Element>(kind: ScanKind, entries: &[E], probe: &PackedProbe) -> u32 {
     debug_assert!(entries.len() <= 32);
-    scan_dispatch::<E, false>(kind, entries, probe).cand
-}
-
-#[inline(always)]
-fn scan_dispatch<E: Element, const HOLES: bool>(
-    kind: ScanKind,
-    entries: &[E],
-    probe: &PackedProbe,
-) -> SlabScan {
     #[cfg(target_arch = "x86_64")]
     if vectorizable::<E>() {
         match kind {
             // SAFETY: callers pass kinds clamped by `clamp_supported`, which
             // yields `Simd256` only after `is_x86_feature_detected!("avx2")`,
             // so the AVX2 kernel cannot execute on a CPU without it.
-            ScanKind::Simd256 => return unsafe { scan_slab_avx2::<E, HOLES>(entries, probe) },
+            ScanKind::Simd256 => return unsafe { scan_slab_avx2(entries, probe) },
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-            ScanKind::Simd128 => return unsafe { scan_slab_sse2::<E, HOLES>(entries, probe) },
+            ScanKind::Simd128 => return unsafe { scan_slab_sse2(entries, probe) },
             ScanKind::Portable => {}
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = kind;
-    scan_slab_portable::<E, HOLES>(entries, probe)
+    scan_slab_portable(entries, probe)
 }
 
 /// The scalar reference kernel: exactly the branchless accumulate loop the
-/// pre-SIMD bitmap scan used, plus the hole bitmap when requested.
-fn scan_slab_portable<E: Element, const HOLES: bool>(
-    entries: &[E],
-    probe: &PackedProbe,
-) -> SlabScan {
+/// pre-SIMD bitmap scan used.
+fn scan_slab_portable<E: Element>(entries: &[E], probe: &PackedProbe) -> u32 {
     let mut cand: u32 = 0;
-    let mut holes: u32 = 0;
     for (i, e) in entries.iter().enumerate() {
         let m = packed_matches(e.packed_key(), e.packed_mask(), probe) as u32;
         cand |= m << i;
-        if HOLES {
-            holes |= (e.is_hole() as u32) << i;
-        }
     }
-    SlabScan { cand, holes }
+    cand
 }
 
 // ---------------------------------------------------------------------------
@@ -239,19 +203,14 @@ mod x86 {
     /// holds (word-granular, word-aligned entry layout).
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn scan_slab_sse2<E: Element, const HOLES: bool>(
-        entries: &[E],
-        probe: &PackedProbe,
-    ) -> SlabScan {
+    pub(super) unsafe fn scan_slab_sse2<E: Element>(entries: &[E], probe: &PackedProbe) -> u32 {
         let n = entries.len();
         let w = core::mem::size_of::<E>() / 8;
         let base = entries.as_ptr() as *const i64;
         let pk = _mm_set1_epi64x(probe.key as i64);
         let mand = _mm_set1_epi64x((E::MASK_WORD_AND & probe.mask) as i64);
         let mor = _mm_set1_epi64x((E::MASK_WORD_OR & probe.mask) as i64);
-        let hbits = _mm_set1_epi64x(HOLE_KEY_BITS as i64);
         let mut cand = 0u32;
-        let mut holes = 0u32;
         let mut i = 0usize;
         // Main step: four slots per iteration, two `u64x2` tests whose
         // zero-flags reduce through ONE `movemask_ps`. Each 64-bit lane of
@@ -287,13 +246,6 @@ mod x86 {
                 let e23 = zero_flags64_sse2(d23);
                 let comb = _mm_shuffle_ps::<0xDD>(_mm_castsi128_ps(e01), _mm_castsi128_ps(e23));
                 cand |= (_mm_movemask_ps(comb) as u32) << i;
-                if HOLES {
-                    // Hole ⟺ the context bits of the key are all-ones.
-                    let h01 = zero_flags64_sse2(_mm_xor_si128(_mm_and_si128(k01, hbits), hbits));
-                    let h23 = zero_flags64_sse2(_mm_xor_si128(_mm_and_si128(k23, hbits), hbits));
-                    let hc = _mm_shuffle_ps::<0xDD>(_mm_castsi128_ps(h01), _mm_castsi128_ps(h23));
-                    holes |= (_mm_movemask_ps(hc) as u32) << i;
-                }
             }
             i += 4;
         }
@@ -313,10 +265,6 @@ mod x86 {
                 let m = _mm_or_si128(_mm_and_si128(mraw, mand), mor);
                 let diff = _mm_and_si128(_mm_xor_si128(k, pk), m);
                 cand |= movemask_zero64_sse2(diff) << i;
-                if HOLES {
-                    let h = _mm_xor_si128(_mm_and_si128(k, hbits), hbits);
-                    holes |= movemask_zero64_sse2(h) << i;
-                }
             }
             i += 2;
         }
@@ -324,11 +272,8 @@ mod x86 {
             // Odd tail: one scalar packed test.
             let e = &entries[i];
             cand |= (packed_matches(e.packed_key(), e.packed_mask(), probe) as u32) << i;
-            if HOLES {
-                holes |= (e.is_hole() as u32) << i;
-            }
         }
-        SlabScan { cand, holes }
+        cand
     }
 
     /// Un-swizzles a 4-bit AVX2 lane bitmap back to slot order.
@@ -355,20 +300,15 @@ mod x86 {
     /// `vectorizable::<E>()` holds.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan_slab_avx2<E: Element, const HOLES: bool>(
-        entries: &[E],
-        probe: &PackedProbe,
-    ) -> SlabScan {
+    pub(super) unsafe fn scan_slab_avx2<E: Element>(entries: &[E], probe: &PackedProbe) -> u32 {
         let n = entries.len();
         let w = core::mem::size_of::<E>() / 8;
         let base = entries.as_ptr() as *const i64;
         let pk = _mm256_set1_epi64x(probe.key as i64);
         let mand = _mm256_set1_epi64x((E::MASK_WORD_AND & probe.mask) as i64);
         let mor = _mm256_set1_epi64x((E::MASK_WORD_OR & probe.mask) as i64);
-        let hbits = _mm256_set1_epi64x(HOLE_KEY_BITS as i64);
         let zero = _mm256_setzero_si256();
         let mut cand = 0u32;
-        let mut holes = 0u32;
         let mut i = 0usize;
         while i + 4 <= n {
             // SAFETY: slots `i..i + 4` are in bounds of `entries`;
@@ -393,11 +333,6 @@ mod x86 {
             let diff = _mm256_and_si256(_mm256_xor_si256(k, pk), m);
             let eq = _mm256_cmpeq_epi64(diff, zero);
             cand |= unswizzle4(_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32 & 0xF) << i;
-            if HOLES {
-                let h = _mm256_xor_si256(_mm256_and_si256(k, hbits), hbits);
-                let heq = _mm256_cmpeq_epi64(h, zero);
-                holes |= unswizzle4(_mm256_movemask_pd(_mm256_castsi256_pd(heq)) as u32 & 0xF) << i;
-            }
             i += 4;
         }
         if i < n {
@@ -405,11 +340,9 @@ mod x86 {
             // implies SSE2), shifted into place.
             // SAFETY: SSE2 is implied by AVX2; the sub-slice keeps the
             // layout preconditions.
-            let tail = unsafe { scan_slab_sse2::<E, HOLES>(&entries[i..], probe) };
-            cand |= tail.cand << i;
-            holes |= tail.holes << i;
+            cand |= unsafe { scan_slab_sse2(&entries[i..], probe) } << i;
         }
-        SlabScan { cand, holes }
+        cand
     }
 }
 
@@ -454,17 +387,12 @@ mod tests {
         ];
         for probe in &probes {
             for len in 0..=entries.len() {
-                let want = scan_slab_portable::<_, true>(&entries[..len], probe);
+                let want = scan_slab_portable(&entries[..len], probe);
                 for k in ScanKind::ALL {
                     let k = clamp_supported(k);
                     assert_eq!(
-                        scan_slab(k, &entries[..len], probe),
-                        want,
-                        "{k:?} len {len}"
-                    );
-                    assert_eq!(
                         scan_candidates(k, &entries[..len], probe),
-                        want.cand,
+                        want,
                         "{k:?} len {len}"
                     );
                 }
@@ -486,11 +414,11 @@ mod tests {
             RecvSpec::any(2).packed(),
         ] {
             for len in 0..=entries.len() {
-                let want = scan_slab_portable::<_, true>(&entries[..len], &probe);
+                let want = scan_slab_portable(&entries[..len], &probe);
                 for k in ScanKind::ALL {
                     let k = clamp_supported(k);
                     assert_eq!(
-                        scan_slab(k, &entries[..len], &probe),
+                        scan_candidates(k, &entries[..len], &probe),
                         want,
                         "{k:?} len {len}"
                     );
