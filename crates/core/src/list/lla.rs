@@ -373,8 +373,8 @@ impl<E: Element, const N: usize> Lla<E, N> {
         let probe = probe.packed();
         match simd::clamp_supported(kind) {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `clamp_supported` yields `Simd256` only after
-            // `is_x86_feature_detected!("avx2")`.
+            // SAFETY: `clamp_supported` yields `Simd256` only after both
+            // `is_x86_feature_detected!("avx2")` and `("popcnt")`.
             simd::ScanKind::Simd256 => unsafe { self.packed_walk_avx2(&probe, sink) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
@@ -383,14 +383,17 @@ impl<E: Element, const N: usize> Lla<E, N> {
         }
     }
 
-    /// AVX2-enabled instantiation of the walk body: the `simd` kernels it
-    /// calls carry the same target feature, so they inline into the node
-    /// loop instead of paying a call per node.
+    /// AVX2 + POPCNT instantiation of the walk body: the `simd` kernels it
+    /// calls carry the AVX2 target feature, so they inline into the node
+    /// loop instead of paying a call per node, and POPCNT turns each node's
+    /// depth count into one instruction instead of the baseline ISA's
+    /// shift-and-multiply sequence (every AVX2 CPU has POPCNT).
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available (runtime-detected).
+    /// Caller must ensure AVX2 and POPCNT are available (both
+    /// runtime-detected).
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,popcnt")]
     unsafe fn packed_walk_avx2<S: AccessSink>(
         &mut self,
         probe: &PackedProbe,

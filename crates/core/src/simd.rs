@@ -22,8 +22,9 @@
 //! * [`ScanKind::Simd128`] — SSE2 pairs (baseline on every x86-64, no
 //!   runtime detection needed): the only vector path on pre-AVX2 CPUs, and
 //!   the tail of the AVX2 kernel;
-//! * [`ScanKind::Simd256`] — AVX2 quads (runtime
-//!   `is_x86_feature_detected!`).
+//! * [`ScanKind::Simd256`] — AVX2 quads; the LLA walk that runs them also
+//!   counts depth with POPCNT, so the kind requires AVX2 + POPCNT, both
+//!   detected at runtime (`is_x86_feature_detected!`).
 //!
 //! All three are **bit-for-bit equivalent**: same candidate bitmaps, same
 //! first-hit index, and — because [`crate::sink::AccessSink`] charges are
@@ -63,7 +64,8 @@ pub enum ScanKind {
     Portable,
     /// SSE2 `u64x2` kernel (x86-64 baseline, always safe to run there).
     Simd128,
-    /// AVX2 `u64x4` kernel (requires runtime feature detection).
+    /// AVX2 `u64x4` kernel, walked with POPCNT depth counts (requires both
+    /// AVX2 and POPCNT, each detected at runtime).
     Simd256,
 }
 
@@ -81,10 +83,13 @@ impl ScanKind {
     pub const ALL: [ScanKind; 3] = [ScanKind::Portable, ScanKind::Simd128, ScanKind::Simd256];
 }
 
-/// The best kind this CPU can actually execute.
+/// The best kind this CPU can actually execute. `Simd256` needs POPCNT
+/// beside AVX2 because its LLA walk is compiled with both; every AVX2 CPU
+/// has POPCNT, but the check keeps that walk's safety contract explicit.
 #[cfg(target_arch = "x86_64")]
 pub fn detect_best() -> ScanKind {
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+    {
         ScanKind::Simd256
     } else {
         // SSE2 is part of the x86-64 baseline ISA: no detection needed.
@@ -100,8 +105,9 @@ pub fn detect_best() -> ScanKind {
 }
 
 /// Clamps a requested kind to what the CPU supports. This is the safety
-/// check that keeps the AVX2 kernel off CPUs without it: every kind handed
-/// to [`scan_candidates`] must have passed through here.
+/// check that keeps the AVX2 kernel and the AVX2 + POPCNT walk off CPUs
+/// without both features: every kind handed to [`scan_candidates`] must
+/// have passed through here.
 #[inline]
 pub fn clamp_supported(k: ScanKind) -> ScanKind {
     k.min(detect_best())
@@ -126,8 +132,9 @@ pub fn scan_candidates<E: Element>(kind: ScanKind, entries: &[E], probe: &Packed
     if vectorizable::<E>() {
         match kind {
             // SAFETY: callers pass kinds clamped by `clamp_supported`, which
-            // yields `Simd256` only after `is_x86_feature_detected!("avx2")`,
-            // so the AVX2 kernel cannot execute on a CPU without it.
+            // yields `Simd256` only after both `is_x86_feature_detected!
+            // ("avx2")` and `("popcnt")`, so the AVX2 kernel cannot execute
+            // on a CPU without AVX2.
             ScanKind::Simd256 => return unsafe { scan_slab_avx2(entries, probe) },
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
             ScanKind::Simd128 => return unsafe { scan_slab_sse2(entries, probe) },
@@ -360,6 +367,20 @@ mod tests {
         for k in ScanKind::ALL {
             assert!(clamp_supported(k) <= best);
             assert!(clamp_supported(k) <= k);
+        }
+    }
+
+    /// The `Simd256` walk is compiled with AVX2 and POPCNT, so neither the
+    /// detected kind nor any clamped kind may be `Simd256` unless both
+    /// features are detected.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn simd256_needs_avx2_and_popcnt() {
+        let both = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("popcnt");
+        assert_eq!(detect_best() == ScanKind::Simd256, both);
+        for k in ScanKind::ALL {
+            assert!(clamp_supported(k) != ScanKind::Simd256 || both, "{k:?}");
         }
     }
 

@@ -207,25 +207,69 @@ fn unexpected_slab_scans_agree_for_every_width_and_occupancy() {
 /// depth, and the byte-exact access trace.
 type Step = (Option<u64>, u32, Vec<Access>);
 
-/// Runs a fixed seeded script — appends with wildcards, hole punches, then
-/// a probe mix of hits/misses/wildcard-only matches — against `list`,
-/// recording the outcome and trace of every `search` call.
-fn run_script<L: MatchList<PostedEntry>>(
+/// What a script needs from a queue's element type: entries and probes
+/// over a small alphabet, so probes hit at varied FIFO positions, and a
+/// probe no entry matches. A hit reports [`Element::id`].
+trait Scripted: Element {
+    fn entry(rng: &mut StdRng, id: u64) -> Self;
+    fn probe(rng: &mut StdRng) -> Self::Probe;
+    fn miss() -> Self::Probe;
+}
+
+/// The PRQ: receives with ANY_SOURCE posts, probed by concrete envelopes.
+impl Scripted for PostedEntry {
+    fn entry(rng: &mut StdRng, id: u64) -> Self {
+        let rank = rng.gen_range(0..6i32);
+        let tag = rng.gen_range(0..8i32);
+        if rng.gen_range(0..8u32) == 0 {
+            PostedEntry::from_spec(RecvSpec::new(ANY_SOURCE, tag, 0), id)
+        } else {
+            PostedEntry::from_spec(RecvSpec::new(rank, tag, 0), id)
+        }
+    }
+    fn probe(rng: &mut StdRng) -> Envelope {
+        Envelope::new(rng.gen_range(0..7i32), rng.gen_range(0..9i32), 0)
+    }
+    fn miss() -> Envelope {
+        Envelope::new(99, 99, 9)
+    }
+}
+
+/// The UMQ: concrete messages, probed by receives with ANY_SOURCE and
+/// ANY_TAG wildcards.
+impl Scripted for UnexpectedEntry {
+    fn entry(rng: &mut StdRng, id: u64) -> Self {
+        let env = Envelope::new(rng.gen_range(0..6i32), rng.gen_range(0..8i32), 0);
+        UnexpectedEntry::from_envelope(env, id)
+    }
+    fn probe(rng: &mut StdRng) -> RecvSpec {
+        let rank = match rng.gen_range(0..8u32) {
+            0 => ANY_SOURCE,
+            _ => rng.gen_range(0..7i32),
+        };
+        let tag = match rng.gen_range(0..8u32) {
+            0 => ANY_TAG,
+            _ => rng.gen_range(0..9i32),
+        };
+        RecvSpec::new(rank, tag, 0)
+    }
+    fn miss() -> RecvSpec {
+        RecvSpec::new(99, 99, 9)
+    }
+}
+
+/// Runs a fixed seeded script — 150 appends, then a probe mix of
+/// hits/misses/wildcard matches that punches holes as it goes — against
+/// `list`, recording the outcome and trace of every `search` call.
+fn run_script<E: Scripted, L: MatchList<E>>(
     list: &mut L,
     seed: u64,
-    search: impl Fn(&mut L, &Envelope, &mut TraceSink) -> Search<PostedEntry>,
+    search: impl Fn(&mut L, &E::Probe, &mut TraceSink) -> Search<E>,
 ) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut s = TraceSink::new();
-    // Small alphabet so probes hit at varied FIFO positions.
     for i in 0..150u64 {
-        let rank = rng.gen_range(0..6i32);
-        let tag = rng.gen_range(0..8i32);
-        let e = if rng.gen_range(0..8u32) == 0 {
-            PostedEntry::from_spec(RecvSpec::new(ANY_SOURCE, tag, 0), i)
-        } else {
-            PostedEntry::from_spec(RecvSpec::new(rank, tag, 0), i)
-        };
+        let e = E::entry(&mut rng, i);
         list.append(e, &mut s);
     }
     let mut steps = Vec::new();
@@ -233,17 +277,18 @@ fn run_script<L: MatchList<PostedEntry>>(
     // occupancy patterns the next scan sees. The last probe is a guaranteed
     // full-length miss, exercising the complete walk.
     let probes = (0..120)
-        .map(|_| Envelope::new(rng.gen_range(0..7i32), rng.gen_range(0..9i32), 0))
-        .chain([Envelope::new(99, 99, 9)])
+        .map(|_| E::probe(&mut rng))
+        .chain([E::miss()])
         .collect::<Vec<_>>();
     for probe in &probes {
         s.clear();
         let r = search(list, probe, &mut s);
-        steps.push((r.found.map(|e| e.request), r.depth, s.trace.clone()));
+        steps.push((r.found.map(|e| e.id()), r.depth, s.trace.clone()));
     }
     // The script must actually exercise hits, not just misses.
     let hits = steps.iter().filter(|s| s.0.is_some()).count();
     assert!(hits > 20, "seed {seed:#x}: only {hits} hits");
+    assert_eq!(steps[steps.len() - 1].0, None, "the miss probe hit");
     steps
 }
 
@@ -258,8 +303,8 @@ enum Via {
     Fieldwise,
 }
 
-fn lla_script<const N: usize>(via: Via, seed: u64) -> Vec<Step> {
-    let mut l: Lla<PostedEntry, N> = Lla::with_addr(AddrSpace::contiguous(1 << 30));
+fn lla_script<E: Scripted, const N: usize>(via: Via, seed: u64) -> Vec<Step> {
+    let mut l: Lla<E, N> = Lla::with_addr(AddrSpace::contiguous(1 << 30));
     run_script(&mut l, seed, |l, p, s| match via {
         Via::Default => l.search_remove(p, s),
         Via::Kind(k) => l.search_remove_as(k, p, s),
@@ -267,15 +312,31 @@ fn lla_script<const N: usize>(via: Via, seed: u64) -> Vec<Step> {
     })
 }
 
-/// The script over the LLA bitmap path (N = 2, 8, 32) and a wide node
-/// (N = 48, no occupancy register), which takes the reference walk.
-fn lla_scripts(via: Via) -> [(&'static str, Vec<Step>); 4] {
+/// The script over the PRQ's LLA bitmap path (N = 2, 8, 32), a wide node
+/// (N = 48, no occupancy register), which takes the reference walk, and
+/// the UMQ every benchmark workload walks (`UnexpectedEntry`, N = 3: an
+/// odd width, so the AVX2 kernel runs only its SSE2 tail).
+fn lla_scripts(via: Via) -> [(&'static str, Vec<Step>); 5] {
     [
-        ("lla2", lla_script::<2>(via, 0x51D0_0010)),
-        ("lla8", lla_script::<8>(via, 0x51D0_0011)),
-        ("lla32", lla_script::<32>(via, 0x51D0_0012)),
-        ("lla48", lla_script::<48>(via, 0x51D0_0013)),
+        ("lla2", lla_script::<PostedEntry, 2>(via, 0x51D0_0010)),
+        ("lla8", lla_script::<PostedEntry, 8>(via, 0x51D0_0011)),
+        ("lla32", lla_script::<PostedEntry, 32>(via, 0x51D0_0012)),
+        ("lla48", lla_script::<PostedEntry, 48>(via, 0x51D0_0013)),
+        ("umq3", lla_script::<UnexpectedEntry, 3>(via, 0x51D0_0016)),
     ]
+}
+
+/// The UMQ script hits at every slot of its 3-slot nodes (`run_script`
+/// checks its final full miss). All appends precede the first probe and
+/// entries never move, so entry `id` sits in slot `id % 3`.
+#[test]
+fn umq_script_hits_every_slot() {
+    let (_, steps) = &lla_scripts(Via::Kind(ScanKind::Portable))[4];
+    let slots = steps
+        .iter()
+        .filter_map(|s| s.0)
+        .fold(0u32, |m, id| m | 1 << (id % 3));
+    assert_eq!(slots, 0b111, "hit slots {slots:#b}");
 }
 
 /// `got` and `want` agree on match identity and depth at every step, and —
@@ -372,7 +433,8 @@ fn lla_scripts_charge_the_recorded_accesses() {
             ("lla2", 0x86e6_748d_163e_443c),
             ("lla8", 0x6d9c_eff7_adda_719b),
             ("lla32", 0x70e9_9406_ae22_5198),
-            ("lla48", 0xe8ba_5094_822d_9a00)
+            ("lla48", 0xe8ba_5094_822d_9a00),
+            ("umq3", 0x7215_3a47_fde0_0ce4)
         ]
     );
     assert_eq!(
@@ -381,7 +443,8 @@ fn lla_scripts_charge_the_recorded_accesses() {
             ("lla2", 0x86e6_748d_163e_443c),
             ("lla8", 0x10b8_b2ec_188c_0deb),
             ("lla32", 0x5d63_58d7_6ca1_91ce),
-            ("lla48", 0xe8ba_5094_822d_9a00)
+            ("lla48", 0xe8ba_5094_822d_9a00),
+            ("umq3", 0x5e0d_8e26_9532_a802)
         ]
     );
 }
@@ -404,8 +467,8 @@ fn a_kind_above_detection_is_clamped_not_executed() {
         let clamped = simd::clamp_supported(k);
         assert_eq!(clamped, k.min(best));
         // Runs `k` as given: where `k > best` this faults unless clamped.
-        let got = lla_script::<8>(Via::Kind(k), 0x51D0_0015);
-        let want = lla_script::<8>(Via::Kind(clamped), 0x51D0_0015);
+        let got = lla_script::<PostedEntry, 8>(Via::Kind(k), 0x51D0_0015);
+        let want = lla_script::<PostedEntry, 8>(Via::Kind(clamped), 0x51D0_0015);
         assert_steps_equal(&format!("{k:?} vs clamped {clamped:?}"), &got, &want, true);
     }
 }
