@@ -11,7 +11,9 @@
 //! * a wildcard post's lock-free pre-scan racing a shard append,
 //! * a tagged wildcard park racing arrivals on its own tag and on another
 //!   (the per-slot store-buffering pair behind the crossing filter),
-//! * a probe against another producer's still-buffered ring entries.
+//! * a probe against another producer's still-buffered ring entries,
+//! * a concrete-source hit probe racing a post that kills an earlier row
+//!   in another lane (the hit's depth counts every lane's live rows).
 //!
 //! The harness-sensitivity half injects an adversary whose writers skip
 //! the snapshot commit entirely ([`ShardedEngine::with_snap_commit_disabled`]):
@@ -75,6 +77,50 @@ fn lock_free_probes_linearize_against_racing_writers_in_every_order() {
         let eng = correct();
         let log = run_stepped(&eng, &streams, &schedule);
         verify_log(&log, eng.queue_lens()).unwrap_or_else(|e| panic!("schedule {schedule:?}: {e}"));
+    }
+}
+
+/// A concrete-source hit counts its FIFO depth over every lane. Here a
+/// post in another lane kills a row stamped before the hit, in every
+/// order against two probes for that hit: each probe must report the
+/// depth the oracle computes for its place in the log — the killed row
+/// counted before the kill and not after — and `verify_log` compares
+/// probe depths exactly.
+#[test]
+fn hit_probe_depth_linearizes_against_a_foreign_kill_in_every_order() {
+    let arrive = |rank, tag| ConcOp::Arrive { rank, tag, ctx: 0 };
+    let streams = vec![
+        vec![
+            arrive(1, 1),
+            arrive(1, 2),
+            ConcOp::Post {
+                rank: Some(1),
+                tag: Some(1),
+                ctx: 0,
+            },
+        ],
+        vec![
+            arrive(2, 2),
+            ConcOp::Probe {
+                rank: Some(2),
+                tag: Some(2),
+                ctx: 0,
+            },
+            ConcOp::Probe {
+                rank: Some(2),
+                tag: Some(2),
+                ctx: 0,
+            },
+        ],
+    ];
+    let schedules = interleavings(&[3, 3]);
+    assert_eq!(schedules.len(), 20);
+    for schedule in schedules {
+        let eng = correct();
+        let log = run_stepped(&eng, &streams, &schedule);
+        verify_log(&log, eng.queue_lens()).unwrap_or_else(|e| panic!("schedule {schedule:?}: {e}"));
+        eng.validate()
+            .unwrap_or_else(|e| panic!("schedule {schedule:?}: {e}"));
     }
 }
 

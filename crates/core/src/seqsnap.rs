@@ -15,10 +15,14 @@
 //! * [`SnapRows`] — a published mirror of one shard's unexpected-message
 //!   queue: seq-ordered rows of `(seq, packed key, payload)` stored in
 //!   chunk-stable atomic words (chunks are allocated once and never move,
-//!   so readers can walk them while a writer appends). Matches are killed
-//!   by tombstoning, and the kill that leaves more tombstones than
-//!   `live + 1` compacts, so after every write a walk touches at most
-//!   `2 * live + 1` rows; a sticky overflow flag covers a full table.
+//!   so readers can walk them while a writer appends), with one liveness
+//!   bit per row kept in bitmap words inside each chunk. Matches are
+//!   killed by clearing their bit, and the kill that leaves more
+//!   tombstones than `live + 1` compacts, so after every write at most
+//!   `2 * live + 1` rows are published; a sticky overflow flag covers a
+//!   full table. A walk visits the set bits only, and a reader counts the
+//!   live rows stamped at or before a seq — a binary search and a
+//!   popcount — instead of walking to it.
 //! * [`MirrorDepth`] / [`MirrorStats`] — atomic mirrors of the per-lane
 //!   [`EngineStats`] counters, updated by writers under the lane lock and
 //!   read by `stats()`/`queue_lens()` with no lock at all. The lane lock
@@ -40,11 +44,11 @@
 //! stamped after the reservation could have changed; the one such read,
 //! an arrival's wildcard-lane check, is guarded in [`crate::shard`]. A
 //! reader does the reverse: it loads the
-//! global seq counter `s0` first, walks each lane it needs under
-//! [`SnapRows::scan`] (which fails unless the version is even and
-//! unchanged across the walk) — as many walks as it likes, over as few
-//! lanes as can hold its answer — and finally re-checks that the global
-//! seq still reads `s0`.
+//! global seq counter `s0` first, reads each lane it needs under
+//! [`SnapRows::scan`] or [`SnapRows::count_through`] (each fails unless
+//! the version is even and unchanged across the read) — as many reads as
+//! it likes, over as few lanes as can hold its answer — and finally
+//! re-checks that the global seq still reads `s0`.
 //!
 //! That ordering makes the snapshot linearizable at `s0`: `s0` never
 //! falls inside a block (one `fetch_add` reserves it whole), so any
@@ -65,6 +69,27 @@ use crate::stats::{DepthStats, EngineStats, LockStats, ShardStats};
 /// Rows per allocated chunk. Chunks are boxed once and never reallocated,
 /// so a reader's row pointers stay valid while a writer appends.
 pub(crate) const ROWS_PER_CHUNK: usize = 256;
+
+/// Rows one liveness word covers.
+const ROWS_PER_WORD: usize = 64;
+
+/// Liveness words per chunk.
+const WORDS_PER_CHUNK: usize = ROWS_PER_CHUNK / ROWS_PER_WORD;
+
+/// The low `k` bits of a liveness word (all of them for `k >= 64`).
+fn below(k: usize) -> u64 {
+    if k >= ROWS_PER_WORD {
+        !0
+    } else {
+        (1u64 << k) - 1
+    }
+}
+
+/// The word of its chunk that holds row `i`'s liveness bit, and the bit.
+fn word_bit(i: usize) -> (usize, u64) {
+    let r = i % ROWS_PER_CHUNK;
+    (r / ROWS_PER_WORD, 1u64 << (r % ROWS_PER_WORD))
+}
 
 /// A seqlock version word: even = stable, odd = writer in its window.
 ///
@@ -116,9 +141,10 @@ impl Default for SeqVersion {
     }
 }
 
-/// One published UMQ row: `(seq, packed match key, payload, live)`, all
-/// plain atomic words so a torn read is impossible at the word level and
-/// version validation catches torn *row sets*.
+/// One published UMQ row: `(seq, packed match key, payload)`, all plain
+/// atomic words so a torn read is impossible at the word level and
+/// version validation catches torn *row sets*. Whether the row is live
+/// is its chunk's business ([`SnapChunk`]), not the row's.
 struct SnapRow {
     // spc-order(seq): SeqCst — published row cell, read under the version-word protocol
     seq: AtomicU64,
@@ -126,8 +152,6 @@ struct SnapRow {
     key: AtomicU64,
     // spc-order(val): SeqCst — published row cell; see seq
     val: AtomicU64,
-    // spc-order(live): SeqCst — published row liveness cell; see seq
-    live: AtomicU64,
 }
 
 impl SnapRow {
@@ -136,38 +160,62 @@ impl SnapRow {
             seq: AtomicU64::new(0),
             key: AtomicU64::new(0),
             val: AtomicU64::new(0),
-            live: AtomicU64::new(0),
         }
+    }
+}
+
+/// One allocated chunk of published rows and their liveness bitmap: bit
+/// `r % 64` of `live_bits[r / 64]` is set iff the chunk's row `r` is
+/// live. The words are allocated with the rows they describe, so they
+/// live and die with them, and no bit is ever set at or past the
+/// published row count.
+struct SnapChunk {
+    rows: [SnapRow; ROWS_PER_CHUNK],
+    // spc-order(live_bits): SeqCst — published row liveness words; see seq
+    live_bits: [AtomicU64; WORDS_PER_CHUNK],
+}
+
+impl SnapChunk {
+    fn new() -> Box<Self> {
+        Box::new(Self {
+            rows: std::array::from_fn(|_| SnapRow::new()),
+            live_bits: std::array::from_fn(|_| AtomicU64::new(0)),
+        })
     }
 }
 
 /// A seq-ordered published mirror of one shard's unexpected-message
 /// queue, readable without the shard lock.
 ///
-/// Writers (holding the shard lock) append rows in stamp order and
-/// tombstone matched rows in place. [`SnapRows::kill`] compacts in the
-/// same write window as soon as the tombstones number more than
-/// `live + 1`, so after every write the published rows, tombstones
-/// included, number at most `2 * live + 1`: a walk over 32 live messages
-/// touches at most 65 rows. An append only adds a live row, which keeps
-/// the bound, and compacts only a full table before declaring overflow.
-/// The cost is amortised O(1) per kill: a compaction moves at most `live`
-/// rows, and at least `live + 2` kills precede the next one. Storage is
-/// a fixed table of
-/// lazily-allocated chunks — chunk addresses never change after
-/// allocation, so concurrent readers can dereference them safely (the
-/// `OnceLock` per chunk makes publication itself lock-free on the read
-/// side). If the table ever fills, a sticky `overflow` flag sends every
-/// future reader to the locked fallback path instead of silently
-/// truncating.
+/// Writers (holding the shard lock) append rows in stamp order and kill
+/// a matched row by clearing its liveness bit, leaving a tombstone that
+/// keeps its stamp. [`SnapRows::kill`] compacts in the same write window
+/// as soon as the tombstones number more than `live + 1`, so after every
+/// write the published rows, tombstones included, number at most
+/// `2 * live + 1` (65 for 32 live messages). An append only adds a live
+/// row, which keeps the bound, and compacts only a full table before
+/// declaring overflow. The cost is amortised O(1) per kill: a compaction
+/// moves at most `live` rows, and at least `live + 2` kills precede the
+/// next one.
+///
+/// Readers never read a tombstone's row: [`SnapRows::scan`] visits the
+/// set liveness bits only, and [`SnapRows::count_through`] counts the
+/// live rows up to a stamp with a binary search over the row stamps and
+/// a popcount of the bitmap words below it — O(log rows) row reads plus
+/// one word per 64 rows. Storage is a fixed table of lazily-allocated
+/// chunks — chunk addresses never change after allocation, so concurrent
+/// readers can dereference them safely (the `OnceLock` per chunk makes
+/// publication itself lock-free on the read side). If the table ever
+/// fills, a sticky `overflow` flag sends every future reader to the
+/// locked fallback path instead of silently truncating.
 pub struct SnapRows {
     ver: SeqVersion,
-    chunks: Box<[OnceLock<Box<[SnapRow]>>]>,
+    chunks: Box<[OnceLock<Box<SnapChunk>>]>,
     /// Published row count, tombstones included. Written only inside a
     /// write window; monotone within one window.
     // spc-order(rows_len): SeqCst — the row count lock-free probes iterate by
     rows_len: AtomicUsize,
-    /// Live (non-tombstoned) rows.
+    /// Live (non-tombstoned) rows: the set bits of the liveness bitmap.
     // spc-order(live_rows): SeqCst — read by the wildcard pre-scan's emptiness check
     live_rows: AtomicUsize,
     /// Sticky: the table filled with live rows and the mirror is no
@@ -217,24 +265,52 @@ impl SnapRows {
         self.live_rows.load(Ordering::SeqCst)
     }
 
-    /// Published row count, tombstones included: the rows a full walk
-    /// touches. At most `2 * live_len() + 1` after every write.
+    /// Published row count, tombstones included. At most
+    /// `2 * live_len() + 1` after every write.
     pub(crate) fn published_len(&self) -> usize {
         self.rows_len.load(Ordering::SeqCst)
     }
 
-    /// Writer-side row access; allocates the chunk on first touch.
-    fn row_mut(&self, i: usize) -> &SnapRow {
-        let chunk = self.chunks[i / ROWS_PER_CHUNK]
-            .get_or_init(|| (0..ROWS_PER_CHUNK).map(|_| SnapRow::new()).collect());
-        &chunk[i % ROWS_PER_CHUNK]
+    /// Writer-side chunk access; allocates the chunk on first touch.
+    fn chunk_mut(&self, ci: usize) -> &SnapChunk {
+        self.chunks[ci].get_or_init(SnapChunk::new)
     }
 
-    /// Non-allocating row access; `None` means the chunk was never
-    /// allocated (nothing was ever published at `i`).
-    fn row_get(&self, i: usize) -> Option<&SnapRow> {
-        let chunk = self.chunks.get(i / ROWS_PER_CHUNK)?.get()?;
-        Some(&chunk[i % ROWS_PER_CHUNK])
+    /// Non-allocating chunk access; `None` means the chunk was never
+    /// allocated (nothing was ever published in it).
+    fn chunk_get(&self, ci: usize) -> Option<&SnapChunk> {
+        self.chunks.get(ci)?.get().map(|c| &**c)
+    }
+
+    /// How many of the first `n` rows have a stamp satisfying `pred`,
+    /// which must hold for a prefix of the stamps (rows are seq-sorted,
+    /// and a tombstone keeps its stamp): a binary search, no walk. `None`
+    /// means a chunk below `n` was never allocated — `n` was torn.
+    fn partition_point(&self, n: usize, pred: impl Fn(u64) -> bool) -> Option<usize> {
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let chunk = self.chunk_get(mid / ROWS_PER_CHUNK)?;
+            if pred(chunk.rows[mid % ROWS_PER_CHUNK].seq.load(Ordering::SeqCst)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(lo)
+    }
+
+    /// Live rows among the first `end`: a popcount of the liveness words
+    /// below row `end`. `None` means a chunk below `end` was never
+    /// allocated.
+    fn live_below(&self, end: usize) -> Option<u32> {
+        let mut live = 0;
+        for wi in 0..end.div_ceil(ROWS_PER_WORD) {
+            let chunk = self.chunk_get(wi / WORDS_PER_CHUNK)?;
+            let bits = chunk.live_bits[wi % WORDS_PER_CHUNK].load(Ordering::SeqCst);
+            live += (bits & below(end - wi * ROWS_PER_WORD)).count_ones();
+        }
+        Some(live)
     }
 
     /// Opens the write window (version goes odd). Call while holding the
@@ -273,128 +349,194 @@ impl SnapRows {
             self.overflow.store(true, Ordering::SeqCst);
             return;
         }
-        let row = self.row_mut(n);
+        let chunk = self.chunk_mut(n / ROWS_PER_CHUNK);
+        let row = &chunk.rows[n % ROWS_PER_CHUNK];
         row.seq.store(seq, Ordering::SeqCst);
         row.key.store(key, Ordering::SeqCst);
         row.val.store(val, Ordering::SeqCst);
-        row.live.store(1, Ordering::SeqCst);
+        let (w, bit) = word_bit(n);
+        chunk.live_bits[w].fetch_or(bit, Ordering::SeqCst);
         self.rows_len.store(n + 1, Ordering::SeqCst);
         self.live_rows.store(live + 1, Ordering::SeqCst);
     }
 
-    /// Tombstones the row stamped `seq` inside the current write window,
-    /// and compacts in the same window once the tombstones outnumber the
-    /// live rows by more than one, so the published rows never exceed
-    /// `2 * live + 1`. Tolerates a missing row (the commit-skipping
-    /// adversary never published it; after overflow the mirror is already
-    /// degraded).
+    /// Tombstones the row stamped `seq` inside the current write window —
+    /// clears its liveness bit — and compacts in the same window once the
+    /// tombstones outnumber the live rows by more than one, so the
+    /// published rows never exceed `2 * live + 1`. Tolerates a missing
+    /// row (the commit-skipping adversary never published it; after
+    /// overflow the mirror is already degraded).
     pub fn kill(&self, seq: u64) {
         let n = self.rows_len.load(Ordering::SeqCst);
         // Rows are seq-sorted (tombstones keep their stamp), so binary
         // search finds the victim without walking.
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let Some(row) = self.row_get(mid) else {
-                return;
-            };
-            match row.seq.load(Ordering::SeqCst).cmp(&seq) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    if row.live.swap(0, Ordering::SeqCst) == 1 {
-                        let live = self.live_rows.fetch_sub(1, Ordering::SeqCst) - 1;
-                        if n > 2 * live + 1 {
-                            self.compact();
-                        }
-                    }
-                    return;
-                }
+        let Some(i) = self.partition_point(n, |s| s < seq) else {
+            return;
+        };
+        let victim = self
+            .chunk_get(i / ROWS_PER_CHUNK)
+            .filter(|c| i < n && c.rows[i % ROWS_PER_CHUNK].seq.load(Ordering::SeqCst) == seq);
+        let Some(chunk) = victim else {
+            debug_assert!(
+                !self.publish || self.overflowed(),
+                "kill({seq}) found no published row on a publishing mirror"
+            );
+            return;
+        };
+        let (w, bit) = word_bit(i);
+        if chunk.live_bits[w].fetch_and(!bit, Ordering::SeqCst) & bit != 0 {
+            let live = self.live_rows.fetch_sub(1, Ordering::SeqCst) - 1;
+            if n > 2 * live + 1 {
+                self.compact();
             }
         }
-        debug_assert!(
-            !self.publish || self.overflowed(),
-            "kill({seq}) found no published row on a publishing mirror"
-        );
     }
 
-    /// Drops tombstones, preserving seq order. Writer-only, inside the
-    /// write window.
+    /// Drops tombstones, preserving seq order: moves each live row down
+    /// to the next free slot, then rewrites the liveness words of every
+    /// row it covered — rows `0..live` set, the rest of the old rows
+    /// clear. Writer-only, inside the write window.
     fn compact(&self) {
         let n = self.rows_len.load(Ordering::SeqCst);
         let mut out = 0usize;
-        for i in 0..n {
-            let row = self.row_mut(i);
-            if row.live.load(Ordering::SeqCst) == 0 {
-                continue;
+        for wi in 0..n.div_ceil(ROWS_PER_WORD) {
+            let chunk = self.chunk_mut(wi / WORDS_PER_CHUNK);
+            let mut bits = chunk.live_bits[wi % WORDS_PER_CHUNK].load(Ordering::SeqCst);
+            while bits != 0 {
+                let i = wi * ROWS_PER_WORD + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if out != i {
+                    let row = &chunk.rows[i % ROWS_PER_CHUNK];
+                    let dst = &self.chunk_mut(out / ROWS_PER_CHUNK).rows[out % ROWS_PER_CHUNK];
+                    dst.seq
+                        .store(row.seq.load(Ordering::SeqCst), Ordering::SeqCst);
+                    dst.key
+                        .store(row.key.load(Ordering::SeqCst), Ordering::SeqCst);
+                    dst.val
+                        .store(row.val.load(Ordering::SeqCst), Ordering::SeqCst);
+                }
+                out += 1;
             }
-            if out != i {
-                let (s, k, v) = (
-                    row.seq.load(Ordering::SeqCst),
-                    row.key.load(Ordering::SeqCst),
-                    row.val.load(Ordering::SeqCst),
-                );
-                let dst = self.row_mut(out);
-                dst.seq.store(s, Ordering::SeqCst);
-                dst.key.store(k, Ordering::SeqCst);
-                dst.val.store(v, Ordering::SeqCst);
-                dst.live.store(1, Ordering::SeqCst);
-            }
-            out += 1;
+        }
+        for wi in 0..n.div_ceil(ROWS_PER_WORD) {
+            let chunk = self.chunk_mut(wi / WORDS_PER_CHUNK);
+            let bits = below(out.saturating_sub(wi * ROWS_PER_WORD));
+            chunk.live_bits[wi % WORDS_PER_CHUNK].store(bits, Ordering::SeqCst);
         }
         self.rows_len.store(out, Ordering::SeqCst);
     }
 
     /// Empties the mirror (inside a write window; used by engine reset).
     pub fn clear(&self) {
+        let n = self.rows_len.load(Ordering::SeqCst);
+        for wi in 0..n.div_ceil(ROWS_PER_WORD) {
+            let chunk = self.chunk_mut(wi / WORDS_PER_CHUNK);
+            chunk.live_bits[wi % WORDS_PER_CHUNK].store(0, Ordering::SeqCst);
+        }
         self.rows_len.store(0, Ordering::SeqCst);
         self.live_rows.store(0, Ordering::SeqCst);
         self.overflow.store(false, Ordering::SeqCst);
     }
 
-    /// Lock-free walk: calls `visit(seq, key, val)` on every live row in
-    /// seq order until it returns `false` (early exit) or the rows run
-    /// out — at most `2 * live + 1` rows touched, tombstones included
-    /// (the compaction bound on the type, which holds after every write).
-    /// Returns `true` iff the whole walk ran under one stable version; on
-    /// `false` — a writer interfered, a chunk was torn, or the mirror
-    /// overflowed — whatever `visit` saw is meaningless, so it must
-    /// tolerate torn rows, and the caller retries or falls back to the
-    /// locked path.
-    pub fn scan(&self, mut visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
-        let Some(entered) = self.ver.read_enter() else {
-            return false;
-        };
+    /// Runs `read` on the published row count inside one version bracket.
+    /// `None` if the version was odd on entry or moved by exit, the
+    /// mirror overflowed, the row count is past the table, or `read`
+    /// itself found the rows torn.
+    fn bracketed<T>(&self, read: impl FnOnce(usize) -> Option<T>) -> Option<T> {
+        let entered = self.ver.read_enter()?;
         if self.overflow.load(Ordering::SeqCst) {
-            return false;
+            return None;
         }
         let n = self.rows_len.load(Ordering::SeqCst);
         if n > self.max_rows {
-            return false;
+            return None;
         }
-        'walk: for (ci, chunk) in self.chunks.iter().enumerate() {
-            let base = ci * ROWS_PER_CHUNK;
-            if base >= n {
-                break;
-            }
-            // A never-allocated chunk below `n` means `rows_len` was torn.
-            let Some(chunk) = chunk.get() else {
-                return false;
-            };
-            for row in &chunk[..(n - base).min(ROWS_PER_CHUNK)] {
-                if row.live.load(Ordering::SeqCst) == 1
-                    && !visit(
+        let out = read(n)?;
+        (self.ver.read_ok(entered) && !self.overflow.load(Ordering::SeqCst)).then_some(out)
+    }
+
+    /// Lock-free walk: calls `visit(seq, key, val)` on every live row in
+    /// seq order until it returns `false` (early exit) or the rows run
+    /// out. It reads the liveness words and visits the set bits only, so
+    /// it never reads a tombstone's row. Returns `true` iff the whole walk
+    /// ran under one stable version; on `false` — a writer interfered, a
+    /// chunk was torn, or the mirror overflowed — whatever `visit` saw is
+    /// meaningless, so it must tolerate torn rows, and the caller retries
+    /// or falls back to the locked path.
+    pub fn scan(&self, mut visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
+        self.bracketed(|n| {
+            for wi in 0..n.div_ceil(ROWS_PER_WORD) {
+                // A never-allocated chunk below `n` means `rows_len` was torn.
+                let chunk = self.chunk_get(wi / WORDS_PER_CHUNK)?;
+                let mut bits = chunk.live_bits[wi % WORDS_PER_CHUNK].load(Ordering::SeqCst)
+                    & below(n - wi * ROWS_PER_WORD);
+                while bits != 0 {
+                    let r = (wi % WORDS_PER_CHUNK) * ROWS_PER_WORD + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let row = &chunk.rows[r];
+                    if !visit(
                         row.seq.load(Ordering::SeqCst),
                         row.key.load(Ordering::SeqCst),
                         row.val.load(Ordering::SeqCst),
-                    )
-                {
-                    break 'walk;
+                    ) {
+                        return Some(());
+                    }
                 }
             }
+            Some(())
+        })
+        .is_some()
+    }
+
+    /// Lock-free count of the live rows stamped at or before `seq`: a
+    /// binary search of the row stamps for the first row stamped after
+    /// `seq`, then a popcount of the liveness words below that row, all
+    /// inside one version bracket — O(log rows) row reads and one word
+    /// per 64 rows, however many tombstones lie below. `None` means the
+    /// count was refused, exactly as [`SnapRows::scan`] refuses a walk,
+    /// and the caller retries or falls back to the locked path.
+    pub fn count_through(&self, seq: u64) -> Option<u32> {
+        self.count_through_between(seq, || {})
+    }
+
+    /// [`SnapRows::count_through`] with `between` run after the search
+    /// and before the popcount: the point where a racing compaction would
+    /// make the popcount wrong, which the refusal tests write through.
+    fn count_through_between(&self, seq: u64, between: impl FnOnce()) -> Option<u32> {
+        self.bracketed(|n| {
+            let end = self.partition_point(n, |s| s <= seq)?;
+            between();
+            self.live_below(end)
+        })
+    }
+
+    /// The quiescent liveness audit behind `ShardedEngine::validate`: the
+    /// bitmap holds exactly `live_len()` set bits, and none at or past the
+    /// published row count.
+    pub(crate) fn check_live_bits(&self) -> Result<(), String> {
+        let n = self.published_len();
+        let mut set = 0usize;
+        for wi in 0..self.chunks.len() * WORDS_PER_CHUNK {
+            let Some(chunk) = self.chunk_get(wi / WORDS_PER_CHUNK) else {
+                continue;
+            };
+            let bits = chunk.live_bits[wi % WORDS_PER_CHUNK].load(Ordering::SeqCst);
+            let stray = bits & !below(n.saturating_sub(wi * ROWS_PER_WORD));
+            if stray != 0 {
+                return Err(format!(
+                    "liveness bit set for row {} at or past the {n} published rows",
+                    wi * ROWS_PER_WORD + stray.trailing_zeros() as usize
+                ));
+            }
+            set += bits.count_ones() as usize;
         }
-        self.ver.read_ok(entered) && !self.overflow.load(Ordering::SeqCst)
+        if set != self.live_len() {
+            return Err(format!(
+                "liveness bitmap holds {set} set bits but live_len is {}",
+                self.live_len()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -636,6 +778,27 @@ mod tests {
         rows.scan(|_, _, _| true)
     }
 
+    /// `count_through(s)` equals a full-`scan` recount for every
+    /// published stamp, tombstones' included, and one past `last`.
+    fn assert_counts_match_scan(rows: &SnapRows, last: u64, ctx: &str) {
+        let live: Vec<u64> = read_all(rows).iter().map(|r| r.0).collect();
+        let published = (0..rows.published_len()).map(|i| {
+            rows.chunk_get(i / ROWS_PER_CHUNK)
+                .expect("published chunk")
+                .rows[i % ROWS_PER_CHUNK]
+                .seq
+                .load(Ordering::SeqCst)
+        });
+        for s in published.chain([last + 1]) {
+            let want = live.partition_point(|&l| l <= s) as u32;
+            assert_eq!(
+                rows.count_through(s),
+                Some(want),
+                "{ctx}: count through {s}"
+            );
+        }
+    }
+
     #[test]
     fn append_and_kill_round_trip_in_seq_order() {
         let rows = SnapRows::new(true, 1024);
@@ -715,10 +878,13 @@ mod tests {
     }
 
     /// A seeded run of single-op write windows against a `VecDeque`
-    /// model: after every append and kill the mirror reads exactly the
-    /// model and publishes at most `2 * live + 1` rows. Live rows rise to
-    /// `peak`, churn there for `peak` ops and drain to zero, twice, so
-    /// every run compacts many times.
+    /// model: after every append and kill (and the compactions kills
+    /// trigger) the mirror reads exactly the model, publishes at most
+    /// `2 * live + 1` rows, keeps its liveness bitmap consistent, and
+    /// counts through every published stamp what a full scan recounts;
+    /// after the final clear too. Live rows rise to `peak`, churn there
+    /// for `peak` ops and drain to zero, twice, so every run compacts
+    /// many times.
     fn model_run(order: KillOrder, peak: usize, seed: u64) {
         use spc_rng::{Rng, SeedableRng, StdRng};
         use std::collections::VecDeque;
@@ -770,6 +936,10 @@ mod tests {
                 read_all(&rows).iter().eq(model.iter()),
                 "{order:?} step {step}: the mirror diverged from the model"
             );
+            let ctx = format!("{order:?} step {step}");
+            rows.check_live_bits()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_counts_match_scan(&rows, next_seq, &ctx);
         }
         assert!(compactions > 2, "{order:?}: {compactions} compactions");
         assert!(!rows.overflowed());
@@ -778,6 +948,9 @@ mod tests {
         rows.end();
         assert_eq!((rows.published_len(), rows.live_len()), (0, 0));
         assert!(read_all(&rows).is_empty());
+        rows.check_live_bits().expect("cleared bitmap");
+        assert_counts_match_scan(&rows, next_seq, &format!("{order:?} cleared"));
+        assert_eq!(rows.count_through(u64::MAX), Some(0));
     }
 
     #[test]
@@ -888,6 +1061,57 @@ mod tests {
             true
         });
         assert!(!ok, "a compaction inside the walk must invalidate it");
+        assert_eq!(read_all(&rows), vec![(5, 50, 500), (6, 60, 600)]);
+    }
+
+    #[test]
+    fn count_refuses_a_version_change_mid_count() {
+        let rows = SnapRows::new(true, 1024);
+        rows.begin();
+        for seq in 1..=3u64 {
+            rows.append(seq, seq * 10, seq * 100);
+        }
+        rows.end();
+        assert_eq!(rows.count_through(2), Some(2));
+        // A whole write window opens and closes between the search and
+        // the popcount: entry saw an even version, exit sees a later one.
+        let got = rows.count_through_between(2, || {
+            rows.begin();
+            rows.kill(1);
+            rows.end();
+        });
+        assert_eq!(got, None, "a write window inside the count must refuse it");
+        assert_eq!(rows.count_through(2), Some(1));
+        // Overflow raised mid-count is caught by the exit re-check too.
+        let got = rows.count_through_between(2, || rows.overflow.store(true, Ordering::SeqCst));
+        assert_eq!(got, None, "overflow during the count must refuse it");
+        assert_eq!(rows.count_through(2), None, "and every count after it");
+    }
+
+    #[test]
+    fn count_refuses_a_compaction_mid_count() {
+        let rows = SnapRows::new(true, 1024);
+        rows.begin();
+        for seq in 1..=6u64 {
+            rows.append(seq, seq * 10, seq * 100);
+        }
+        for seq in 1..=3u64 {
+            rows.kill(seq); // three tombstones beside three live: no compaction
+        }
+        rows.end();
+        assert_eq!((rows.published_len(), rows.live_len()), (6, 3));
+        assert_eq!(rows.count_through(5), Some(2));
+        // Between the search (which stopped below row 5, the sixth row)
+        // and the popcount, a kill compacts the live rows down to rows
+        // 0–1: the popcount below the stale position would read 2, not 1.
+        let got = rows.count_through_between(5, || {
+            rows.begin();
+            rows.kill(4);
+            rows.end();
+            assert_eq!(rows.published_len(), 2, "the kill compacted");
+        });
+        assert_eq!(got, None, "a compaction inside the count must refuse it");
+        assert_eq!(rows.count_through(5), Some(1));
         assert_eq!(read_all(&rows), vec![(5, 50, 500), (6, 60, 600)]);
     }
 

@@ -106,16 +106,19 @@
 //!   source as a packet names its destination, so the match can only sit
 //!   in `shard_of(source)`. `merged_probe` walks that one lane for the
 //!   earliest match (every lane only for `MPI_ANY_SOURCE`), and on a hit
-//!   alone walks the others up to the match's stamp to count its global
-//!   FIFO depth — no copy-out, no allocation, no sort. A concrete-source
-//!   miss therefore touches one shard's rows and is not refused by a
-//!   write window open on another shard's lane; only a stamp taken
-//!   inside its own (now short) `s0` bracket retries it. A lane walk
-//!   touches at most `2 * live + 1` rows, tombstones included: a kill
-//!   that leaves more tombstones than `live + 1` compacts in its own
-//!   write window (the bound `validate` checks). Bounded seqlock
-//!   retries, then the locked fallback, which runs the same merge over
-//!   the seq indexes ([`SnapReadStats`] counts both).
+//!   alone counts, in every lane, the live rows stamped at or before the
+//!   match to get its global FIFO depth — a binary search and a bitmap
+//!   popcount per lane ([`SnapRows::count_through`]), no walk, no
+//!   copy-out, no allocation, no sort. A concrete-source miss therefore
+//!   touches one shard's rows and is not refused by a write window open
+//!   on another shard's lane; only a stamp taken inside its own (now
+//!   short) `s0` bracket retries it. A lane walk visits live rows only
+//!   (their liveness bits), and a lane publishes at most `2 * live + 1`
+//!   rows, tombstones included: a kill that leaves more tombstones than
+//!   `live + 1` compacts in its own write window (the bound `validate`
+//!   checks). Bounded seqlock retries, then the locked fallback, which
+//!   runs the same merge over the seq indexes ([`SnapReadStats`] counts
+//!   both).
 //! * [`ShardedEngine::queue_lens`] / [`ShardedEngine::stats`] /
 //!   [`ShardedEngine::shard_stats`] — pure mirror reads, never a lock.
 //! * The wildcard **candidate pre-scan**: when the unexpected counts are
@@ -300,24 +303,37 @@ fn first_match(idx: &VecDeque<(u64, PostedEntry)>, env: &Envelope) -> Option<(us
 }
 
 /// A seq-ordered lane of live unexpected rows `(seq, packed key, payload)`
-/// that [`merged_probe`] can walk: a published [`SnapRows`] mirror
-/// (lock-free, may refuse) or a locked shard's seq index (never refuses).
+/// that [`merged_probe`] can walk and count: a published [`SnapRows`]
+/// mirror (lock-free, may refuse) or a locked shard's seq index (never
+/// refuses).
 trait ProbeLane {
     /// Visits rows in seq order until `visit` returns `false`. Returns
     /// `false` if the walk could not be validated, in which case whatever
     /// `visit` saw is meaningless.
     fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool;
+
+    /// The number of rows stamped at or before `seq`; `None` if the
+    /// count could not be validated.
+    fn count_through(&self, seq: u64) -> Option<u32>;
 }
 
 impl ProbeLane for SnapRows {
     fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
         self.scan(visit)
     }
+
+    fn count_through(&self, seq: u64) -> Option<u32> {
+        SnapRows::count_through(self, seq)
+    }
 }
 
 impl<L: ProbeLane> ProbeLane for Pad<L> {
     fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
         self.0.walk(visit)
+    }
+
+    fn count_through(&self, seq: u64) -> Option<u32> {
+        self.0.count_through(seq)
     }
 }
 
@@ -334,6 +350,12 @@ where
         }
         true
     }
+
+    /// The seq index holds live entries only, so no tombstone can skew
+    /// the count.
+    fn count_through(&self, seq: u64) -> Option<u32> {
+        Some(self.umq_idx.partition_point(|(s, _)| *s <= seq) as u32)
+    }
 }
 
 /// The cross-lane probe merge, shared by the lock-free and the locked
@@ -346,11 +368,13 @@ where
 /// (`home` alone for a concrete source, every lane otherwise), leaving
 /// each lane at its first match or at the first row stamped after the
 /// best so far. Pass 2 runs on a hit only: the depth is the number of
-/// rows stamped at or before the match, and since every lane is
-/// seq-ordered each lane's walk stops at its first later row. A miss
-/// therefore touches one lane for a concrete source.
+/// live rows stamped at or before the match, summed over the lanes'
+/// [`ProbeLane::count_through`] — a binary search and a popcount per
+/// mirror, never a walk. A miss therefore touches one lane for a
+/// concrete source, and a hit walks only its home lane up to the match.
 ///
-/// Outer `None`: a lane refused its walk and the caller must retry.
+/// Outer `None`: a lane refused its walk or count and the caller must
+/// retry.
 fn merged_probe<L: ProbeLane>(
     lanes: &[L],
     home: Option<usize>,
@@ -383,14 +407,7 @@ fn merged_probe<L: ProbeLane>(
     };
     let mut depth = 0u32;
     for lane in lanes {
-        let stable = lane.walk(|seq, _, _| {
-            let earlier = seq <= bseq;
-            depth += u32::from(earlier);
-            earlier
-        });
-        if !stable {
-            return None;
-        }
+        depth += lane.count_through(bseq)?;
     }
     Some(Some((payload, depth)))
 }
@@ -749,8 +766,9 @@ where
     /// the locked truth: mirrored lengths, mirrored stat counters
     /// (field-by-field — [`EngineStats`] has no `PartialEq`), the walk
     /// bound (published rows, tombstones included, at most
-    /// `2 * live + 1`), and the published snapshot rows against the seq
-    /// index entry-for-entry.
+    /// `2 * live + 1`), the liveness bitmap (its popcount is the live
+    /// count, and no bit is set at or past the published rows), and the
+    /// rows whose bits are set against the seq index entry-for-entry.
     fn validate_mirrors(&self, si: usize, g: &ShardState<P, U>) -> Result<(), String> {
         let (mp, mu) = self.mirrors[si].lens();
         if (mp, mu) != (g.eng.prq_len(), g.eng.umq_len()) {
@@ -794,6 +812,9 @@ where
                  over the walk bound 2 * live + 1"
             ));
         }
+        self.snaps[si]
+            .check_live_bits()
+            .map_err(|e| format!("shard {si}: {e}"))?;
         // The adversary never publishes; after overflow the mirror is
         // legitimately incomplete (readers already fall back).
         if !self.snap_commit || self.snaps[si].overflowed() {
@@ -1582,6 +1603,70 @@ mod tests {
         assert_eq!(eng.queue_lens(), (0, 3), "probe must not consume");
     }
 
+    /// A hit's depth counts live rows only. The foreign lanes hold
+    /// tombstones stamped both before and after the hit — a count of
+    /// rows rather than live rows would read the earlier ones — and one
+    /// lane compacted on its last kill. Every probe, lock-free and
+    /// locked, must report what a single engine reports.
+    #[test]
+    fn iprobe_depth_counts_past_foreign_tombstones() {
+        let eng = engine(4);
+        let mut single = MatchEngine::new(
+            Lla::<PostedEntry, 2>::new(),
+            Lla::<UnexpectedEntry, 3>::new(),
+        );
+        let payload = |rank: i32, tag: i32| (rank * 100 + tag) as u64;
+        // Source r lands on lane r; the hit is (2, 1), after every early
+        // arrival and before every late one.
+        let early = [(0, 0..2), (1, 0..6), (3, 0..4), (2, 0..2)];
+        let late = [(1, 6..12), (3, 4..6), (0, 2..3), (2, 2..3)];
+        for (rank, tags) in early.into_iter().chain(late) {
+            for tag in tags {
+                let env = Envelope::new(rank, tag, 0);
+                assert_eq!(
+                    single.arrival(env, payload(rank, tag)),
+                    ArrivalOutcome::Queued
+                );
+                assert_eq!(eng.arrival(env, payload(rank, tag)), ArrivalOutcome::Queued);
+            }
+        }
+        // Lane 1 keeps two tombstones on each side of the hit, lane 0 one
+        // on each side, and lane 3's fourth kill compacts it.
+        let kills = [(1, 0), (1, 2), (1, 7), (1, 9), (0, 0), (0, 2)];
+        let compacting = [(3, 0), (3, 1), (3, 2), (3, 4)];
+        for (rank, tag) in kills.into_iter().chain(compacting) {
+            let spec = RecvSpec::new(rank, tag, 0);
+            let want = RecvOutcome::MatchedUnexpected {
+                payload: payload(rank, tag),
+                depth: single.iprobe(spec).expect("queued").1,
+            };
+            assert_eq!(single.post_recv(spec, 0), want);
+            assert!(matches!(
+                eng.post_recv(spec, 0),
+                RecvOutcome::MatchedUnexpected { payload: p, .. } if p == payload(rank, tag)
+            ));
+        }
+        let shape = |lane: usize| (eng.snaps[lane].published_len(), eng.snaps[lane].live_len());
+        assert_eq!([shape(0), shape(1), shape(3)], [(3, 1), (12, 8), (2, 2)]);
+        // Stamped at or before the hit, live: 1 + 4 + 2 + 1; a row count
+        // would read 2 + 6 + 2 + 1.
+        assert_eq!(eng.iprobe(RecvSpec::new(2, 1, 0)), Some((payload(2, 1), 8)));
+        let mut specs = vec![RecvSpec::new(ANY_SOURCE, ANY_TAG, 0)];
+        for tag in (0..13).map(Some).chain([None]) {
+            let tag = tag.unwrap_or(ANY_TAG);
+            specs.push(RecvSpec::new(ANY_SOURCE, tag, 0));
+            specs.extend((0..4).map(|rank| RecvSpec::new(rank, tag, 0)));
+        }
+        for spec in specs {
+            let want = single.iprobe(spec);
+            assert_eq!(eng.iprobe(spec), want, "lock-free {spec:?}");
+            assert_eq!(eng.iprobe_locked(spec).1, want, "locked {spec:?}");
+        }
+        let reads = eng.snap_read_stats();
+        assert_eq!((reads.probe_retries, reads.probe_fallbacks), (0, 0));
+        eng.validate().unwrap();
+    }
+
     #[test]
     fn queue_ids_report_global_fifo_order() {
         let eng = engine(4);
@@ -1909,8 +1994,8 @@ mod tests {
 
     /// The routing itself: a concrete-source probe looks for its match in
     /// the source's own lane only, so a writer mid-window on another lane
-    /// cannot disturb a miss; a hit still needs every lane (for the global
-    /// FIFO depth), as does any `ANY_SOURCE` probe.
+    /// cannot disturb a miss; a hit still counts every lane (for the
+    /// global FIFO depth), and any `ANY_SOURCE` probe walks every lane.
     #[test]
     fn concrete_source_miss_reads_only_its_home_lane() {
         let eng = engine(4);
