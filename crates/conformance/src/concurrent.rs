@@ -24,13 +24,15 @@
 //!    agrees with the oracle replaying the same serial order; any lost,
 //!    duplicated or overtaken match diverges.
 //!
-//! Search depths are *not* compared here (they depend on the shard an
-//! operation ran in); the lockstep driver already pins them per
-//! structure. Probe results are compared exactly — both engines define
-//! iprobe on a global-FIFO snapshot.
+//! The depths of posts and arrivals are *not* compared here (they depend
+//! on the shard an operation ran in); the lockstep driver already pins
+//! them per structure. A probe must find exactly the oracle's message,
+//! and its depth — the rows it inspected (DESIGN decision 17) — must be
+//! a [`DepthMode::Bounded`] depth against the oracle's unexpected queue.
 
 use std::collections::HashSet;
 
+use crate::driver::{outcome_ok, DepthMode};
 use crate::oracle::OracleList;
 use spc_core::engine::{Engine, MatchEngine, Op, Outcome};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry, ANY_SOURCE, ANY_TAG};
@@ -399,12 +401,19 @@ pub fn verify_log(log: &[LogRecord], final_lens: (usize, usize)) -> Result<(), S
                 r.seq, r.thread, r.op, r.out
             ))
         };
+        let umq_before = reference.queue_lens().1;
         let want = reference.apply(r.op).1;
         let consumed = match r.op {
             Op::PostRecv { .. } => &mut consumed_payloads,
             Op::Arrival { .. } => &mut consumed_requests,
-            // Probes and cancels must agree exactly, depth included.
-            Op::Iprobe { .. } | Op::Cancel { .. } => {
+            Op::Iprobe { .. } => {
+                if let Err(e) = outcome_ok(DepthMode::Bounded, r.out, want, Some(umq_before)) {
+                    return fail(e);
+                }
+                continue;
+            }
+            // Cancels must agree exactly.
+            Op::Cancel { .. } => {
                 if r.out != want {
                     return fail(format!("oracle saw {want:?}"));
                 }

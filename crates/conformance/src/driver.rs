@@ -236,27 +236,32 @@ pub fn diff_umq<L: MatchList<UnexpectedEntry>>(
 }
 
 /// Checks a subject's outcome against the reference's: same variant
-/// (matched, appended, probed, cancelled), same matched handle,
-/// and a search depth acceptable under `mode`. `searched` is the length
-/// of the queue a post or an arrival searched, before the op; `None` for
-/// a probe or a cancel, whose outcomes must agree exactly.
-fn outcome_ok(
+/// (matched, appended, probed, cancelled), same counterpart — the matched
+/// handle, or the payload a probe found — and a search depth acceptable
+/// under `mode`. `searched` is the length, before the op, of the queue
+/// it searched (the PRQ for an arrival, the UMQ for a post or a probe);
+/// `None` for a cancel, whose outcome must agree exactly.
+pub(crate) fn outcome_ok(
     mode: DepthMode,
     got: Outcome,
     want: Outcome,
     searched: Option<usize>,
 ) -> Result<(), String> {
     let Some(live_before) = searched else {
-        let verb = match want {
-            Outcome::Probed(_) => "iprobe",
-            _ => "cancel",
-        };
         return if got == want {
             Ok(())
         } else {
-            Err(format!("{verb} {got:?}, oracle {want:?}"))
+            Err(format!("cancel {got:?}, oracle {want:?}"))
         };
     };
+    if let (Outcome::Probed(g), Outcome::Probed(w)) = (got, want) {
+        let found = |hit: Option<(u64, u32)>| hit.map(|(payload, _)| payload);
+        if found(g) != found(w) {
+            return Err(format!("iprobe {got:?}, oracle {want:?}"));
+        }
+        return depth_ok(mode, got.depth(), want.depth(), g.is_some(), live_before)
+            .map_err(|d| format!("iprobe {d}"));
+    }
     if core::mem::discriminant(&got) != core::mem::discriminant(&want) {
         return Err(format!("outcome {got:?}, oracle {want:?}"));
     }
@@ -276,8 +281,10 @@ fn outcome_ok(
 /// entirely through [`Engine::apply`]. After every step it compares
 /// outcomes, queue lengths and full FIFO snapshots.
 ///
-/// Iprobe depth is always compared exactly: it is defined on a FIFO
-/// snapshot, so it is structure-independent by construction.
+/// A probe's depth is compared under `mode`, like every search's: it is
+/// the rows the probe inspected (DESIGN decision 17), so a sharded
+/// engine, which walks only the lanes that can hold the match, reports
+/// fewer than the oracle's one global queue.
 pub fn diff_engine<E: Engine + ?Sized>(
     subject: &mut E,
     mode: DepthMode,
@@ -303,7 +310,7 @@ pub fn diff_engine<E: Engine + ?Sized>(
             }
             EngineOp::Iprobe { rank, tag, ctx } => {
                 let spec = spec(rank, tag, ctx);
-                Some((Op::Iprobe { spec }, None))
+                Some((Op::Iprobe { spec }, Some(umq_before)))
             }
             EngineOp::Cancel { nth } => {
                 // Map the generator's free index onto a handle that was

@@ -44,7 +44,10 @@
 //! fewer entries — that is their entire point — so for them the harness
 //! checks the bounds every implementation must satisfy: a hit inspects at
 //! least one entry, and no search inspects more entries than are live.
-//! See the contract on [`spc_core::list::MatchList::search_remove`].
+//! See the contract on [`spc_core::list::MatchList::search_remove`]. The
+//! sharded engine partitions by source in the same way: its searches,
+//! probes included, report the entries of the lanes they walked, so it is
+//! checked under the same bounds.
 
 #![warn(missing_docs)]
 

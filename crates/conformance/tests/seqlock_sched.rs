@@ -13,7 +13,7 @@
 //!   (the per-slot store-buffering pair behind the crossing filter),
 //! * a probe against another producer's still-buffered ring entries,
 //! * a concrete-source hit probe racing a post that kills an earlier row
-//!   in another lane (the hit's depth counts every lane's live rows).
+//!   in another lane (the hit's depth is its home lane's rows alone).
 //!
 //! The harness-sensitivity half injects an adversary whose writers skip
 //! the snapshot commit entirely ([`ShardedEngine::with_snap_commit_disabled`]):
@@ -25,6 +25,7 @@
 use spc_conformance::concurrent::{verify_log, ConcOp};
 use spc_conformance::ops::engine_ops;
 use spc_conformance::{diff_engine, interleavings, render_ops, run_stepped, shrink_ops, DepthMode};
+use spc_core::engine::{Op, Outcome};
 use spc_core::entry::{Envelope, PostedEntry, RecvSpec, UnexpectedEntry};
 use spc_core::ingest::BatchedEngine;
 use spc_core::list::Lla;
@@ -80,12 +81,11 @@ fn lock_free_probes_linearize_against_racing_writers_in_every_order() {
     }
 }
 
-/// A concrete-source hit counts its FIFO depth over every lane. Here a
-/// post in another lane kills a row stamped before the hit, in every
-/// order against two probes for that hit: each probe must report the
-/// depth the oracle computes for its place in the log — the killed row
-/// counted before the kill and not after — and `verify_log` compares
-/// probe depths exactly.
+/// A concrete-source hit's depth is the rows it inspected, all in its
+/// home lane. Here a post in another lane kills a row stamped before the
+/// hit, in every order against two probes for that hit: each probe must
+/// find the oracle's message at home-lane depth 1, whether the foreign
+/// row is still queued or already gone.
 #[test]
 fn hit_probe_depth_linearizes_against_a_foreign_kill_in_every_order() {
     let arrive = |rank, tag| ConcOp::Arrive { rank, tag, ctx: 0 };
@@ -119,6 +119,14 @@ fn hit_probe_depth_linearizes_against_a_foreign_kill_in_every_order() {
         let eng = correct();
         let log = run_stepped(&eng, &streams, &schedule);
         verify_log(&log, eng.queue_lens()).unwrap_or_else(|e| panic!("schedule {schedule:?}: {e}"));
+        let probes: Vec<Outcome> = log
+            .iter()
+            .filter(|r| matches!(r.op, Op::Iprobe { .. }))
+            .map(|r| r.out)
+            .collect();
+        // Thread 1's first arrival carries its first payload handle.
+        let hit = Outcome::Probed(Some((1 << 32, 1)));
+        assert_eq!(probes, [hit, hit], "schedule {schedule:?}");
         eng.validate()
             .unwrap_or_else(|e| panic!("schedule {schedule:?}: {e}"));
     }

@@ -126,12 +126,11 @@ pub trait MatchList<E: Element> {
     /// Live elements in FIFO (append) order. Intended for tests and tracing.
     fn snapshot(&self) -> Vec<E>;
 
-    /// The earliest-appended element matching `probe` and its 1-based FIFO
-    /// position among live entries, without removing it (`MPI_Iprobe`).
-    /// The position is the FIFO one for every structure, partitioned ones
-    /// included — a probe reports where the message sits in arrival order,
-    /// not how few entries a bin lookup would inspect. The default walks
-    /// [`MatchList::snapshot`]; the linear structures walk in place.
+    /// The earliest-appended element matching `probe` and the entries the
+    /// probe compared to find it, without removing it (`MPI_Iprobe`). The
+    /// default walks [`MatchList::snapshot`] and the linear structures
+    /// walk in place, both in FIFO order, so for every structure here the
+    /// depth is the match's 1-based FIFO position among live entries.
     fn find_first(&self, probe: &E::Probe) -> Option<(E, u32)> {
         first_match(self.snapshot().iter(), probe)
     }

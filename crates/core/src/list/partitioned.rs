@@ -345,6 +345,39 @@ mod tests {
         );
     }
 
+    /// Drives `list` and a linear list through one seeded stream of
+    /// appends and receives; after every op, a probe must find the same
+    /// match at the same depth on both.
+    fn probes_follow_a_linear_list<L: MatchList<UnexpectedEntry>>(mut list: L, label: &str) {
+        let ranks: Vec<i32> = (0..48).collect();
+        let mut linear = crate::list::BaselineList::new();
+        let s = &mut NullSink;
+        for (&(spec, env), id) in accepting_pairs(&ranks, 0, 800).iter().zip(0u64..) {
+            if id % 3 == 2 {
+                let want = linear.search_remove(&spec, s).found;
+                assert_eq!(list.search_remove(&spec, s).found, want, "{label} op {id}");
+            } else {
+                let e = UnexpectedEntry::from_envelope(env, id);
+                linear.append(e, s);
+                list.append(e, s);
+            }
+            assert_eq!(
+                list.find_first(&spec),
+                linear.find_first(&spec),
+                "{label} op {id}"
+            );
+        }
+    }
+
+    /// A partitioned probe walks the FIFO snapshot, not one channel, so
+    /// its depth is the FIFO position a linear list reports.
+    #[test]
+    fn probes_report_the_fifo_position_of_a_linear_list() {
+        probes_follow_a_linear_list(SourceBins::new(64), "bins");
+        probes_follow_a_linear_list(HashBins::with_bins(16), "hashbins");
+        probes_follow_a_linear_list(RankTrie::new(4096), "ranktrie");
+    }
+
     /// How [`Partitioned`] routes a probe.
     fn seam<P: ProbeKey, R: Router>(router: &R, probe: &P, nchannels: usize) -> Route {
         let key = RouteKey::new(probe.bin_source(), probe.full_key());

@@ -20,9 +20,7 @@
 //!   killed by clearing their bit, and the kill that leaves more
 //!   tombstones than `live + 1` compacts, so after every write at most
 //!   `2 * live + 1` rows are published; a sticky overflow flag covers a
-//!   full table. A walk visits the set bits only, and a reader counts the
-//!   live rows stamped at or before a seq — a binary search and a
-//!   popcount — instead of walking to it.
+//!   full table. A walk visits the set bits only.
 //! * [`MirrorDepth`] / [`MirrorStats`] — atomic mirrors of the per-lane
 //!   [`EngineStats`] counters, updated by writers under the lane lock and
 //!   read by `stats()`/`queue_lens()` with no lock at all. The lane lock
@@ -44,10 +42,10 @@
 //! stamped after the reservation could have changed; the one such read,
 //! an arrival's wildcard-lane check, is guarded in [`crate::shard`]. A
 //! reader does the reverse: it loads the
-//! global seq counter `s0` first, reads each lane it needs under
-//! [`SnapRows::scan`] or [`SnapRows::count_through`] (each fails unless
-//! the version is even and unchanged across the read) — as many reads as
-//! it likes, over as few lanes as can hold its answer — and finally
+//! global seq counter `s0` first, walks each lane it needs under
+//! [`SnapRows::scan`] (which fails unless the version is even and
+//! unchanged across the walk) — as many walks as it likes, over as few
+//! lanes as can hold its answer — and finally
 //! re-checks that the global seq still reads `s0`.
 //!
 //! That ordering makes the snapshot linearizable at `s0`: `s0` never
@@ -199,10 +197,7 @@ impl SnapChunk {
 /// next one.
 ///
 /// Readers never read a tombstone's row: [`SnapRows::scan`] visits the
-/// set liveness bits only, and [`SnapRows::count_through`] counts the
-/// live rows up to a stamp with a binary search over the row stamps and
-/// a popcount of the bitmap words below it — O(log rows) row reads plus
-/// one word per 64 rows. Storage is a fixed table of lazily-allocated
+/// set liveness bits only. Storage is a fixed table of lazily-allocated
 /// chunks — chunk addresses never change after allocation, so concurrent
 /// readers can dereference them safely (the `OnceLock` per chunk makes
 /// publication itself lock-free on the read side). If the table ever
@@ -285,7 +280,7 @@ impl SnapRows {
     /// How many of the first `n` rows have a stamp satisfying `pred`,
     /// which must hold for a prefix of the stamps (rows are seq-sorted,
     /// and a tombstone keeps its stamp): a binary search, no walk. `None`
-    /// means a chunk below `n` was never allocated — `n` was torn.
+    /// means a chunk below `n` was never allocated.
     fn partition_point(&self, n: usize, pred: impl Fn(u64) -> bool) -> Option<usize> {
         let (mut lo, mut hi) = (0usize, n);
         while lo < hi {
@@ -298,19 +293,6 @@ impl SnapRows {
             }
         }
         Some(lo)
-    }
-
-    /// Live rows among the first `end`: a popcount of the liveness words
-    /// below row `end`. `None` means a chunk below `end` was never
-    /// allocated.
-    fn live_below(&self, end: usize) -> Option<u32> {
-        let mut live = 0;
-        for wi in 0..end.div_ceil(ROWS_PER_WORD) {
-            let chunk = self.chunk_get(wi / WORDS_PER_CHUNK)?;
-            let bits = chunk.live_bits[wi % WORDS_PER_CHUNK].load(Ordering::SeqCst);
-            live += (bits & below(end - wi * ROWS_PER_WORD)).count_ones();
-        }
-        Some(live)
     }
 
     /// Opens the write window (version goes odd). Call while holding the
@@ -486,28 +468,6 @@ impl SnapRows {
             Some(())
         })
         .is_some()
-    }
-
-    /// Lock-free count of the live rows stamped at or before `seq`: a
-    /// binary search of the row stamps for the first row stamped after
-    /// `seq`, then a popcount of the liveness words below that row, all
-    /// inside one version bracket — O(log rows) row reads and one word
-    /// per 64 rows, however many tombstones lie below. `None` means the
-    /// count was refused, exactly as [`SnapRows::scan`] refuses a walk,
-    /// and the caller retries or falls back to the locked path.
-    pub fn count_through(&self, seq: u64) -> Option<u32> {
-        self.count_through_between(seq, || {})
-    }
-
-    /// [`SnapRows::count_through`] with `between` run after the search
-    /// and before the popcount: the point where a racing compaction would
-    /// make the popcount wrong, which the refusal tests write through.
-    fn count_through_between(&self, seq: u64, between: impl FnOnce()) -> Option<u32> {
-        self.bracketed(|n| {
-            let end = self.partition_point(n, |s| s <= seq)?;
-            between();
-            self.live_below(end)
-        })
     }
 
     /// The quiescent liveness audit behind `ShardedEngine::validate`: the
@@ -778,27 +738,6 @@ mod tests {
         rows.scan(|_, _, _| true)
     }
 
-    /// `count_through(s)` equals a full-`scan` recount for every
-    /// published stamp, tombstones' included, and one past `last`.
-    fn assert_counts_match_scan(rows: &SnapRows, last: u64, ctx: &str) {
-        let live: Vec<u64> = read_all(rows).iter().map(|r| r.0).collect();
-        let published = (0..rows.published_len()).map(|i| {
-            rows.chunk_get(i / ROWS_PER_CHUNK)
-                .expect("published chunk")
-                .rows[i % ROWS_PER_CHUNK]
-                .seq
-                .load(Ordering::SeqCst)
-        });
-        for s in published.chain([last + 1]) {
-            let want = live.partition_point(|&l| l <= s) as u32;
-            assert_eq!(
-                rows.count_through(s),
-                Some(want),
-                "{ctx}: count through {s}"
-            );
-        }
-    }
-
     #[test]
     fn append_and_kill_round_trip_in_seq_order() {
         let rows = SnapRows::new(true, 1024);
@@ -880,8 +819,7 @@ mod tests {
     /// A seeded run of single-op write windows against a `VecDeque`
     /// model: after every append and kill (and the compactions kills
     /// trigger) the mirror reads exactly the model, publishes at most
-    /// `2 * live + 1` rows, keeps its liveness bitmap consistent, and
-    /// counts through every published stamp what a full scan recounts;
+    /// `2 * live + 1` rows and keeps its liveness bitmap consistent;
     /// after the final clear too. Live rows rise to `peak`, churn there
     /// for `peak` ops and drain to zero, twice, so every run compacts
     /// many times.
@@ -936,10 +874,8 @@ mod tests {
                 read_all(&rows).iter().eq(model.iter()),
                 "{order:?} step {step}: the mirror diverged from the model"
             );
-            let ctx = format!("{order:?} step {step}");
             rows.check_live_bits()
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_counts_match_scan(&rows, next_seq, &ctx);
+                .unwrap_or_else(|e| panic!("{order:?} step {step}: {e}"));
         }
         assert!(compactions > 2, "{order:?}: {compactions} compactions");
         assert!(!rows.overflowed());
@@ -949,8 +885,6 @@ mod tests {
         assert_eq!((rows.published_len(), rows.live_len()), (0, 0));
         assert!(read_all(&rows).is_empty());
         rows.check_live_bits().expect("cleared bitmap");
-        assert_counts_match_scan(&rows, next_seq, &format!("{order:?} cleared"));
-        assert_eq!(rows.count_through(u64::MAX), Some(0));
     }
 
     #[test]
@@ -1061,57 +995,6 @@ mod tests {
             true
         });
         assert!(!ok, "a compaction inside the walk must invalidate it");
-        assert_eq!(read_all(&rows), vec![(5, 50, 500), (6, 60, 600)]);
-    }
-
-    #[test]
-    fn count_refuses_a_version_change_mid_count() {
-        let rows = SnapRows::new(true, 1024);
-        rows.begin();
-        for seq in 1..=3u64 {
-            rows.append(seq, seq * 10, seq * 100);
-        }
-        rows.end();
-        assert_eq!(rows.count_through(2), Some(2));
-        // A whole write window opens and closes between the search and
-        // the popcount: entry saw an even version, exit sees a later one.
-        let got = rows.count_through_between(2, || {
-            rows.begin();
-            rows.kill(1);
-            rows.end();
-        });
-        assert_eq!(got, None, "a write window inside the count must refuse it");
-        assert_eq!(rows.count_through(2), Some(1));
-        // Overflow raised mid-count is caught by the exit re-check too.
-        let got = rows.count_through_between(2, || rows.overflow.store(true, Ordering::SeqCst));
-        assert_eq!(got, None, "overflow during the count must refuse it");
-        assert_eq!(rows.count_through(2), None, "and every count after it");
-    }
-
-    #[test]
-    fn count_refuses_a_compaction_mid_count() {
-        let rows = SnapRows::new(true, 1024);
-        rows.begin();
-        for seq in 1..=6u64 {
-            rows.append(seq, seq * 10, seq * 100);
-        }
-        for seq in 1..=3u64 {
-            rows.kill(seq); // three tombstones beside three live: no compaction
-        }
-        rows.end();
-        assert_eq!((rows.published_len(), rows.live_len()), (6, 3));
-        assert_eq!(rows.count_through(5), Some(2));
-        // Between the search (which stopped below row 5, the sixth row)
-        // and the popcount, a kill compacts the live rows down to rows
-        // 0–1: the popcount below the stale position would read 2, not 1.
-        let got = rows.count_through_between(5, || {
-            rows.begin();
-            rows.kill(4);
-            rows.end();
-            assert_eq!(rows.published_len(), 2, "the kill compacted");
-        });
-        assert_eq!(got, None, "a compaction inside the count must refuse it");
-        assert_eq!(rows.count_through(5), Some(1));
         assert_eq!(read_all(&rows), vec![(5, 50, 500), (6, 60, 600)]);
     }
 

@@ -105,11 +105,10 @@
 //! * [`ShardedEngine::iprobe`] — **shard-routed**: a probe names its
 //!   source as a packet names its destination, so the match can only sit
 //!   in `shard_of(source)`. `merged_probe` walks that one lane for the
-//!   earliest match (every lane only for `MPI_ANY_SOURCE`), and on a hit
-//!   alone counts, in every lane, the live rows stamped at or before the
-//!   match to get its global FIFO depth — a binary search and a bitmap
-//!   popcount per lane ([`SnapRows::count_through`]), no walk, no
-//!   copy-out, no allocation, no sort. A concrete-source miss therefore
+//!   earliest match (every lane only for `MPI_ANY_SOURCE`) — no copy-out,
+//!   no allocation, no sort — and reports as its depth the rows it
+//!   compared against the probe, as every other search does (DESIGN
+//!   decision 17). A concrete-source probe, hit or miss, therefore
 //!   touches one shard's rows and is not refused by a write window open
 //!   on another shard's lane; only a stamp taken inside its own (now
 //!   short) `s0` bracket retries it. A lane walk visits live rows only
@@ -303,37 +302,18 @@ fn first_match(idx: &VecDeque<(u64, PostedEntry)>, env: &Envelope) -> Option<(us
 }
 
 /// A seq-ordered lane of live unexpected rows `(seq, packed key, payload)`
-/// that [`merged_probe`] can walk and count: a published [`SnapRows`]
-/// mirror (lock-free, may refuse) or a locked shard's seq index (never
-/// refuses).
+/// that [`merged_probe`] can walk: a published [`SnapRows`] mirror
+/// (lock-free, may refuse) or a locked shard's seq index (never refuses).
 trait ProbeLane {
     /// Visits rows in seq order until `visit` returns `false`. Returns
     /// `false` if the walk could not be validated, in which case whatever
     /// `visit` saw is meaningless.
     fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool;
-
-    /// The number of rows stamped at or before `seq`; `None` if the
-    /// count could not be validated.
-    fn count_through(&self, seq: u64) -> Option<u32>;
 }
 
-impl ProbeLane for SnapRows {
+impl ProbeLane for Pad<SnapRows> {
     fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
         self.scan(visit)
-    }
-
-    fn count_through(&self, seq: u64) -> Option<u32> {
-        SnapRows::count_through(self, seq)
-    }
-}
-
-impl<L: ProbeLane> ProbeLane for Pad<L> {
-    fn walk(&self, visit: impl FnMut(u64, u64, u64) -> bool) -> bool {
-        self.0.walk(visit)
-    }
-
-    fn count_through(&self, seq: u64) -> Option<u32> {
-        self.0.count_through(seq)
     }
 }
 
@@ -350,31 +330,21 @@ where
         }
         true
     }
-
-    /// The seq index holds live entries only, so no tombstone can skew
-    /// the count.
-    fn count_through(&self, seq: u64) -> Option<u32> {
-        Some(self.umq_idx.partition_point(|(s, _)| *s <= seq) as u32)
-    }
 }
 
-/// The cross-lane probe merge, shared by the lock-free and the locked
-/// `iprobe`: the globally earliest row matching `probe` and its 1-based
-/// position in the seq-merged (= arrival FIFO) order of all lanes —
-/// exactly what a single-engine FIFO scan reports — without materialising
-/// or sorting the merge.
+/// The cross-lane probe walk, shared by the lock-free and the locked
+/// `iprobe`: the globally earliest row matching `probe` and the search
+/// depth of the walk that found it — the rows compared against the
+/// probe (DESIGN decision 17), without materialising or sorting the
+/// merge.
 ///
-/// Pass 1 finds the earliest match over the lanes that can hold one
-/// (`home` alone for a concrete source, every lane otherwise), leaving
-/// each lane at its first match or at the first row stamped after the
-/// best so far. Pass 2 runs on a hit only: the depth is the number of
-/// live rows stamped at or before the match, summed over the lanes'
-/// [`ProbeLane::count_through`] — a binary search and a popcount per
-/// mirror, never a walk. A miss therefore touches one lane for a
-/// concrete source, and a hit walks only its home lane up to the match.
+/// It walks the lanes that can hold a match — `home` alone for a
+/// concrete source, every lane otherwise — each up to its first match or
+/// its first row stamped after the best so far. So a concrete-source hit
+/// reports its position in its home lane and reads no other lane, and
+/// an `ANY_SOURCE` hit reports the rows it visited over every lane.
 ///
-/// Outer `None`: a lane refused its walk or count and the caller must
-/// retry.
+/// Outer `None`: a lane refused its walk and the caller must retry.
 fn merged_probe<L: ProbeLane>(
     lanes: &[L],
     home: Option<usize>,
@@ -385,11 +355,13 @@ fn merged_probe<L: ProbeLane>(
         None => lanes,
     };
     let mut best: Option<(u64, u64)> = None;
+    let mut depth = 0u32;
     for lane in candidates {
         let stable = lane.walk(|seq, key, payload| {
             if best.is_some_and(|(bseq, _)| seq >= bseq) {
                 return false;
             }
+            depth += 1;
             // Unexpected entries constrain every key bit (mask `!0`),
             // exactly like `UnexpectedEntry::matches`.
             let hit = packed_matches(key, !0, probe);
@@ -402,14 +374,7 @@ fn merged_probe<L: ProbeLane>(
             return None;
         }
     }
-    let Some((bseq, payload)) = best else {
-        return Some(None);
-    };
-    let mut depth = 0u32;
-    for lane in lanes {
-        depth += lane.count_through(bseq)?;
-    }
-    Some(Some((payload, depth)))
+    Some(best.map(|(_, payload)| (payload, depth)))
 }
 
 /// The seq stamps one shard critical section hands out. One `fetch_add`
@@ -1277,12 +1242,11 @@ where
         (seq, Outcome::Cancelled(false))
     }
 
-    /// Non-destructive unexpected-queue probe (`MPI_Iprobe`). Both the
-    /// match *and* the reported depth agree exactly with a single-engine
-    /// FIFO scan: the earliest match by global seq (= arrival FIFO) order
-    /// and its position in the seq-merge of every shard's unexpected
-    /// queue (see `merged_probe`; a concrete-source miss reads only the
-    /// source's own shard).
+    /// Non-destructive unexpected-queue probe (`MPI_Iprobe`). The match
+    /// agrees exactly with a single-engine FIFO scan — the earliest match
+    /// by global seq (= arrival FIFO) order — and the depth is the rows
+    /// the walk inspected (see `merged_probe`; a concrete-source probe
+    /// reads only the source's own shard).
     ///
     /// The lock-free path takes its stamp by *loading* the seq counter
     /// rather than advancing it, so several concurrent probes may share a
@@ -1588,38 +1552,72 @@ mod tests {
         ));
     }
 
+    /// A probe conforms to one unsharded engine holding the same
+    /// messages: the same match and, on a hit, a depth of at least the
+    /// matched row and at most the `live` queued messages — the bound
+    /// every search owes (DESIGN decision 17).
+    fn assert_probe_conforms(
+        got: Option<(u64, u32)>,
+        want: Option<(u64, u32)>,
+        live: usize,
+        ctx: &str,
+    ) {
+        assert_eq!(got.map(|h| h.0), want.map(|h| h.0), "{ctx}: payload");
+        if let Some((_, depth)) = got {
+            assert!(
+                (1..=live as u32).contains(&depth),
+                "{ctx}: depth {depth} with {live} queued"
+            );
+        }
+    }
+
+    /// A probe finds the globally earliest match and reports the rows it
+    /// compared: a concrete source its position in its own lane, an
+    /// `ANY_SOURCE` probe the rows it visited over every lane.
     #[test]
-    fn iprobe_depth_matches_global_fifo_order() {
+    fn iprobe_depth_is_the_rows_inspected() {
         let eng = engine(4);
         eng.arrival(Envelope::new(1, 1, 0), 90); // shard 1
         eng.arrival(Envelope::new(2, 2, 0), 91); // shard 2
         eng.arrival(Envelope::new(3, 3, 0), 92); // shard 3
-        assert_eq!(eng.iprobe(RecvSpec::new(3, 3, 0)), Some((92, 3)));
+        eng.arrival(Envelope::new(3, 1, 0), 93); // shard 3
+        assert_eq!(eng.iprobe(RecvSpec::new(3, 3, 0)), Some((92, 1)));
         assert_eq!(
-            eng.iprobe(RecvSpec::new(ANY_SOURCE, ANY_TAG, 0)),
-            Some((90, 1))
+            eng.iprobe(RecvSpec::new(3, 1, 0)),
+            Some((93, 2)),
+            "its lane's second row, fourth in global FIFO order"
+        );
+        assert_eq!(
+            eng.iprobe(RecvSpec::new(ANY_SOURCE, 1, 0)),
+            Some((90, 1)),
+            "the earliest match; the later lanes stop at their first row"
+        );
+        assert_eq!(
+            eng.iprobe(RecvSpec::new(ANY_SOURCE, 3, 0)),
+            Some((92, 3)),
+            "one row of each populated lane"
         );
         assert_eq!(eng.iprobe(RecvSpec::new(7, 7, 0)), None);
-        assert_eq!(eng.queue_lens(), (0, 3), "probe must not consume");
+        assert_eq!(eng.queue_lens(), (0, 4), "probe must not consume");
     }
 
-    /// A hit's depth counts live rows only. The foreign lanes hold
-    /// tombstones stamped both before and after the hit — a count of
-    /// rows rather than live rows would read the earlier ones — and one
-    /// lane compacted on its last kill. Every probe, lock-free and
-    /// locked, must report what a single engine reports.
+    /// A hit's depth counts the live rows its walk compared. The home
+    /// lane holds a tombstone before the hit, the foreign lanes hold
+    /// tombstones stamped before and after it, and one lane compacted on
+    /// its last kill. The lock-free and the locked probe must agree
+    /// exactly and conform to a single engine.
     #[test]
-    fn iprobe_depth_counts_past_foreign_tombstones() {
+    fn iprobe_depth_counts_the_live_rows_inspected() {
         let eng = engine(4);
         let mut single = MatchEngine::new(
             Lla::<PostedEntry, 2>::new(),
             Lla::<UnexpectedEntry, 3>::new(),
         );
         let payload = |rank: i32, tag: i32| (rank * 100 + tag) as u64;
-        // Source r lands on lane r; the hit is (2, 1), after every early
+        // Source r lands on lane r; the hit is (2, 2), after every early
         // arrival and before every late one.
-        let early = [(0, 0..2), (1, 0..6), (3, 0..4), (2, 0..2)];
-        let late = [(1, 6..12), (3, 4..6), (0, 2..3), (2, 2..3)];
+        let early = [(0, 0..2), (1, 0..6), (3, 0..4), (2, 0..3)];
+        let late = [(1, 6..12), (3, 4..6), (0, 2..3), (2, 3..4)];
         for (rank, tags) in early.into_iter().chain(late) {
             for tag in tags {
                 let env = Envelope::new(rank, tag, 0);
@@ -1630,9 +1628,9 @@ mod tests {
                 assert_eq!(eng.arrival(env, payload(rank, tag)), ArrivalOutcome::Queued);
             }
         }
-        // Lane 1 keeps two tombstones on each side of the hit, lane 0 one
-        // on each side, and lane 3's fourth kill compacts it.
-        let kills = [(1, 0), (1, 2), (1, 7), (1, 9), (0, 0), (0, 2)];
+        // Lane 1 keeps two tombstones on each side of the hit, lanes 0
+        // and 2 one each, and lane 3's fourth kill compacts it.
+        let kills = [(1, 0), (1, 2), (1, 7), (1, 9), (0, 0), (0, 2), (2, 0)];
         let compacting = [(3, 0), (3, 1), (3, 2), (3, 4)];
         for (rank, tag) in kills.into_iter().chain(compacting) {
             let spec = RecvSpec::new(rank, tag, 0);
@@ -1647,20 +1645,30 @@ mod tests {
             ));
         }
         let shape = |lane: usize| (eng.snaps[lane].published_len(), eng.snaps[lane].live_len());
-        assert_eq!([shape(0), shape(1), shape(3)], [(3, 1), (12, 8), (2, 2)]);
-        // Stamped at or before the hit, live: 1 + 4 + 2 + 1; a row count
-        // would read 2 + 6 + 2 + 1.
-        assert_eq!(eng.iprobe(RecvSpec::new(2, 1, 0)), Some((payload(2, 1), 8)));
+        assert_eq!(
+            [shape(0), shape(1), shape(2), shape(3)],
+            [(3, 1), (12, 8), (4, 3), (2, 2)]
+        );
+        // Lane 2's live rows up to the hit; a count of its rows would
+        // read 3, and the global FIFO position is 8.
+        assert_eq!(eng.iprobe(RecvSpec::new(2, 2, 0)), Some((payload(2, 2), 2)));
+        // Lane 0's live row, then lane 1's up to (1, 5); counting their
+        // tombstones would read 8.
+        assert_eq!(
+            eng.iprobe(RecvSpec::new(ANY_SOURCE, 5, 0)),
+            Some((payload(1, 5), 5))
+        );
         let mut specs = vec![RecvSpec::new(ANY_SOURCE, ANY_TAG, 0)];
         for tag in (0..13).map(Some).chain([None]) {
             let tag = tag.unwrap_or(ANY_TAG);
             specs.push(RecvSpec::new(ANY_SOURCE, tag, 0));
             specs.extend((0..4).map(|rank| RecvSpec::new(rank, tag, 0)));
         }
+        let live = single.queue_lens().1;
         for spec in specs {
-            let want = single.iprobe(spec);
-            assert_eq!(eng.iprobe(spec), want, "lock-free {spec:?}");
-            assert_eq!(eng.iprobe_locked(spec).1, want, "locked {spec:?}");
+            let got = eng.iprobe(spec);
+            assert_eq!(eng.iprobe_locked(spec).1, got, "locked {spec:?}");
+            assert_probe_conforms(got, single.iprobe(spec), live, &format!("{spec:?}"));
         }
         let reads = eng.snap_read_stats();
         assert_eq!((reads.probe_retries, reads.probe_fallbacks), (0, 0));
@@ -1896,8 +1904,9 @@ mod tests {
     /// tombstones and compactions included — and one lane also holds a
     /// backlog of over a chunk's worth of live rows, so its walks cross a
     /// chunk boundary. At checkpoints every kind of spec must probe to the
-    /// same `(payload, depth)` on the lock-free path, the locked path and
-    /// one unsharded engine fed the same ops.
+    /// same `(payload, depth)` on the lock-free and the locked path — one
+    /// walk over the same live rows — and conform to one unsharded engine
+    /// fed the same ops.
     #[test]
     fn lock_free_and_locked_iprobe_agree() {
         use spc_rng::{Rng, SeedableRng, StdRng};
@@ -1958,13 +1967,14 @@ mod tests {
                 RecvSpec::new(0, BACKLOG - 1, 1), // hit past the chunk boundary
                 RecvSpec::new(0, BACKLOG, 1), // miss over the whole backlog
             ] {
-                let want = single.iprobe(spec);
-                assert_eq!(eng.iprobe(spec), want, "step {step}: lock-free {spec:?}");
+                let got = eng.iprobe(spec);
                 assert_eq!(
                     eng.iprobe_locked(spec).1,
-                    want,
+                    got,
                     "step {step}: locked {spec:?}"
                 );
+                let ctx = format!("step {step}: {spec:?}");
+                assert_probe_conforms(got, single.iprobe(spec), single.queue_lens().1, &ctx);
             }
         }
         // `kill` keeps a lane's published rows at most 2 * live + 1, so a
@@ -1992,10 +2002,9 @@ mod tests {
         eng.validate().unwrap();
     }
 
-    /// The routing itself: a concrete-source probe looks for its match in
+    /// The routing itself: a concrete-source probe, hit or miss, reads
     /// the source's own lane only, so a writer mid-window on another lane
-    /// cannot disturb a miss; a hit still counts every lane (for the
-    /// global FIFO depth), and any `ANY_SOURCE` probe walks every lane.
+    /// cannot disturb it; any `ANY_SOURCE` probe walks every lane.
     #[test]
     fn concrete_source_miss_reads_only_its_home_lane() {
         let eng = engine(4);
@@ -2009,16 +2018,21 @@ mod tests {
         eng.snaps[2].begin();
         assert_eq!(eng.iprobe(RecvSpec::new(1, 9, 0)), None);
         assert_eq!(eng.iprobe(RecvSpec::new(5, ANY_TAG, 0)), None);
-        assert_eq!(reads(), (0, 0), "home-lane misses never saw lane 2");
-        // A hit on lane 1 must count lane 2's earlier row: every seqlock
-        // attempt is refused and the locked path answers.
+        assert_eq!(eng.iprobe(RecvSpec::new(1, 1, 0)), Some((11, 1)));
+        assert_eq!(reads(), (0, 0), "home-lane probes never saw lane 2");
+        // An `ANY_SOURCE` probe must walk lane 2: every seqlock attempt is
+        // refused and the locked path answers.
         let retries = SNAP_PROBE_RETRIES as u64;
-        assert_eq!(eng.iprobe(RecvSpec::new(1, 1, 0)), Some((11, 2)));
-        assert_eq!(reads(), (retries, 1));
         assert_eq!(eng.iprobe(RecvSpec::new(ANY_SOURCE, 9, 0)), None);
+        assert_eq!(reads(), (retries, 1));
+        assert_eq!(
+            eng.iprobe(RecvSpec::new(ANY_SOURCE, 1, 0)),
+            Some((12, 2)),
+            "lane 1's row, then lane 2's earlier match"
+        );
         assert_eq!(reads(), (2 * retries, 2));
         eng.snaps[2].end();
-        assert_eq!(eng.iprobe(RecvSpec::new(1, 1, 0)), Some((11, 2)));
+        assert_eq!(eng.iprobe(RecvSpec::new(ANY_SOURCE, 1, 0)), Some((12, 2)));
         assert_eq!(reads(), (2 * retries, 2), "window closed: lock-free again");
         eng.validate().unwrap();
     }
