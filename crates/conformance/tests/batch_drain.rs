@@ -103,6 +103,10 @@ fn a_crossing_arrival_stamps_above_a_wildcard_parked_mid_batch() {
     }
     let wild = post(ANY_SOURCE, 7, 20);
     let parked = std::thread::scope(|s| {
+        // Owned here: a failed assertion unwinds this closure and drops the
+        // handle, which releases the paused drain, so the scope joins and
+        // the test fails instead of hanging.
+        let handle = handle;
         let drain = s.spawn(|| eng.flush_all());
         handle.wait();
         let parked = eng.producer(1).apply(wild);
@@ -147,6 +151,10 @@ fn an_arrival_that_misses_a_wildcard_taken_mid_batch_stamps_above_the_taker() {
     }
     let taker = arrive(2, 7, 71);
     std::thread::scope(|s| {
+        // Owned here: a failed assertion unwinds this closure and drops the
+        // handle, which releases the paused drain, so the scope joins and
+        // the test fails instead of hanging.
+        let handle = handle;
         let drain = s.spawn(|| eng.flush_all());
         handle.wait();
         let p1 = eng.producer(1);
@@ -188,6 +196,10 @@ fn a_probe_of_a_lane_paused_mid_block_waits_for_the_whole_batch() {
         spec: RecvSpec::new(1, 7, 0),
     };
     let probed = std::thread::scope(|s| {
+        // Owned here: a failed assertion unwinds this closure and drops the
+        // handle, which releases the paused drain, so the scope joins and
+        // the test fails instead of hanging.
+        let handle = handle;
         let drain = s.spawn(|| eng.flush_all());
         handle.wait();
         let (tx, rx) = mpsc::channel();

@@ -13,13 +13,18 @@
 //! head/tail indexes trim holes at the node boundaries, and a fully-emptied
 //! node is unlinked and returned to the element pool.
 //!
-//! A search scans each node's slab with the widest kernel the CPU has
-//! ([`crate::simd::detect_best`]) and prefetches no node ahead: aligned,
+//! A search steps a *run* at a time: up to `RUN` nodes in consecutive slots
+//! of one pool chunk (`RUN · N ≤ 8`), as many as the links chain `id → id +
+//! 1`, scanned as one slab by the widest kernel the CPU has
+//! ([`crate::simd::detect_best`]) — the AVX2 kernel compares four slots at a
+//! time across node boundaries. No node is prefetched ahead: aligned,
 //! contiguous lines let the hardware prefetchers stream the list (the
-//! structure's whole argument), and every walk predicts the next node from
-//! the pool id, so on an append-built chain no hop waits for its link (DESIGN
-//! decision 15). Nodes wider than 32 slots have no occupancy register and
-//! take the field-wise reference walk, which charges the same accesses.
+//! structure's whole argument), and every walk predicts the next node (or
+//! run) from the pool id, so on an append-built chain no hop waits for its
+//! link (DESIGN decision 15). A chain that does not ascend takes shorter
+//! runs, down to one node. Nodes wider than 32 slots have no occupancy
+//! register and take the field-wise reference walk, which charges the same
+//! accesses.
 
 use crate::addr::AddrSpace;
 use crate::entry::{Element, PackedProbe, PostedEntry, ProbeKey, UnexpectedEntry};
@@ -64,6 +69,11 @@ impl<E: Element, const N: usize> LlaNode<E, N> {
     /// Whether `occ` has a bit for every slot. Beyond 32 slots the bitmap
     /// is left at zero and scans use the in-band hole marks.
     const BITMAP: bool = N <= 32;
+
+    /// Nodes the packed walk scans in one pass when their links ascend: as
+    /// many as fit eight slots (`RUN · N ≤ 8`), so 4 for LLA-2, 2 for LLA-3
+    /// and LLA-4, 1 from LLA-5 up.
+    const RUN: usize = if N > 4 { 1 } else { 8 / N };
 
     fn empty() -> Self {
         Self {
@@ -154,17 +164,59 @@ impl<'p, E: Element, const N: usize> Chain<'p, E, N> {
         }
     }
 
+    /// Moves `k` nodes on inside the run the cursor starts, onto its last
+    /// node: the caller has seen each of those links read `id + 1`.
+    #[inline(always)]
+    fn skip(&mut self, k: usize) {
+        self.cur += k as u32;
+        self.slot += k;
+        #[cfg(feature = "debug_invariants")]
+        assert_eq!(self.pool.split_id(self.cur), (self.chunk, self.slot));
+    }
+
+    /// How many of the `w` nodes from the cursor's slot on the links chain,
+    /// `id → id + 1` (at least the cursor's own). The caller keeps `slot +
+    /// w` within the chunk.
+    #[inline(always)]
+    fn linked(&self, w: usize) -> usize {
+        let (_, run) = self.slots(w);
+        1 + (1..w)
+            .take_while(|&j| run[j - 1].next == self.cur + j as u32)
+            .count()
+    }
+
+    /// The `w` nodes in slots `slot..slot + w` of the cursor's chunk, linked
+    /// or not, and the first one's simulated address. The caller keeps
+    /// `cur != NIL` and `slot + w <= chunk_capacity()`.
+    #[inline(always)]
+    fn slots(&self, w: usize) -> (u64, &'p [LlaNode<E, N>]) {
+        let addr = self.sim + (self.slot * core::mem::size_of::<LlaNode<E, N>>()) as u64;
+        // SAFETY: `cur != NIL`: `chunk` passed `chunk_raw`'s bounds check
+        // and `slot` is below its capacity (split from an id, or predicted
+        // below `capacity - 1`); the caller keeps `slot + w` within it, so
+        // these are initialised nodes of a chunk that never moves (a free
+        // node holds a stale or template value); `'p` borrows the pool, so
+        // nothing mutates them.
+        (addr, unsafe {
+            core::slice::from_raw_parts(self.base.add(self.slot), w)
+        })
+    }
+
     /// The node under the cursor and its simulated address (`None` past the tail).
     #[inline(always)]
     fn node(&self) -> Option<(u64, &'p LlaNode<E, N>)> {
         (self.cur != NIL).then(|| {
-            let addr = self.sim + (self.slot * core::mem::size_of::<LlaNode<E, N>>()) as u64;
-            // SAFETY: `cur != NIL`: `chunk` passed `chunk_raw`'s bounds check
-            // and `slot` is below its capacity (split from an id, or predicted
-            // below `capacity - 1`), so this is an initialised node of a chunk
-            // that never moves; `'p` borrows the pool, so nothing mutates it.
-            (addr, unsafe { &*self.base.add(self.slot) })
+            let (addr, node) = self.slots(1);
+            (addr, &node[0])
         })
+    }
+}
+
+impl<E: Element, const N: usize> simd::Slab for LlaNode<E, N> {
+    type Entry = E;
+    #[inline(always)]
+    fn slab(&self) -> &[E] {
+        &self.entries
     }
 }
 
@@ -352,9 +404,9 @@ impl<E: Element, const N: usize> Lla<E, N> {
     /// cannot run degrades to the best one it can instead of faulting.
     ///
     /// The walk body is monomorphised per kind through `#[target_feature]`
-    /// wrappers so the vector kernels inline into the node loop — the probe
-    /// splats hoist out of the loop and no per-node call (or AVX/SSE
-    /// transition) is paid; dispatching per node instead costs more than
+    /// wrappers so the vector kernels inline into the run loop — the probe
+    /// splats hoist out of the loop and no per-run call (or AVX/SSE
+    /// transition) is paid; dispatching per run instead costs more than
     /// the vector kernels save on small nodes.
     ///
     /// Nodes wider than 32 slots have no occupancy register to mask a
@@ -384,10 +436,11 @@ impl<E: Element, const N: usize> Lla<E, N> {
     }
 
     /// AVX2 + POPCNT instantiation of the walk body: the `simd` kernels it
-    /// calls carry the AVX2 target feature, so they inline into the node
-    /// loop instead of paying a call per node, and POPCNT turns each node's
-    /// depth count into one instruction instead of the baseline ISA's
-    /// shift-and-multiply sequence (every AVX2 CPU has POPCNT).
+    /// calls are always inlined and compiled with its features, so each
+    /// run's slots go through 256-bit compares inside the run loop, and
+    /// POPCNT turns each run's depth count into one instruction instead of
+    /// the baseline ISA's shift-and-multiply sequence (every AVX2 CPU has
+    /// POPCNT).
     ///
     /// # Safety
     /// Caller must ensure AVX2 and POPCNT are available (both
@@ -417,16 +470,17 @@ impl<E: Element, const N: usize> Lla<E, N> {
     }
 
     /// The packed-key walk over bitmap nodes (`N <= 32`). It differs from
-    /// [`Self::walk_remove`] in latency only: node slabs are scanned through
-    /// the [`simd`] kernels — 2 (SSE2) or 4 (AVX2) packed key/mask pairs per
-    /// instruction, the scalar packed loop otherwise — with the resulting
-    /// candidate bitmap ANDed with the occupancy register and bit-scanned to
-    /// the first live hit.
+    /// [`Self::walk_remove`] in latency only. Its step is a *run*: the
+    /// cursor's node and up to `RUN - 1` after it in the chunk's slots, as
+    /// many as the links chain `id → id + 1` ([`Self::run_step`]).
     ///
     /// No line is prefetched: pool nodes are line-aligned and contiguous,
     /// and an append-built chain links them in ascending id order — the
     /// stream the hardware prefetchers follow on their own (the paper's §3.1
-    /// argument), and the one `Chain` predicts, so no hop waits for its link.
+    /// argument), and the one a run and `Chain` predict: a whole run is a
+    /// predicted branch, not arithmetic on its links, so no run waits for
+    /// them. A chain that does not ascend (free-list reuse) or a chunk with
+    /// fewer than `RUN` slots left takes shorter runs, down to one node.
     #[inline(always)]
     fn packed_walk_body<S: AccessSink>(
         &mut self,
@@ -434,59 +488,112 @@ impl<E: Element, const N: usize> Lla<E, N> {
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
+        let run = LlaNode::<E, N>::RUN;
+        let cap = self.pool.chunk_capacity();
         let mut depth = 0u32;
         let mut c = Chain::new(&self.pool, self.head);
-        while let Some((node_addr, node)) = c.node() {
-            sink.read(node_addr, 8); // head/tail/occupancy header
-
-            // Batched node scan: [`simd::scan_candidates`] evaluates the
-            // one-`u64` packed test on every slot — 2 or 4 lanes per
-            // instruction under the SIMD kinds, the same branchless
-            // `m << i` accumulate loop under the portable kind — then the
-            // candidate bitmap is masked with the occupancy register: stale
-            // hole bodies and slots outside the trim range can never match,
-            // and no per-slot branch exists for the predictor to miss. The
-            // candidate set decides hit/miss with one branch per node; depth
-            // comes from a popcount over the live bits actually inspected.
-            // Sink charges are issued for exactly the live slots the
-            // sequential scan would have read, so simulated traces are
-            // identical across scan kinds (and the charge loops fold to
-            // nothing under `NullSink`).
-            let occ = node.occ;
-            let h = node.head as usize;
-            let t = (node.tail as usize).min(N);
-            let cand = simd::scan_candidates(kind, &node.entries, probe) & occ;
-            if cand == 0 {
-                for i in h..t {
-                    if occ >> i & 1 == 1 {
-                        sink.read(
-                            node_addr + LlaNode::<E, N>::entry_offset(i),
-                            core::mem::size_of::<E>() as u32,
-                        );
-                    }
-                }
-                depth += occ.count_ones();
+        while c.cur != NIL {
+            // Each call scans a constant width, so its kernel unrolls.
+            let fits = c.slot + run <= cap;
+            let hit = if fits && c.linked(run) == run {
+                Self::run_step(&mut c, run, run, kind, probe, sink, &mut depth)
             } else {
-                let i = cand.trailing_zeros() as usize;
-                for j in h..=i {
-                    if occ >> j & 1 == 1 {
-                        sink.read(
-                            node_addr + LlaNode::<E, N>::entry_offset(j),
-                            core::mem::size_of::<E>() as u32,
-                        );
-                    }
+                std::hint::cold_path();
+                // A shorter linked prefix scans the full width and masks the
+                // rest; a lone node scans itself.
+                let r = if fits { c.linked(run) } else { 1 };
+                if r == 1 {
+                    Self::run_step(&mut c, 1, 1, kind, probe, sink, &mut depth)
+                } else {
+                    Self::run_step(&mut c, run, r, kind, probe, sink, &mut depth)
                 }
-                // Live bits at or below the hit (`31 - i` keeps the all-ones
-                // mask well-defined when the hit is slot 31).
-                depth += (occ & (u32::MAX >> (31 - i))).count_ones();
-                let e = node.entries[i];
-                self.remove_at(c.prev, c.cur, i as u32, sink);
+            };
+            if let Some((prev, cur, i, e)) = hit {
+                self.remove_at(prev, cur, i as u32, sink);
                 return Search::hit(e, depth);
             }
-            sink.read(node_addr + LlaNode::<E, N>::next_offset(), 4);
-            c.advance(node.next);
         }
         Search::miss(depth)
+    }
+
+    /// One run: the first `r` of the `w` slot-adjacent nodes at the cursor,
+    /// their links already seen to chain (`r ≤ w`, `slot + w` within the
+    /// chunk). One [`simd`] kernel pass tests all `w · N` slots — 2 (SSE2)
+    /// or 4 (AVX2) packed key/mask pairs per compare across node
+    /// boundaries, the scalar packed loop otherwise — and the candidate
+    /// bitmap, ANDed with the run's concatenated occupancy registers cut to
+    /// `r` nodes, decides hit or miss with one branch and bit-scans to the
+    /// first live hit. Stale hole bodies, slots outside a node's trim range
+    /// and nodes past the run can never match, and no per-slot branch exists
+    /// for the predictor to miss.
+    ///
+    /// A miss adds the run's live slots to `depth` and moves the cursor past
+    /// the run. A hit adds the live slots up to it and returns the hit
+    /// node's predecessor and id, the slot and the entry, for the caller to
+    /// remove. Sink charges go node by node in walk order: the header, the
+    /// live slots inspected, and the link of a node the walk leaves —
+    /// exactly what one-node steps charged, so simulated traces are
+    /// identical across scan kinds and run widths (and the charge loops fold
+    /// to nothing under `NullSink`).
+    #[inline(always)]
+    fn run_step<S: AccessSink>(
+        c: &mut Chain<'_, E, N>,
+        w: usize,
+        r: usize,
+        kind: simd::ScanKind,
+        probe: &PackedProbe,
+        sink: &mut S,
+        depth: &mut u32,
+    ) -> Option<(u32, u32, usize, E)> {
+        let (addr, run) = c.slots(w);
+        let occ = run
+            .iter()
+            .enumerate()
+            .fold(0u32, |o, (j, n)| o | n.occ << (j * N));
+        let occ = occ & (u32::MAX >> (32 - r * N));
+        let cand = simd::scan_run(kind, run, probe) & occ;
+        if cand == 0 {
+            *depth += occ.count_ones();
+            Self::charge(sink, addr, occ, r, true);
+            c.skip(r - 1);
+            c.advance(run[r - 1].next);
+            return None;
+        }
+        // Live slots up to the hit: depth is one POPCNT per run (`31 - k`
+        // keeps the mask well-defined when the hit is slot 31).
+        let k = cand.trailing_zeros() as usize;
+        let seen = occ & (u32::MAX >> (31 - k));
+        *depth += seen.count_ones();
+        Self::charge(sink, addr, seen, k / N + 1, false);
+        let (j, i) = (k / N, k % N);
+        let (prev, cur) = if j == 0 {
+            (c.prev, c.cur)
+        } else {
+            (c.cur + j as u32 - 1, c.cur + j as u32)
+        };
+        Some((prev, cur, i, run[j].entries[i]))
+    }
+
+    /// A run's sink charges for its first `nodes` nodes, node by node in
+    /// walk order: the header, the `seen` live slots, and the link of every
+    /// node the walk leaves (the last one's only if `leaves`).
+    #[inline(always)]
+    fn charge<S: AccessSink>(sink: &mut S, addr: u64, seen: u32, nodes: usize, leaves: bool) {
+        for j in 0..nodes {
+            let at = addr + (j * core::mem::size_of::<LlaNode<E, N>>()) as u64;
+            sink.read(at, 8); // head/tail/occupancy header
+            for i in 0..N {
+                if seen >> (j * N + i) & 1 == 1 {
+                    sink.read(
+                        at + LlaNode::<E, N>::entry_offset(i),
+                        core::mem::size_of::<E>() as u32,
+                    );
+                }
+            }
+            if leaves || j + 1 < nodes {
+                sink.read(at + LlaNode::<E, N>::next_offset(), 4);
+            }
+        }
     }
 
     /// The reference scan: every trim-range slot loaded and charged, in-band
@@ -1123,6 +1230,39 @@ mod tests {
         /// `n` fresh nodes: ascending ids, crossing a chunk boundary (`cur +
         /// 1` in the next chunk) once `n` exceeds a chunk.
         Sequential(usize),
+        /// `Sequential(n)` with node 0 drained: the chain starts at id 1, so
+        /// the walk's runs start one slot off and the chunk's last nodes have
+        /// fewer than `RUN` slots left before the chunk ends.
+        Shifted(usize),
+        /// Two cycles of ascending stretches `1, 2, …, RUN + 1` nodes long,
+        /// each followed by a drained node: a run breaks after every offset
+        /// `1..=RUN`. The first `RUN · N` victims hit every (node-in-run,
+        /// slot) position once.
+        Broken,
+    }
+
+    /// Each linked node's position in the packed walk's run, head to tail: a
+    /// run starts `RUN` wide when that many slots are left in its chunk (one
+    /// wide otherwise) and ends early at the first link that is not `id + 1`.
+    fn run_positions<const N: usize>(l: &Lla<PostedEntry, N>) -> Vec<(u32, usize)> {
+        let run = LlaNode::<PostedEntry, N>::RUN;
+        let cap = l.pool.chunk_capacity();
+        let (mut out, mut id, mut j, mut width) = (Vec::new(), l.head, 0, 0);
+        while id != NIL {
+            if j == width {
+                let slot = l.pool.split_id(id).1;
+                (j, width) = (0, if slot + run <= cap { run } else { 1 });
+            }
+            out.push((id, j));
+            let next = l.pool.get(id).next;
+            j = if next == id.wrapping_add(1) {
+                j + 1
+            } else {
+                width
+            };
+            id = next;
+        }
+        out
     }
 
     /// Builds `shape` in an LLA-`N`, then probes it with searches under
@@ -1135,8 +1275,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5EED_0025);
         let mut l: Lla<PostedEntry, N> = Lla::with_addr(AddrSpace::contiguous(1 << 30));
         let cap = l.pool.chunk_capacity();
+        let run = LlaNode::<PostedEntry, N>::RUN;
+        // Broken: stretch `k` of each cycle is `k` nodes and one separator.
+        let stretches = || (1..=run + 1).chain(1..=run + 1);
         let (nodes, big) = match shape {
-            Shape::Sequential(n) => (n, n > cap),
+            Shape::Sequential(n) | Shape::Shifted(n) => (n, n > cap),
+            Shape::Broken => (stretches().map(|k| k + 1).sum(), false),
             _ => (16, false),
         };
         // Unique tags, so a probe can hit at any depth; every 11th entry is
@@ -1168,7 +1312,16 @@ mod tests {
         };
         fill(&mut l, &mut model, &mut s);
         if !matches!(shape, Shape::Sequential(_)) {
-            let mut drained: Vec<u64> = (0..nodes as u64).collect();
+            let mut drained: Vec<u64> = match shape {
+                Shape::Shifted(_) => vec![0],
+                Shape::Broken => stretches()
+                    .scan(0, |end, k| {
+                        *end += k as u64 + 1;
+                        Some(*end - 1)
+                    })
+                    .collect(),
+                _ => (0..nodes as u64).collect(),
+            };
             if matches!(shape, Shape::Scrambled) {
                 drained.shuffle(&mut rng);
                 drained.truncate(nodes * 3 / 4);
@@ -1181,7 +1334,9 @@ mod tests {
                 assert_eq!(l.remove_by_id(id, &mut s), Some(model.remove(at)));
                 check(&l, &model);
             }
-            fill(&mut l, &mut model, &mut s);
+            if matches!(shape, Shape::Scrambled | Shape::Backward) {
+                fill(&mut l, &mut model, &mut s);
+            }
         }
         check(&l, &model);
         // The shape is the one named: link strides along the chain.
@@ -1196,18 +1351,36 @@ mod tests {
             Shape::Scrambled => strides.iter().any(|&d| d < 0) && strides.iter().any(|&d| d > 1),
             Shape::Backward => strides.iter().all(|&d| d == -1),
             Shape::Sequential(_) => strides.iter().all(|&d| d == 1),
+            Shape::Shifted(_) => l.head == 1 && strides.iter().all(|&d| d == 1),
+            Shape::Broken => strides.iter().all(|&d| d == 1 || d == 2),
         };
         assert!(shaped, "{shape:?}: strides {strides:?}");
 
         let mut steps = vec![(None, 0, s.trace.clone())];
         // Victims: either side of the chunk boundary on a long chain (a
         // fresh chain holds entry `req` at FIFO position `req`), seeded
-        // picks otherwise. Every third op cancels its victim; the rest
-        // search for it, sometimes under a rank that misses.
+        // picks otherwise. A broken chain's first `RUN · N` ops search for
+        // the first live entry at each (node-in-run, slot) in turn. Every
+        // third seeded pick cancels its victim; the rest search for it,
+        // sometimes under a rank that misses.
         let b = (cap * N) as u64;
+        let cover = if matches!(shape, Shape::Broken) {
+            run * N
+        } else {
+            0
+        };
         let victims = if big { 4 } else { 24 };
         for op in 0..victims + 2 {
-            let (probe, cancel) = if op < victims {
+            let (probe, cancel) = if op < cover {
+                let (j, i) = (op / N, op % N);
+                let v = run_positions(&l)
+                    .into_iter()
+                    .map(|(id, p)| (p, l.pool.get(id).entries[i]))
+                    .find(|&(p, e)| p == j && !e.is_hole())
+                    .unwrap_or_else(|| panic!("no live entry at node {j} slot {i} of a run"))
+                    .1;
+                (Envelope::new((v.request % 5) as i32, v.tag, 0), None)
+            } else if op < victims {
                 let v = if big {
                     let id = [b - 1, b, b + 1, b + 3 * N as u64][op];
                     *model.iter().find(|e| e.request == id).unwrap()
@@ -1289,7 +1462,9 @@ mod tests {
 
     // The folds below pin the charge order itself — `simd_props` compares
     // kinds with each other, which a reordering they all share would pass.
-    // They were recorded on the walks the chain cursor replaced.
+    // They were recorded on the walks the chain cursor replaced; the LLA-3,
+    // LLA-4, `Shifted` and `Broken` folds on the one-node packed walk the
+    // run step replaced.
 
     #[test]
     fn scrambled_and_backward_chains_walk_like_the_reference() {
@@ -1317,6 +1492,40 @@ mod tests {
             chain_shape::<48>(Shape::Backward),
             [0xe3cc_64a7_7e7a_3cc8; 2]
         );
+        // Runs of two nodes.
+        assert_eq!(
+            chain_shape::<3>(Shape::Scrambled),
+            [0xab6c_bfd7_8edc_c605, 0x9a74_9506_b44e_b10b]
+        );
+        assert_eq!(
+            chain_shape::<4>(Shape::Scrambled),
+            [0x1f6e_8fbc_dac6_dd43, 0x1c94_5b73_c40e_f92d]
+        );
+        assert_eq!(
+            chain_shape::<3>(Shape::Backward),
+            [0x9266_d1ad_10fd_1313, 0x4b72_c08d_955b_620d]
+        );
+        assert_eq!(
+            chain_shape::<4>(Shape::Backward),
+            [0x1ac9_086c_8e8d_ff2a, 0xeff6_2f32_5563_09e6]
+        );
+    }
+
+    #[test]
+    fn broken_runs_hit_every_node_of_a_run() {
+        assert_eq!(chain_shape::<2>(Shape::Broken), [0x9130_f9f9_a7da_7ca9; 2]);
+        assert_eq!(
+            chain_shape::<3>(Shape::Broken),
+            [0xa545_92fc_c776_e82a, 0x06b4_767e_bc0d_8ee0]
+        );
+        assert_eq!(
+            chain_shape::<4>(Shape::Broken),
+            [0xd2c1_2088_87b9_a84b, 0xaa92_b975_372b_223f]
+        );
+        assert_eq!(
+            chain_shape::<8>(Shape::Broken),
+            [0xc73d_ac67_7df9_8824, 0x4625_f30c_6330_5f32]
+        );
     }
 
     #[test]
@@ -1326,6 +1535,27 @@ mod tests {
         assert_eq!(
             chain_shape::<2>(Shape::Sequential(4_100)),
             [0x24cf_a0a5_5ccf_4607; 2]
+        );
+        // From id 1, LLA-2's runs start at slots 1, 5, …, 4 093: the last
+        // three nodes of the chunk are walked one at a time, and 4 095 → 4 096
+        // is again `cur + 1` in the next chunk.
+        assert_eq!(
+            chain_shape::<2>(Shape::Shifted(4_100)),
+            [0xe714_49ca_2bfd_9137; 2]
+        );
+        // LLA-3 and LLA-4 nodes take 128 B: 2 048 to a chunk, runs of two.
+        assert_eq!(crate::pool::nodes_per_chunk(128), 2_048);
+        assert_eq!(
+            chain_shape::<3>(Shape::Sequential(2_052)),
+            [0x4d72_f265_9219_8e73; 2]
+        );
+        assert_eq!(
+            chain_shape::<4>(Shape::Sequential(2_052)),
+            [0xccd8_b088_5f01_edaf; 2]
+        );
+        assert_eq!(
+            chain_shape::<3>(Shape::Shifted(2_052)),
+            [0x242e_99c8_f7ef_f801; 2]
         );
     }
 

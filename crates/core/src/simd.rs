@@ -1,18 +1,22 @@
-//! SIMD batch matching over contiguous entry slabs.
+//! SIMD batch matching over runs of entry slabs.
 //! spc-scope: hot-path
 //!
-//! The packed match test (PR 3) is one `XOR + AND + compare` per entry; an
-//! LLA node is a contiguous slab of such entries — exactly the shape
-//! SSE2/AVX2 wants. The kernels here test 2 (`u64x2`, SSE2) or 4 (`u64x4`,
-//! AVX2) packed key/mask pairs per instruction against the probe, reduce
-//! each vector of 64-bit compare results to bits via `movemask`, and hand
-//! back a candidate bitmap the caller ANDs with the node's occupancy bitmap
-//! and bit-scans to the first live hit.
+//! The packed match test is one `XOR + AND + compare` per entry; an LLA
+//! node is a contiguous slab of such entries, and a *run* — consecutive
+//! nodes of one pool chunk that the links chain — is several slabs at node
+//! stride. The kernels here test 2 (`u64x2`, SSE2) or 4 (`u64x4`, AVX2)
+//! packed key/mask pairs per instruction against the probe, across node
+//! boundaries, reduce each vector of 64-bit compare results to bits via
+//! `movemask`, and hand back one candidate bitmap in slot order that the
+//! caller ANDs with the nodes' concatenated occupancy registers and
+//! bit-scans to the first live hit.
 //!
-//! A slab is one bitmap node, at most 32 entries. The occupancy register
-//! is the only hole test a kernel's caller needs, so no kernel reports
-//! holes. Nodes wider than 32 slots have no register and take the LLA's
-//! field-wise reference walk instead of a kernel.
+//! A run ([`scan_run`]) is at most 32 entries: one bitmap node up to 32
+//! slots, or up to eight slots of small nodes (four LLA-2 nodes, two LLA-3
+//! or LLA-4). The occupancy registers are the only hole test a kernel's
+//! caller needs, so no kernel reports holes. Nodes wider than 32 slots have
+//! no register and take the LLA's field-wise reference walk instead of a
+//! kernel.
 //!
 //! Three scan kinds exist:
 //!
@@ -106,7 +110,7 @@ pub fn detect_best() -> ScanKind {
 
 /// Clamps a requested kind to what the CPU supports. This is the safety
 /// check that keeps the AVX2 kernel and the AVX2 + POPCNT walk off CPUs
-/// without both features: every kind handed to [`scan_candidates`] must
+/// without both features: every kind handed to [`scan_run`] must
 /// have passed through here.
 #[inline]
 pub fn clamp_supported(k: ScanKind) -> ScanKind {
@@ -122,37 +126,67 @@ const fn vectorizable<E: Element>() -> bool {
         && core::mem::align_of::<E>() >= 8
 }
 
-/// Scans up to 32 slab entries, returning the candidate bitmap: bit `i` set
-/// ⟺ `entries[i]`'s packed key/mask matches the probe. Holes are included;
-/// the LLA walk masks them out with the node's occupancy register.
+/// A node whose entries form one slab: what a run is made of. Every slab of
+/// one run has the same length.
+pub trait Slab {
+    /// The entry type the slab holds.
+    type Entry: Element;
+    /// The node's entries, holes included.
+    fn slab(&self) -> &[Self::Entry];
+}
+
+/// A bare slice is a run of one slab, or of several when a caller splits
+/// one (the kernel tests do).
+impl<E: Element> Slab for &[E] {
+    type Entry = E;
+    #[inline(always)]
+    fn slab(&self) -> &[E] {
+        self
+    }
+}
+
+/// Scans a run of slabs, at most 32 entries in all, returning the candidate
+/// bitmap in slot order across the run: bit `j · n + i` set ⟺ entry `i` of
+/// `run[j]` (each slab `n` long) matches the probe's packed key/mask.
+/// Holes are included; the LLA walk masks them out with the run's
+/// concatenated occupancy registers.
 #[inline(always)]
-pub fn scan_candidates<E: Element>(kind: ScanKind, entries: &[E], probe: &PackedProbe) -> u32 {
-    debug_assert!(entries.len() <= 32);
+pub fn scan_run<T: Slab>(kind: ScanKind, run: &[T], probe: &PackedProbe) -> u32 {
+    let n = run.first().map_or(0, |t| t.slab().len());
+    let total = run.len() * n;
+    debug_assert!(total <= 32 && run.iter().all(|t| t.slab().len() == n));
+    // `n > 0` whenever a slot is asked for: `k < total`.
+    let at = |k: usize| &run[k / n].slab()[k % n];
     #[cfg(target_arch = "x86_64")]
-    if vectorizable::<E>() {
+    if vectorizable::<T::Entry>() {
         match kind {
             // SAFETY: callers pass kinds clamped by `clamp_supported`, which
             // yields `Simd256` only after both `is_x86_feature_detected!
             // ("avx2")` and `("popcnt")`, so the AVX2 kernel cannot execute
             // on a CPU without AVX2.
-            ScanKind::Simd256 => return unsafe { scan_slab_avx2(entries, probe) },
+            ScanKind::Simd256 => return unsafe { scan_avx2(total, at, probe) },
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-            ScanKind::Simd128 => return unsafe { scan_slab_sse2(entries, probe) },
+            ScanKind::Simd128 => return unsafe { scan_sse2(0, total, at, probe) },
             ScanKind::Portable => {}
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = kind;
-    scan_slab_portable(entries, probe)
+    scan_portable(total, at, probe)
 }
 
 /// The scalar reference kernel: exactly the branchless accumulate loop the
-/// pre-SIMD bitmap scan used.
-fn scan_slab_portable<E: Element>(entries: &[E], probe: &PackedProbe) -> u32 {
+/// pre-SIMD bitmap scan used, over slots `0..total` of a run.
+#[inline(always)]
+fn scan_portable<'a, E: Element + 'a>(
+    total: usize,
+    at: impl Fn(usize) -> &'a E,
+    probe: &PackedProbe,
+) -> u32 {
     let mut cand: u32 = 0;
-    for (i, e) in entries.iter().enumerate() {
-        let m = packed_matches(e.packed_key(), e.packed_mask(), probe) as u32;
-        cand |= m << i;
+    for k in 0..total {
+        let e = at(k);
+        cand |= (packed_matches(e.packed_key(), e.packed_mask(), probe) as u32) << k;
     }
     cand
 }
@@ -195,51 +229,60 @@ mod x86 {
         unsafe { _mm_movemask_pd(_mm_castsi128_pd(zero_flags64_sse2(v))) as u32 }
     }
 
-    /// SSE2 slab scan: two entries per step. Each entry's packed key and
-    /// mask word are *adjacent* (words 0 and 1), so one unaligned 128-bit
-    /// load per entry captures both; a pair of unpacks then separates
-    /// `[key0, key1]` from `[word1_0, word1_1]` — no scalar gather, the
-    /// match test and reduction stay fully vectorized.
+    /// An entry's 16-byte head: its packed key and mask word.
+    ///
+    /// # Safety
+    /// Caller must ensure `vectorizable::<E>()` holds: the entry is at least
+    /// 16 bytes with words 0 and 1 (key, mask word) leading, so the load
+    /// stays inside it.
+    #[inline(always)]
+    unsafe fn head<E: Element>(e: &E) -> __m128i {
+        // SAFETY: in bounds of `*e` by this function's contract; SSE2 is
+        // the x86-64 baseline.
+        unsafe { _mm_loadu_si128(e as *const E as *const __m128i) }
+    }
+
+    /// SSE2 run scan over slots `i..total`, two entries per compare, bits
+    /// at their slot positions. Each entry's packed key and mask word are
+    /// *adjacent* (words 0 and 1), so one unaligned 128-bit load per entry
+    /// captures both; a pair of unpacks then separates `[key0, key1]` from
+    /// `[word1_0, word1_1]` — no scalar gather, the match test and reduction
+    /// stay fully vectorized. A pair may span two nodes of the run.
     ///
     /// The probe mask is folded into the affine mask-transform constants
     /// up front: `mask & pmask = (word1 & (AND & pmask)) | (OR & pmask)`,
     /// saving one AND per step.
     ///
+    /// Always inlined and compiled with its caller's features (SSE2 is the
+    /// x86-64 baseline), so a walk's kernel unrolls at the walk's constant
+    /// run width.
+    ///
     /// # Safety
-    /// Caller must ensure SSE2 is available and `vectorizable::<E>()`
-    /// holds (word-granular, word-aligned entry layout).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn scan_slab_sse2<E: Element>(entries: &[E], probe: &PackedProbe) -> u32 {
-        let n = entries.len();
-        let w = core::mem::size_of::<E>() / 8;
-        let base = entries.as_ptr() as *const i64;
-        let pk = _mm_set1_epi64x(probe.key as i64);
-        let mand = _mm_set1_epi64x((E::MASK_WORD_AND & probe.mask) as i64);
-        let mor = _mm_set1_epi64x((E::MASK_WORD_OR & probe.mask) as i64);
+    /// Caller must ensure `vectorizable::<E>()` holds (word-granular,
+    /// word-aligned entry layout).
+    #[inline(always)]
+    pub(super) unsafe fn scan_sse2<'a, E: Element + 'a>(
+        mut i: usize,
+        total: usize,
+        at: impl Fn(usize) -> &'a E,
+        probe: &PackedProbe,
+    ) -> u32 {
         let mut cand = 0u32;
-        let mut i = 0usize;
-        // Main step: four slots per iteration, two `u64x2` tests whose
-        // zero-flags reduce through ONE `movemask_ps`. Each 64-bit lane of
-        // `zero_flags64_sse2`'s result is all-ones or all-zero, so picking
-        // the high 32-bit half of every lane (`shuffle_ps` imm `0xDD` =
-        // lanes [1, 3] of each source) packs both pairs' flags into four
-        // sign bits in slot order.
-        while i + 4 <= n {
-            // SAFETY: slots `i..i + 4` are in bounds of `entries`;
-            // `vectorizable::<E>()` guarantees each entry is at least 16
-            // bytes with words 0 and 1 (key, mask word) leading, so the
-            // 16-byte loads stay inside their entries.
-            let (a, b, c, d) = unsafe {
-                (
-                    _mm_loadu_si128(base.add(i * w) as *const __m128i),
-                    _mm_loadu_si128(base.add((i + 1) * w) as *const __m128i),
-                    _mm_loadu_si128(base.add((i + 2) * w) as *const __m128i),
-                    _mm_loadu_si128(base.add((i + 3) * w) as *const __m128i),
-                )
-            };
-            // SAFETY: SSE2 register arithmetic only.
-            unsafe {
+        // SAFETY: SSE2 is the x86-64 baseline, and `head`'s layout
+        // precondition is this function's contract.
+        unsafe {
+            let pk = _mm_set1_epi64x(probe.key as i64);
+            let mand = _mm_set1_epi64x((E::MASK_WORD_AND & probe.mask) as i64);
+            let mor = _mm_set1_epi64x((E::MASK_WORD_OR & probe.mask) as i64);
+            // Main step: four slots per iteration, two `u64x2` tests whose
+            // zero-flags reduce through ONE `movemask_ps`. Each 64-bit lane
+            // of `zero_flags64_sse2`'s result is all-ones or all-zero, so
+            // picking the high 32-bit half of every lane (`shuffle_ps` imm
+            // `0xDD` = lanes [1, 3] of each source) packs both pairs' flags
+            // into four sign bits in slot order.
+            while i + 4 <= total {
+                let (a, b) = (head(at(i)), head(at(i + 1)));
+                let (c, d) = (head(at(i + 2)), head(at(i + 3)));
                 let k01 = _mm_unpacklo_epi64(a, b); // [key0,   key1]
                 let w01 = _mm_unpackhi_epi64(a, b); // [word1_0, word1_1]
                 let k23 = _mm_unpacklo_epi64(c, d);
@@ -253,108 +296,78 @@ mod x86 {
                 let e23 = zero_flags64_sse2(d23);
                 let comb = _mm_shuffle_ps::<0xDD>(_mm_castsi128_ps(e01), _mm_castsi128_ps(e23));
                 cand |= (_mm_movemask_ps(comb) as u32) << i;
+                i += 4;
             }
-            i += 4;
-        }
-        if i + 2 <= n {
-            // SAFETY: slots `i` and `i + 1` are in bounds of `entries`;
-            // same 16-byte in-entry load argument as the main step.
-            let (a, b) = unsafe {
-                (
-                    _mm_loadu_si128(base.add(i * w) as *const __m128i),
-                    _mm_loadu_si128(base.add((i + 1) * w) as *const __m128i),
-                )
-            };
-            // SAFETY: SSE2 register arithmetic only.
-            unsafe {
+            if i + 2 <= total {
+                let (a, b) = (head(at(i)), head(at(i + 1)));
                 let k = _mm_unpacklo_epi64(a, b);
                 let mraw = _mm_unpackhi_epi64(a, b);
                 let m = _mm_or_si128(_mm_and_si128(mraw, mand), mor);
                 let diff = _mm_and_si128(_mm_xor_si128(k, pk), m);
                 cand |= movemask_zero64_sse2(diff) << i;
+                i += 2;
             }
-            i += 2;
         }
-        if i < n {
+        if i < total {
             // Odd tail: one scalar packed test.
-            let e = &entries[i];
+            let e = at(i);
             cand |= (packed_matches(e.packed_key(), e.packed_mask(), probe) as u32) << i;
         }
         cand
     }
 
-    /// Un-swizzles a 4-bit AVX2 lane bitmap back to slot order.
+    /// AVX2 run scan: four slots per `vpcmpeqq ymm`, across node boundaries
+    /// (see [`scan_sse2`] for the adjacent key/mask-word load and the
+    /// probe-mask folding); the 64-bit compare is native. The 16-byte heads
+    /// are concatenated as `[s0 | s2]` and `[s1 | s3]`, so the lane-wise
+    /// unpacks give `[k0, k1 | k2, k3]` and the movemask bits come out in
+    /// slot order. The last one to three slots take the SSE2 kernel.
     ///
-    /// The AVX2 slab scan builds its vectors with lane-wise
-    /// `unpacklo/hi_epi64` over two `[key, word1]` entry pairs per
-    /// 128-bit lane, which lands slots in register lane order
-    /// `[0, 2, 1, 3]`; swapping bits 1 and 2 of the movemask restores
-    /// slot order.
-    #[inline(always)]
-    fn unswizzle4(m: u32) -> u32 {
-        (m & 0b1001) | ((m & 0b0010) << 1) | ((m & 0b0100) >> 1)
-    }
-
-    /// AVX2 slab scan: four entries per step (see [`scan_slab_sse2`] for
-    /// the adjacent key/mask-word load trick and the probe-mask folding);
-    /// the 64-bit compare is native (`_mm256_cmpeq_epi64`). Two entries'
-    /// 16-byte heads are concatenated per 256-bit register, so the
-    /// unpacks separate keys from mask words in lane order `[0, 2, 1, 3]`
-    /// — [`unswizzle4`] puts the movemask bits back in slot order.
+    /// Always inlined, and compiled with its caller's features: the AVX2
+    /// walk (`avx2,popcnt`) inlines the intrinsics, so the kernel unrolls
+    /// at the walk's constant run width inside one loop body.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available (runtime-detected) and
     /// `vectorizable::<E>()` holds.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan_slab_avx2<E: Element>(entries: &[E], probe: &PackedProbe) -> u32 {
-        let n = entries.len();
-        let w = core::mem::size_of::<E>() / 8;
-        let base = entries.as_ptr() as *const i64;
-        let pk = _mm256_set1_epi64x(probe.key as i64);
-        let mand = _mm256_set1_epi64x((E::MASK_WORD_AND & probe.mask) as i64);
-        let mor = _mm256_set1_epi64x((E::MASK_WORD_OR & probe.mask) as i64);
-        let zero = _mm256_setzero_si256();
+    #[inline(always)]
+    pub(super) unsafe fn scan_avx2<'a, E: Element + 'a>(
+        total: usize,
+        at: impl Fn(usize) -> &'a E,
+        probe: &PackedProbe,
+    ) -> u32 {
         let mut cand = 0u32;
         let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: slots `i..i + 4` are in bounds of `entries`;
-            // `vectorizable::<E>()` guarantees each entry is at least 16
-            // bytes with words 0 and 1 (key, mask word) leading, so the
-            // 16-byte loads stay inside their entries.
-            let (a, b, c, d) = unsafe {
-                (
-                    _mm_loadu_si128(base.add(i * w) as *const __m128i),
-                    _mm_loadu_si128(base.add((i + 1) * w) as *const __m128i),
-                    _mm_loadu_si128(base.add((i + 2) * w) as *const __m128i),
-                    _mm_loadu_si128(base.add((i + 3) * w) as *const __m128i),
-                )
-            };
-            // [k0, w0, k1, w1] / [k2, w2, k3, w3].
-            let v01 = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(a), b);
-            let v23 = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(c), d);
-            // Lane-wise unpack: slots land in order [0, 2, 1, 3].
-            let k = _mm256_unpacklo_epi64(v01, v23); // [k0, k2, k1, k3]
-            let mraw = _mm256_unpackhi_epi64(v01, v23); // [w0, w2, w1, w3]
-            let m = _mm256_or_si256(_mm256_and_si256(mraw, mand), mor);
-            let diff = _mm256_and_si256(_mm256_xor_si256(k, pk), m);
-            let eq = _mm256_cmpeq_epi64(diff, zero);
-            cand |= unswizzle4(_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32 & 0xF) << i;
-            i += 4;
-        }
-        if i < n {
-            // 1–3 remaining entries: finish with the SSE2 kernel (AVX2
-            // implies SSE2), shifted into place.
-            // SAFETY: SSE2 is implied by AVX2; the sub-slice keeps the
-            // layout preconditions.
-            cand |= unsafe { scan_slab_sse2(&entries[i..], probe) } << i;
+        // SAFETY: AVX2 (hence SSE2) and `head`'s layout precondition are
+        // this function's contract.
+        unsafe {
+            let pk = _mm256_set1_epi64x(probe.key as i64);
+            let mand = _mm256_set1_epi64x((E::MASK_WORD_AND & probe.mask) as i64);
+            let mor = _mm256_set1_epi64x((E::MASK_WORD_OR & probe.mask) as i64);
+            let zero = _mm256_setzero_si256();
+            while i + 4 <= total {
+                let (a, b) = (head(at(i)), head(at(i + 1)));
+                let (c, d) = (head(at(i + 2)), head(at(i + 3)));
+                let v02 = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(a), c); // [k0, w0 | k2, w2]
+                let v13 = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(b), d); // [k1, w1 | k3, w3]
+                let k = _mm256_unpacklo_epi64(v02, v13); // [k0, k1 | k2, k3]
+                let mraw = _mm256_unpackhi_epi64(v02, v13); // [w0, w1 | w2, w3]
+                let m = _mm256_or_si256(_mm256_and_si256(mraw, mand), mor);
+                let diff = _mm256_and_si256(_mm256_xor_si256(k, pk), m);
+                let eq = _mm256_cmpeq_epi64(diff, zero);
+                cand |= (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32) << i;
+                i += 4;
+            }
+            if i < total {
+                cand |= scan_sse2(i, total, at, probe);
+            }
         }
         cand
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{scan_slab_avx2, scan_slab_sse2};
+use x86::{scan_avx2, scan_sse2};
 
 #[cfg(test)]
 mod tests {
@@ -384,6 +397,30 @@ mod tests {
         }
     }
 
+    /// Every prefix of `entries`, the empty one included, scanned as one
+    /// slab and split into every run of equal slabs, gives the scalar loop's
+    /// bitmap under every kind.
+    fn runs_agree<E: Element>(entries: &[E], probe: &PackedProbe) {
+        for len in 0..=entries.len() {
+            let slab = &entries[..len];
+            let want = (0..len).fold(0u32, |m, i| {
+                let e = &slab[i];
+                m | (packed_matches(e.packed_key(), e.packed_mask(), probe) as u32) << i
+            });
+            for k in ScanKind::ALL {
+                let k = clamp_supported(k);
+                assert_eq!(scan_run(k, &[slab], probe), want, "{k:?} len {len}");
+            }
+            for n in (1..len).filter(|&n| len.is_multiple_of(n)) {
+                let run: Vec<&[E]> = slab.chunks_exact(n).collect();
+                for k in ScanKind::ALL {
+                    let k = clamp_supported(k);
+                    assert_eq!(scan_run(k, &run, probe), want, "{k:?} len {len} slab {n}");
+                }
+            }
+        }
+    }
+
     fn posted_mixed() -> Vec<PostedEntry> {
         let mut v = Vec::new();
         for i in 0..9i32 {
@@ -407,17 +444,7 @@ mod tests {
             Envelope::new(7, 7, 9).packed(),
         ];
         for probe in &probes {
-            for len in 0..=entries.len() {
-                let want = scan_slab_portable(&entries[..len], probe);
-                for k in ScanKind::ALL {
-                    let k = clamp_supported(k);
-                    assert_eq!(
-                        scan_candidates(k, &entries[..len], probe),
-                        want,
-                        "{k:?} len {len}"
-                    );
-                }
-            }
+            runs_agree(&entries, probe);
         }
     }
 
@@ -434,17 +461,7 @@ mod tests {
             RecvSpec::any(1).packed(),
             RecvSpec::any(2).packed(),
         ] {
-            for len in 0..=entries.len() {
-                let want = scan_slab_portable(&entries[..len], &probe);
-                for k in ScanKind::ALL {
-                    let k = clamp_supported(k);
-                    assert_eq!(
-                        scan_candidates(k, &entries[..len], &probe),
-                        want,
-                        "{k:?} len {len}"
-                    );
-                }
-            }
+            runs_agree(&entries, &probe);
         }
     }
 }

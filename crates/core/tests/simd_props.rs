@@ -1,13 +1,14 @@
-//! Differential properties: SIMD slab kernels vs the scalar packed scan.
+//! Differential properties: SIMD run kernels vs the scalar packed scan.
 //!
 //! The vector kernels in `spc_core::simd` must be **bit-for-bit** equivalent
 //! to the scalar packed loop they accelerate — same candidate bitmaps, same
 //! first live hit, and (because every `AccessSink` charge in the list walks
 //! is derived from those bitmaps) identical simulated memory traces. These
-//! properties drive every node width `2..=32`, every occupancy pattern
-//! (exhaustive up to 8 slots, sampled above), and the full wildcard/masked
-//! probe space from `packed_props.rs` through all three scan kinds and
-//! require exact agreement. Nodes wider than 32 slots run no kernel: their
+//! properties drive every slab width `2..=32`, split into every run of
+//! equal node slabs, every occupancy pattern (exhaustive up to 8 slots,
+//! sampled above), and the full wildcard/masked probe space from
+//! `packed_props.rs` through all three scan kinds and require exact
+//! agreement. Nodes wider than 32 slots run no kernel: their
 //! scripts must reproduce the field-wise reference walk byte for byte.
 //! Driven by the in-repo seeded PRNG so failures reproduce exactly.
 
@@ -125,6 +126,23 @@ fn occupancy_patterns(width: usize, rng: &mut StdRng) -> Vec<u32> {
     }
 }
 
+/// `slab` scanned under every kind as every run of equal slabs it splits
+/// into (`n` slots each, `n` dividing its width): `(kind, n, bitmap)`.
+fn scans<E: Element>(
+    kinds: &[ScanKind],
+    slab: &[E],
+    probe: &spc_core::entry::PackedProbe,
+) -> Vec<(ScanKind, usize, u32)> {
+    let mut out = Vec::new();
+    for n in (1..=slab.len()).filter(|&n| slab.len().is_multiple_of(n)) {
+        let run: Vec<&[E]> = slab.chunks_exact(n).collect();
+        for &k in kinds {
+            out.push((k, n, simd::scan_run(k, &run, probe)));
+        }
+    }
+    out
+}
+
 #[test]
 fn posted_slab_scans_agree_for_every_width_and_occupancy() {
     let kinds = supported_kinds();
@@ -144,20 +162,19 @@ fn posted_slab_scans_agree_for_every_width_and_occupancy() {
             for _ in 0..3 {
                 let env = random_envelope(&mut rng);
                 let probe = env.packed();
-                let want = simd::scan_candidates(ScanKind::Portable, &slab, &probe);
+                let want = simd::scan_run(ScanKind::Portable, &[&slab[..]], &probe);
                 // On live slots the candidate bitmap is the field-wise match.
                 let fieldwise = (0..width)
                     .filter(|&i| pattern >> i & 1 == 1 && slab[i].matches(&env))
                     .fold(0u32, |m, i| m | 1 << i);
                 assert_eq!(want & pattern, fieldwise, "width {width}");
-                for &k in &kinds {
-                    let got = simd::scan_candidates(k, &slab, &probe);
-                    assert_eq!(got, want, "{k:?} width {width} pattern {pattern:#x}");
+                for (k, n, got) in scans(&kinds, &slab, &probe) {
+                    assert_eq!(got, want, "{k:?} width {width}/{n} pattern {pattern:#x}");
                     // First live hit — the index the LLA walk acts on.
                     assert_eq!(
                         (got & pattern).trailing_zeros(),
                         (want & pattern).trailing_zeros(),
-                        "{k:?} width {width} pattern {pattern:#x}"
+                        "{k:?} width {width}/{n} pattern {pattern:#x}"
                     );
                 }
                 hits += u64::from(want & pattern != 0);
@@ -185,15 +202,14 @@ fn unexpected_slab_scans_agree_for_every_width_and_occupancy() {
                 .collect();
             for _ in 0..3 {
                 let probe = random_spec(&mut rng).packed();
-                let want = simd::scan_candidates(ScanKind::Portable, &slab, &probe);
-                for &k in &kinds {
-                    let got = simd::scan_candidates(k, &slab, &probe);
-                    assert_eq!(got, want, "{k:?} width {width} pattern {pattern:#x}");
+                let want = simd::scan_run(ScanKind::Portable, &[&slab[..]], &probe);
+                for (k, n, got) in scans(&kinds, &slab, &probe) {
+                    assert_eq!(got, want, "{k:?} width {width}/{n} pattern {pattern:#x}");
                     // First live hit — the index the LLA walk acts on.
                     assert_eq!(
                         (got & pattern).trailing_zeros(),
                         (want & pattern).trailing_zeros(),
-                        "{k:?} width {width} pattern {pattern:#x}"
+                        "{k:?} width {width}/{n} pattern {pattern:#x}"
                     );
                 }
                 hits += u64::from(want & pattern != 0);
